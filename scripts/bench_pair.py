@@ -1,0 +1,100 @@
+"""Write a before/after benchmark record for one change.
+
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_2.json
+
+DIR is a checkout (source, perfbench/ and BENCHMARK.json) of the parent
+commit and of the change.  For every workload in BENCHMARK.json this runs
+
+    python3 perfbench/run.py --workload W --seed 1 --seconds 20 --trace 0
+
+in the before checkout and then in the after checkout, and keeps the last
+line each run prints (its JSON result).  It also records the structural
+counts of the pruned Weyl sweep on the seed-1 ``brute`` inputs, computed
+with the after checkout's source: rows are leaves, each pruned subtree is
+one dropped prefix, and leaves plus pruned elements account for (rank+1)!.
+Timings depend on the host, which the record names; the counts do not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from math import factorial
+from pathlib import Path
+
+SEED = 1
+SECONDS = 20
+
+
+def cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def run_workload(checkout: Path, workload: str) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if not lines:
+        raise RuntimeError(f"{workload} in {checkout} printed nothing:\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def sweep_counts(checkout: Path) -> dict:
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    import workloads
+    from qmult.altset import WeylSweep
+    from qmult.roots import RootVector, highest_root
+
+    inputs = workloads.generate("brute", SEED)
+    rank = inputs["rank"]
+    calls = []
+    for mu in inputs["mus"]:
+        coeffs = mu.get("coeffs") or [int(k + 1 in mu["members"]) for k in range(rank)]
+        sweep = WeylSweep(highest_root(rank), RootVector(rank, coeffs))
+        for _ in sweep:
+            pass
+        calls.append({"mu": mu, "leaves": sweep.leaves, "pruned_subtrees": sweep.pruned,
+                      "accounted": sweep.accounted})
+    return {"workload": "brute", "seed": SEED, "rank": rank,
+            "rows_per_call_before": factorial(rank + 1), "calls": calls}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", type=Path, required=True)
+    parser.add_argument("--after", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.after / "BENCHMARK.json").read_text())
+    results = {}
+    for w in spec["workloads"]:
+        name = w["name"]
+        results[name] = {"before": run_workload(args.before, name),
+                         "after": run_workload(args.after, name)}
+    record = {
+        "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
+                   f"--seconds {SECONDS} --trace 0",
+        "host": {"cpu": cpu_model(), "cpus": os.cpu_count(),
+                 "platform": platform.platform(),
+                 "python": platform.python_version()},
+        "workloads": results,
+        "sweep_counts": sweep_counts(args.after),
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
-from typing import Iterable, Iterator
+from math import factorial, prod
+from typing import Iterator
 
 from .intervals import IndexSet, interval_partition, maximal_runs
 from .partition import table_for
@@ -25,12 +25,6 @@ from .weyl import (
     WeylElement,
     product_of_commuting,
 )
-
-# Full (perm, sign, image) orbits are cached per (rank, lam) up to this rank;
-# beyond it they are streamed to keep memory flat.
-_ORBIT_CACHE_MAX_RANK = 7
-_ORBIT_CACHE: dict[tuple[int, tuple[int, ...]], tuple] = {}
-
 
 def fibonacci(n: int) -> int:
     """The n-th Fibonacci number with F_1 = F_2 = 1.
@@ -150,73 +144,75 @@ def alt_set_closed(index_set: IndexSet) -> AltSet:
     )
 
 
-def signed_root_images(
-    lam: RootVector, cap: int = DEFAULT_BRUTE_CAP
-) -> Iterable[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """(perm, sign, image) for every Weyl element, in lexicographic order.
+class WeylSweep:
+    """The Weyl elements whose term may be nonzero, by a pruned depth-first sweep.
 
-    ``perm`` is the one-line tuple, ``sign`` is (-1)**length, and ``image``
-    is sigma(lam + rho) - rho over the simple-root basis.  This is the inner
-    sweep shared by the brute-force alternation set and multiplicity sums.
-    Cached per (rank, lam) for small ranks, streamed above that.
+    Iterating yields (perm, sign, xi) for each sigma in S_{rank+1} whose
+    xi = sigma(lam + rho) - rho - mu has no negative coordinate over the
+    simple-root basis; ``perm`` is one-line and ``sign`` is (-1)**length.
+    sigma^-1 is built one position p at a time, so xi_p is a running sum and
+    a prefix with xi_p < 0 is dropped with its subtree: Kostant's convention
+    P(xi) = 0 makes all those terms zero, for any lam and mu.  ``leaves`` and
+    ``pruned`` count rows and dropped subtrees; ``accounted``, the elements
+    both cover, ends at (rank+1)!.  The cap is checked before any work.
     """
-    rank = lam.rank
-    if rank > cap:
-        raise CapExceededError(f"rank {rank} exceeds brute-force cap {cap}")
-    key = (rank, lam.coeffs)
-    got = _ORBIT_CACHE.get(key)
-    if got is not None:
-        return got
-    if rank <= _ORBIT_CACHE_MAX_RANK:
-        rows = tuple(_iter_signed_root_images(lam))
-        _ORBIT_CACHE[key] = rows
-        return rows
-    return _iter_signed_root_images(lam)
 
+    def __init__(self, lam: RootVector, mu: RootVector, cap: int = DEFAULT_BRUTE_CAP):
+        if lam.rank != mu.rank:
+            raise ValueError("rank mismatch between lam and mu")
+        if lam.rank > cap:
+            raise CapExceededError(f"rank {lam.rank} exceeds brute-force cap {cap}")
+        self.lam, self.mu = lam, mu
+        self.leaves = self.pruned = self.accounted = 0
 
-def _iter_signed_root_images(
-    lam: RootVector,
-) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    rank = lam.rank
-    n = rank + 1
-    rho = tuple(range(rank, -1, -1))
-    shifted = tuple(a + b for a, b in zip(embed(lam).coords, rho))
-    for perm in itertools.permutations(range(1, n + 1)):
-        img = [0] * n
-        for k in range(n):
-            img[perm[k] - 1] = shifted[k]
-        inv = 0
-        for a in range(n):
-            pa = perm[a]
-            for b in range(a + 1, n):
-                if pa > perm[b]:
-                    inv += 1
-        total = 0
-        w = []
-        for k in range(rank):
-            total += img[k] - rho[k]
-            w.append(total)
-        yield perm, (-1 if inv & 1 else 1), tuple(w)
+    def __iter__(self) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+        self.leaves = self.pruned = self.accounted = 0
+        rank = self.lam.rank
+        n = rank + 1
+        rho = tuple(range(rank, -1, -1))
+        shifted = tuple(a + b for a, b in zip(embed(self.lam).coords, rho))
+        # The last prefix sum is the coordinate sum of lam, always 0.
+        mu = self.mu.coeffs + (0,)
+        subtree = [factorial(n - p - 1) for p in range(n)]
+        free = list(range(n))  # coordinates not yet placed, ascending
+        perm = [0] * n
+        xi = [0] * n
+
+        def extend(p: int, total: int, inversions: int):
+            if p == n:
+                self.leaves += 1
+                self.accounted += 1
+                yield tuple(perm), -1 if inversions & 1 else 1, tuple(xi[:rank])
+                return
+            for j in range(n - p):
+                k = free[j]
+                t = total + shifted[k] - rho[p]
+                if t < mu[p]:
+                    self.pruned += 1
+                    self.accounted += subtree[p]
+                    continue
+                # j free coordinates below k are placed later: j inversions
+                del free[j]
+                perm[k] = p + 1
+                xi[p] = t - mu[p]
+                yield from extend(p + 1, t, inversions + j)
+                free.insert(j, k)
+
+        yield from extend(0, 0, 0)
+        assert self.accounted == factorial(n), (self.accounted, n)
 
 
 def alt_set_brute(
     lam: RootVector, mu: RootVector, cap: int = DEFAULT_BRUTE_CAP
 ) -> frozenset[WeylElement]:
-    """The alternation set for arbitrary lam and mu, by full enumeration.
+    """The alternation set for arbitrary lam and mu, by a pruned Weyl sweep.
 
-    Walks all (rank+1)! Weyl elements and keeps those whose shifted image
-    has a positive partition count.  This is the ground-truth oracle the
-    closed-form construction is checked against.
+    Keeps the rows of :class:`WeylSweep` with a positive partition count at
+    xi; the pruned elements have count zero.  This is the ground-truth
+    oracle the closed-form construction is checked against.
     """
-    if lam.rank != mu.rank:
-        raise ValueError("rank mismatch between lam and mu")
+    sweep = WeylSweep(lam, mu, cap)
     table = table_for(lam.rank)
-    mu_c = mu.coeffs
-    kept = []
-    for perm, _, image in signed_root_images(lam, cap):
-        xi = tuple(a - b for a, b in zip(image, mu_c))
-        if min(xi) < 0:
-            continue
-        if table.kostant_q_coeffs(xi).coeffs:
-            kept.append(WeylElement(perm))
-    return frozenset(kept)
+    return frozenset(
+        WeylElement(perm) for perm, _, xi in sweep if table.kostant_q_coeffs(xi).coeffs
+    )

@@ -54,7 +54,7 @@ ENV_BRUTE_CAP = "QMULT_BRUTE_CAP"
 # verify: exhaustive index-set sweeps stop here, sampling takes over beyond
 _VERIFY_EXHAUSTIVE_MAX = 12
 # verify: brute-force cross-checks stop here regardless of the cap
-_VERIFY_BRUTE_MAX = 7
+_VERIFY_BRUTE_MAX = 10
 # verify: sampled index sets are redrawn while the alternation set is bigger
 _VERIFY_TERMS_CAP = 50_000
 
@@ -273,8 +273,10 @@ def _sampled_subsets(rank: int, rng: random.Random, samples: int):
                 break
 
 
-def _verify_one(index_set: IndexSet, with_brute: bool, failures: list[str]) -> int:
-    """Run every applicable cross-check on one index set; returns check count."""
+def _verify_one(index_set: IndexSet, brute_cap: Optional[int],
+                failures: list[str]) -> int:
+    """Run every applicable cross-check on one index set, the brute-force ones
+    only under a given ``brute_cap``; returns check count."""
     r = index_set.rank
     checks = 0
 
@@ -302,11 +304,12 @@ def _verify_one(index_set: IndexSet, with_brute: bool, failures: list[str]) -> i
             == factorize_over_intervals(index_set),
             "partition factorization over runs",
         )
-    if with_brute:
+    if brute_cap is not None:
         alt = alt_set_closed(index_set)
-        brute_elems = alt_set_brute(highest_root(r), index_set.to_root_vector())
+        mu = index_set.to_root_vector()
+        brute_elems = alt_set_brute(highest_root(r), mu, brute_cap)
         expect(alt.elements == brute_elems, "alternation set closed vs brute")
-        expect(m_q_brute(highest_root(r), index_set.to_root_vector()).value == closed,
+        expect(m_q_brute(highest_root(r), mu, brute_cap).value == closed,
                "brute multiplicity vs closed form")
     return checks
 
@@ -315,22 +318,27 @@ def _run_verify(cfg: RunConfig) -> int:
     rng = random.Random(cfg.seed)
     failures: list[str] = []
     total = 0
+    empty: list[int] = []
     for r in range(1, cfg.max_rank + 1):
-        with_brute = r <= min(_VERIFY_BRUTE_MAX, cfg.brute_cap)
+        brute_cap = cfg.brute_cap if r <= min(_VERIFY_BRUTE_MAX, cfg.brute_cap) else None
         if r <= _VERIFY_EXHAUSTIVE_MAX:
             sets = list(_nonempty_subsets(r))
             mode = "exhaustive"
         else:
             sets = list(_sampled_subsets(r, rng, cfg.samples))
             mode = "sampled"
+        if not sets:
+            empty.append(r)
         for index_set in sets:
-            total += _verify_one(index_set, with_brute, failures)
-        scope = "all methods" if with_brute else "closed forms"
+            total += _verify_one(index_set, brute_cap, failures)
+        scope = "closed forms" if brute_cap is None else "all methods"
         print(f"rank {r}: {len(sets)} index sets ({mode}, {scope})")
     for line in failures:
         print(f"MISMATCH {line}")
-    if failures:
-        print(f"VERIFY FAIL ({len(failures)} of {total} checks failed)")
+    if failures or empty:
+        unchecked = (f", no index set checked at rank {', '.join(map(str, empty))}"
+                     if empty else "")
+        print(f"VERIFY FAIL ({len(failures)} of {total} checks failed{unchecked})")
         return 1
     print(f"VERIFY PASS ({total} checks)")
     return 0
@@ -375,14 +383,21 @@ def run(cfg: RunConfig) -> int:
     return runner(cfg)
 
 
+def _at_least_one(value: int, source: str) -> int:
+    if value < 1:
+        raise ValueError(f"{source} must be at least 1, got {value}")
+    return value
+
+
 def _default_brute_cap() -> int:
     raw = os.environ.get(ENV_BRUTE_CAP)
     if raw is None:
         return DEFAULT_BRUTE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"{ENV_BRUTE_CAP} must be an integer, got {raw!r}") from None
+    return _at_least_one(cap, ENV_BRUTE_CAP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,33 +452,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cap = getattr(args, "brute_cap", None)
-    if cap is None:
-        cap = _default_brute_cap()
+    cap = _default_brute_cap() if cap is None else _at_least_one(cap, "--brute-cap")
     cfg = RunConfig(command=args.command, brute_cap=cap)
     if args.command == "partition":
-        cfg.rank = args.rank
-        if cfg.rank < 1:
-            raise ValueError("rank must be at least 1")
+        cfg.rank = _at_least_one(args.rank, "--rank")
         cfg.xi = _parse_coeff_list(args.xi, args.rank, "xi")
         cfg.method = args.method
         cfg.fmt = args.fmt
     elif args.command in ("altset", "multiplicity"):
-        cfg.rank = args.rank
-        if cfg.rank < 1:
-            raise ValueError("rank must be at least 1")
+        cfg.rank = _at_least_one(args.rank, "--rank")
         cfg.mu_spec = args.mu
         cfg.method = args.method
         cfg.fmt = getattr(args, "fmt", "text")
     elif args.command == "verify":
-        cfg.max_rank = args.max_rank
-        if cfg.max_rank < 1:
-            raise ValueError("max rank must be at least 1")
-        cfg.samples = args.samples
+        cfg.max_rank = _at_least_one(args.max_rank, "--max-rank")
+        cfg.samples = _at_least_one(args.samples, "--samples")
         cfg.seed = args.seed
     else:
-        cfg.max_rank = args.max_rank
-        if cfg.max_rank < 1:
-            raise ValueError("max rank must be at least 1")
+        cfg.max_rank = _at_least_one(args.max_rank, "--max-rank")
         cfg.mu_spec = args.mu
     return cfg
 

@@ -5,7 +5,8 @@ partition values at sigma(lam + rho) - rho - mu.  For lam the highest root
 and mu = alpha_I (a sum of distinct simple roots) four independent routes
 are implemented:
 
-* ``m_q_brute``        -- the full signed sum over all (rank+1)! elements;
+* ``m_q_brute``        -- the full signed sum over all (rank+1)! elements,
+                          skipping prefixes whose terms are all zero;
 * ``m_q_altset``       -- the same sum restricted to the alternation set,
                           which has Fibonacci-product many terms;
 * ``m_q_rank_reduction`` -- a product of lower-rank multiplicities, one
@@ -20,9 +21,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
 
-from .altset import _free_runs, nonconsecutive_subsets, signed_root_images
+from .altset import WeylSweep, _free_runs, nonconsecutive_subsets
 from .intervals import IndexSet, interval_partition
 from .partition import kostant_q_interval_closed_form, table_for
 from .poly import ONE, Q, QPolynomial
@@ -52,20 +52,17 @@ class MultiplicityResult:
 def m_q_brute(
     lam: RootVector, mu: RootVector, cap: int = DEFAULT_BRUTE_CAP
 ) -> MultiplicityResult:
-    """The signed sum over the whole Weyl group, for arbitrary lam and mu."""
-    if lam.rank != mu.rank:
-        raise ValueError("rank mismatch between lam and mu")
+    """The signed sum over the whole Weyl group, for arbitrary lam and mu.
+
+    Sums the rows of a pruned :class:`~qmult.altset.WeylSweep`; the terms it
+    prunes are zero, so this is the defining sum over all (rank+1)! elements.
+    """
+    sweep = WeylSweep(lam, mu, cap)
     rank = lam.rank
     table = table_for(rank)
-    mu_c = mu.coeffs
     acc = [0]
-    for _, sign, image in signed_root_images(lam, cap):
-        xi = tuple(a - b for a, b in zip(image, mu_c))
-        if min(xi) < 0:
-            continue
+    for _, sign, xi in sweep:
         cs = table.kostant_q_coeffs(xi).coeffs
-        if not cs:
-            continue
         if len(cs) > len(acc):
             acc.extend([0] * (len(cs) - len(acc)))
         if sign > 0:
@@ -80,7 +77,7 @@ def m_q_brute(
         mu=mu,
         value=QPolynomial(acc),
         method="brute",
-        terms_evaluated=factorial(rank + 1),
+        terms_evaluated=sweep.accounted,
     )
 
 

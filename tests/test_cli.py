@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from qmult import cli
 from qmult.cli import main, parse_index_set, parse_mu
 from qmult.intervals import IndexSet
 from qmult.multiplicity import m_q_closed_general
@@ -193,6 +194,24 @@ class TestMultiplicityCommand:
         assert code == 2
         assert "QMULT_BRUTE_CAP" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_brute_cap_flag_below_one_rejected(self, capsys, cap):
+        code, out, err = run_cli(capsys, "multiplicity", "--rank", "4", "--mu", "1",
+                                 "--method", "brute", f"--brute-cap={cap}")
+        assert code == 2
+        assert out == ""
+        assert "--brute-cap" in err and "at least 1" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_brute_cap_env_below_one_rejected(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("QMULT_BRUTE_CAP", cap)
+        code, out, err = run_cli(capsys, "multiplicity", "--rank", "4", "--mu", "1",
+                                 "--method", "brute")
+        assert code == 2
+        assert out == ""
+        assert "QMULT_BRUTE_CAP" in err and "at least 1" in err
+        assert "exceeds" not in err
+
     def test_cap_exceeded_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "multiplicity", "--rank", "12", "--mu", "1",
                                "--method", "brute")
@@ -217,6 +236,44 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--max-rank", "6")
         assert code == 0
         assert "VERIFY PASS" in out
+
+    def test_rank7_check_count(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--max-rank", "7")
+        assert code == 0
+        assert out.splitlines()[-2:] == [
+            "rank 7: 127 index sets (exhaustive, all methods)",
+            "VERIFY PASS (1729 checks)",
+        ]
+
+    def test_brute_runs_to_rank_10_within_the_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--max-rank", "10")
+        assert code == 0
+        assert "rank 9: 511 index sets (exhaustive, all methods)" in out
+        assert "rank 10: 1023 index sets (exhaustive, closed forms)" in out
+        code, out, _ = run_cli(capsys, "verify", "--max-rank", "10", "--brute-cap", "10")
+        assert code == 0
+        assert "rank 10: 1023 index sets (exhaustive, all methods)" in out
+        code, out, _ = run_cli(capsys, "verify", "--max-rank", "8", "--brute-cap", "7")
+        assert code == 0
+        assert "rank 8: 255 index sets (exhaustive, closed forms)" in out
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_rejected(self, capsys, samples):
+        code, out, err = run_cli(capsys, "verify", "--max-rank", "14",
+                                 f"--samples={samples}")
+        assert code == 2
+        assert out == ""
+        assert "--samples" in err
+
+    def test_rank_with_no_index_sets_fails(self, capsys, monkeypatch):
+        # every sampled draw is rejected, so rank 2 checks nothing
+        monkeypatch.setattr(cli, "_VERIFY_EXHAUSTIVE_MAX", 1)
+        monkeypatch.setattr(cli, "_VERIFY_TERMS_CAP", 0)
+        code, out, _ = run_cli(capsys, "verify", "--max-rank", "2")
+        assert code == 1
+        assert "rank 2: 0 index sets (sampled, all methods)" in out
+        assert out.splitlines()[-1] == (
+            "VERIFY FAIL (0 of 7 checks failed, no index set checked at rank 2)")
 
 
 class TestBenchCommand:
