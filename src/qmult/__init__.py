@@ -2,125 +2,38 @@
 q-analogs, Weyl alternation sets with Fibonacci-product sizes, and weight
 q-multiplicities by four mutually checking routes."""
 
-from .altset import (
-    AltSet,
-    alt_set_brute,
-    alt_set_cardinality,
-    alt_set_closed,
-    fib_profile,
-    fibonacci,
-    nonconsecutive_subsets,
-)
-from .intervals import (
-    IndexSet,
-    IntervalPartition,
-    interval_partition,
-    maximal_runs,
-    n_of_complement,
-)
+from .altset import AltSet, alt_set_brute, alt_set_closed
+from .intervals import IndexSet
 from .multiplicity import (
-    METHODS,
     MultiplicityResult,
-    m_classical,
     m_q_altset,
     m_q_brute,
     m_q_closed_general,
-    m_q_closed_positive_root,
-    m_q_closed_two_intervals,
     m_q_closed_zero,
     m_q_rank_reduction,
 )
-from .partition import (
-    DEFAULT_ORACLE_CAP,
-    PartitionTable,
-    factorize_over_intervals,
-    kostant,
-    kostant_q,
-    kostant_q_interval_closed_form,
-    kostant_q_oracle,
-    table_for,
-)
-from .poly import ONE, Q, ZERO, QPolynomial
-from .roots import (
-    RootVector,
-    WeightVector,
-    all_positive_roots,
-    alpha_of_index_set,
-    embed,
-    highest_root,
-    positive_root,
-    rho_coords,
-    simple_root,
-    to_root_basis,
-    zero_root,
-)
-from .weyl import (
-    DEFAULT_BRUTE_CAP,
-    CapExceededError,
-    WeylElement,
-    all_elements,
-    commuting_indices,
-    compose,
-    identity,
-    product_of_commuting,
-    simple_reflection,
-)
+from .partition import kostant_q, kostant_q_oracle
+from .poly import QPolynomial
+from .roots import RootVector, highest_root
+from .weyl import CapExceededError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AltSet",
     "CapExceededError",
-    "DEFAULT_BRUTE_CAP",
-    "DEFAULT_ORACLE_CAP",
     "IndexSet",
-    "IntervalPartition",
-    "METHODS",
     "MultiplicityResult",
-    "ONE",
-    "PartitionTable",
-    "Q",
     "QPolynomial",
     "RootVector",
-    "WeightVector",
-    "WeylElement",
-    "ZERO",
-    "all_elements",
-    "all_positive_roots",
-    "alpha_of_index_set",
     "alt_set_brute",
-    "alt_set_cardinality",
     "alt_set_closed",
-    "commuting_indices",
-    "compose",
-    "embed",
-    "factorize_over_intervals",
-    "fib_profile",
-    "fibonacci",
     "highest_root",
-    "identity",
-    "interval_partition",
-    "kostant",
     "kostant_q",
-    "kostant_q_interval_closed_form",
     "kostant_q_oracle",
-    "m_classical",
     "m_q_altset",
     "m_q_brute",
     "m_q_closed_general",
-    "m_q_closed_positive_root",
-    "m_q_closed_two_intervals",
     "m_q_closed_zero",
     "m_q_rank_reduction",
-    "maximal_runs",
-    "n_of_complement",
-    "nonconsecutive_subsets",
-    "positive_root",
-    "product_of_commuting",
-    "rho_coords",
-    "simple_reflection",
-    "simple_root",
-    "table_for",
-    "to_root_basis",
-    "zero_root",
 ]

@@ -113,33 +113,33 @@ def alt_set_cardinality(index_set: IndexSet) -> int:
     return prod(fibonacci(k) for k in fib_profile(index_set))
 
 
-def _free_runs(index_set: IndexSet) -> tuple[tuple[int, int], ...]:
-    """Maximal runs of the complement of I with the endpoints 1, rank removed."""
-    r = index_set.rank
+def reflection_index_sets(index_set: IndexSet) -> Iterator[tuple[int, ...]]:
+    """The index set J of each alternation-set element, sorted ascending.
+
+    J is a nonconsecutive subset of the complement of I minus {1, rank},
+    chosen independently within each maximal run of that free region, and
+    the element is the product of s_j over J.  There are
+    alt_set_cardinality(I) of them, the identity (J empty) first.
+    """
+    if index_set.is_empty():
+        raise ValueError("index set must be nonempty")
     picked = set(index_set.members)
-    free = [k for k in range(2, r) if k not in picked]
-    return maximal_runs(free)
+    free = maximal_runs(k for k in range(2, index_set.rank) if k not in picked)
+    per_run = [tuple(nonconsecutive_subsets(lo, hi)) for lo, hi in free]
+    for combo in itertools.product(*per_run):
+        yield tuple(itertools.chain.from_iterable(combo))
 
 
 def alt_set_closed(index_set: IndexSet) -> AltSet:
-    """The alternation set built from the closed-form description.
-
-    Elements are the products of simple reflections over nonconsecutive
-    index sets drawn from the complement of I minus {1, rank}; subsets are
-    chosen independently within each maximal run of that free region.
-    """
+    """The alternation set built from the closed-form description: the
+    products of simple reflections over :func:`reflection_index_sets`."""
     r = index_set.rank
-    if index_set.is_empty():
-        raise ValueError("index set must be nonempty")
-    per_run = [list(nonconsecutive_subsets(lo, hi)) for lo, hi in _free_runs(index_set)]
-    elements = set()
-    for combo in itertools.product(*per_run):
-        indices = tuple(itertools.chain.from_iterable(combo))
-        elements.add(product_of_commuting(indices, r))
     return AltSet(
         rank=r,
         mu=index_set,
-        elements=frozenset(elements),
+        elements=frozenset(
+            product_of_commuting(j, r) for j in reflection_index_sets(index_set)
+        ),
         fib_profile=fib_profile(index_set),
     )
 

@@ -7,10 +7,12 @@ against every other up to a rank bound, and ``bench`` emits a CSV of term
 counts and timings.
 
 Exit codes: 0 on success, 1 when routes that must agree do not, 2 on usage
-errors or when a request exceeds a brute-force cap.  The environment
-variable QMULT_BRUTE_CAP overrides the default cap; the --brute-cap flag
-overrides both.  All output except bench timings is byte-identical across
-runs for a fixed configuration and seed.
+errors or when a request exceeds a brute-force cap.  The subcommands with
+a brute-force route (``altset``, ``multiplicity``, ``verify``, ``bench``)
+take the cap from --brute-cap, else from the environment variable
+QMULT_BRUTE_CAP, else the default; ``partition`` reads neither.  All output
+except bench timings is byte-identical across runs for a fixed
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .altset import (
@@ -47,7 +48,7 @@ from .partition import (
 )
 from .poly import QPolynomial
 from .roots import RootVector, highest_root
-from .weyl import DEFAULT_BRUTE_CAP, CapExceededError, WeylElement, commuting_indices
+from .weyl import DEFAULT_BRUTE_CAP, WeylElement, commuting_indices
 
 ENV_BRUTE_CAP = "QMULT_BRUTE_CAP"
 
@@ -59,52 +60,29 @@ _VERIFY_BRUTE_MAX = 10
 _VERIFY_TERMS_CAP = 50_000
 
 
-@dataclass
-class RunConfig:
-    """A fully parsed request; ``run`` turns it into output and an exit code."""
-
-    command: str
-    rank: int = 0
-    xi: Optional[tuple[int, ...]] = None
-    mu_spec: Optional[str] = None
-    method: str = "all"
-    fmt: str = "text"
-    brute_cap: int = DEFAULT_BRUTE_CAP
-    seed: int = 0
-    max_rank: int = 0
-    samples: int = 25
-
-
 def parse_index_set(spec: str, rank: int) -> IndexSet:
     """Parse the index-set grammar: comma-separated ``k`` or ``a-b`` items.
 
-    Ranges are inclusive and duplicates across items are merged.
+    Ranges are inclusive and duplicates across items are merged.  Each item
+    is checked against [1, rank] before it is expanded, and an error names
+    only the offending item.
     """
     members: list[int] = []
     for raw in spec.split(","):
         item = raw.strip()
         if not item:
-            raise ValueError(f"empty item in index-set spec {spec!r}")
-        if "-" in item:
-            a, _, b = item.partition("-")
-            try:
-                lo, hi = int(a), int(b)
-            except ValueError:
-                raise ValueError(f"malformed range {item!r} in index-set spec") from None
-            if lo > hi:
-                raise ValueError(f"empty range {item!r} in index-set spec")
-            members.extend(range(lo, hi + 1))
-        else:
-            try:
-                members.append(int(item))
-            except ValueError:
-                raise ValueError(f"malformed item {item!r} in index-set spec") from None
-    if not members:
-        raise ValueError(f"index-set spec {spec!r} names no indices")
-    try:
-        return IndexSet(rank, members)
-    except ValueError as exc:
-        raise ValueError(f"bad index set {spec!r}: {exc}") from None
+            raise ValueError("empty item in index-set spec")
+        a, dash, b = item.partition("-")
+        try:
+            lo, hi = (int(a), int(b)) if dash else (int(item),) * 2
+        except ValueError:
+            raise ValueError(f"malformed item {item!r} in index-set spec") from None
+        if lo > hi:
+            raise ValueError(f"empty range {item!r} in index-set spec")
+        if lo < 1 or hi > rank:
+            raise ValueError(f"item {item!r} of the index set lies outside [1, {rank}]")
+        members.extend(range(lo, hi + 1))
+    return IndexSet(rank, members)
 
 
 def _parse_coeff_list(body: str, rank: int, what: str) -> tuple[int, ...]:
@@ -145,36 +123,35 @@ def _print_poly(value: QPolynomial, fmt: str) -> None:
         print(value)
 
 
-def _run_partition(cfg: RunConfig) -> int:
-    xi = RootVector(cfg.rank, cfg.xi or ())
-    value = kostant_q_oracle(xi) if cfg.method == "oracle" else kostant_q(xi)
-    if cfg.fmt == "json":
+def _run_partition(args: argparse.Namespace) -> int:
+    xi = RootVector(args.rank, _parse_coeff_list(args.xi, args.rank, "xi"))
+    value = kostant_q_oracle(xi) if args.method == "oracle" else kostant_q(xi)
+    if args.fmt == "json":
         print(json.dumps({
-            "rank": cfg.rank,
+            "rank": args.rank,
             "xi": list(xi.coeffs),
-            "method": cfg.method,
+            "method": args.method,
             "coeffs": list(value.coeffs),
         }))
     else:
-        _print_poly(value, cfg.fmt)
+        _print_poly(value, args.fmt)
     return 0
 
 
-def _run_altset(cfg: RunConfig) -> int:
-    index_set = parse_index_set(cfg.mu_spec or "", cfg.rank)
-    if cfg.method == "brute":
-        elements = alt_set_brute(
-            highest_root(cfg.rank), index_set.to_root_vector(), cfg.brute_cap
-        )
+def _run_altset(args: argparse.Namespace) -> int:
+    cap = _brute_cap(args)
+    index_set = parse_index_set(args.mu, args.rank)
+    if args.method == "brute":
+        elements = alt_set_brute(highest_root(args.rank), index_set.to_root_vector(), cap)
     else:
         elements = alt_set_closed(index_set).elements
     profile = fib_profile(index_set)
     words = [w.word() for w in sorted(elements, key=_element_sort_key)]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps({
-            "rank": cfg.rank,
+            "rank": args.rank,
             "mu": list(index_set.members),
-            "method": cfg.method,
+            "method": args.method,
             "cardinality": len(elements),
             "fib_profile": list(profile),
             "elements": words,
@@ -186,22 +163,22 @@ def _run_altset(cfg: RunConfig) -> int:
     return 0
 
 
-def _multiplicity_methods(cfg: RunConfig, index_set: Optional[IndexSet],
+def _multiplicity_methods(method: str, index_set: Optional[IndexSet],
                           mu_is_zero: bool) -> list[str]:
     closed_ok = index_set is not None or mu_is_zero
-    if cfg.method == "all":
+    if method == "all":
         if index_set is not None:
             return ["brute", "altset", "rank_reduction", "closed"]
         if mu_is_zero:
             return ["brute", "closed"]
         return ["brute"]
-    name = {"reduce": "rank_reduction"}.get(cfg.method, cfg.method)
+    name = {"reduce": "rank_reduction"}.get(method, method)
     if name == "brute":
         return [name]
     if name in ("altset", "rank_reduction") and index_set is None:
         raise ValueError(
             f"mu is not a nonzero sum of distinct simple roots; "
-            f"method {cfg.method} needs one (use --method brute)"
+            f"method {method} needs one (use --method brute)"
         )
     if name == "closed" and not closed_ok:
         raise ValueError(
@@ -211,17 +188,18 @@ def _multiplicity_methods(cfg: RunConfig, index_set: Optional[IndexSet],
     return [name]
 
 
-def _run_multiplicity(cfg: RunConfig) -> int:
-    rank = cfg.rank
-    mu = parse_mu(cfg.mu_spec or "", rank)
+def _run_multiplicity(args: argparse.Namespace) -> int:
+    cap = _brute_cap(args)
+    rank = args.rank
+    mu = parse_mu(args.mu, rank)
     index_set = _as_index_set(mu)
     mu_vec = mu.to_root_vector() if isinstance(mu, IndexSet) else mu
     mu_is_zero = mu_vec.is_zero()
-    methods = _multiplicity_methods(cfg, index_set, mu_is_zero)
+    methods = _multiplicity_methods(args.method, index_set, mu_is_zero)
     results: list[tuple[str, QPolynomial, Optional[int]]] = []
     for method in methods:
         if method == "brute":
-            res = m_q_brute(highest_root(rank), mu_vec, cfg.brute_cap)
+            res = m_q_brute(highest_root(rank), mu_vec, cap)
             results.append(("brute", res.value, res.terms_evaluated))
         elif method == "altset":
             res = m_q_altset(index_set)
@@ -233,7 +211,7 @@ def _run_multiplicity(cfg: RunConfig) -> int:
                      else m_q_closed_general(index_set))
             results.append(("closed", value, None))
     agree = all(value == results[0][1] for _, value, _ in results)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         mu_json = ({"members": list(index_set.members)} if index_set is not None
                    else {"coeffs": list(mu_vec.coeffs)})
         payload = {
@@ -248,9 +226,9 @@ def _run_multiplicity(cfg: RunConfig) -> int:
         }
         print(json.dumps(payload))
     elif len(results) == 1:
-        _print_poly(results[0][1], cfg.fmt)
+        _print_poly(results[0][1], args.fmt)
     else:
-        render = (lambda v: v.latex()) if cfg.fmt == "latex" else str
+        render = (lambda v: v.latex()) if args.fmt == "latex" else str
         for method, value, terms in results:
             suffix = "" if terms is None else f"  [terms {terms}]"
             print(f"{method}: {render(value)}{suffix}")
@@ -314,18 +292,19 @@ def _verify_one(index_set: IndexSet, brute_cap: Optional[int],
     return checks
 
 
-def _run_verify(cfg: RunConfig) -> int:
-    rng = random.Random(cfg.seed)
+def _run_verify(args: argparse.Namespace) -> int:
+    cap = _brute_cap(args)
+    rng = random.Random(args.seed)
     failures: list[str] = []
     total = 0
     empty: list[int] = []
-    for r in range(1, cfg.max_rank + 1):
-        brute_cap = cfg.brute_cap if r <= min(_VERIFY_BRUTE_MAX, cfg.brute_cap) else None
+    for r in range(1, args.max_rank + 1):
+        brute_cap = cap if r <= min(_VERIFY_BRUTE_MAX, cap) else None
         if r <= _VERIFY_EXHAUSTIVE_MAX:
             sets = list(_nonempty_subsets(r))
             mode = "exhaustive"
         else:
-            sets = list(_sampled_subsets(r, rng, cfg.samples))
+            sets = list(_sampled_subsets(r, rng, args.samples))
             mode = "sampled"
         if not sets:
             empty.append(r)
@@ -344,18 +323,19 @@ def _run_verify(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_bench(cfg: RunConfig) -> int:
-    probe = parse_index_set(cfg.mu_spec or "", cfg.max_rank)
+def _run_bench(args: argparse.Namespace) -> int:
+    cap = _brute_cap(args)
+    probe = parse_index_set(args.mu, args.max_rank)
     min_rank = max(probe.members)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["rank", "mu", "method", "terms", "micros"])
-    for r in range(min_rank, cfg.max_rank + 1):
-        index_set = parse_index_set(cfg.mu_spec or "", r)
+    for r in range(min_rank, args.max_rank + 1):
+        index_set = parse_index_set(args.mu, r)
         mu_vec = index_set.to_root_vector()
         rows: list[tuple[str, int, float]] = []
-        if r <= cfg.brute_cap:
+        if r <= cap:
             start = time.perf_counter()
-            res = m_q_brute(highest_root(r), mu_vec, cfg.brute_cap)
+            res = m_q_brute(highest_root(r), mu_vec, cap)
             rows.append(("brute", res.terms_evaluated, time.perf_counter() - start))
         start = time.perf_counter()
         res = m_q_altset(index_set)
@@ -367,37 +347,32 @@ def _run_bench(cfg: RunConfig) -> int:
         m_q_closed_general(index_set)
         rows.append(("closed", 0, time.perf_counter() - start))
         for method, terms, seconds in rows:
-            writer.writerow([r, cfg.mu_spec, method, terms, int(seconds * 1_000_000)])
+            writer.writerow([r, args.mu, method, terms, int(seconds * 1_000_000)])
     return 0
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a parsed request; returns the process exit code."""
-    runner = {
-        "partition": _run_partition,
-        "altset": _run_altset,
-        "multiplicity": _run_multiplicity,
-        "verify": _run_verify,
-        "bench": _run_bench,
-    }[cfg.command]
-    return runner(cfg)
-
-
-def _at_least_one(value: int, source: str) -> int:
+def _at_least_one(text: str) -> int:
+    """argparse type for ranks, counts and caps: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 1:
-        raise ValueError(f"{source} must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
-def _default_brute_cap() -> int:
+def _brute_cap(args: argparse.Namespace) -> int:
+    """The brute-force cap: --brute-cap, else QMULT_BRUTE_CAP, else the default."""
+    if args.brute_cap is not None:
+        return args.brute_cap
     raw = os.environ.get(ENV_BRUTE_CAP)
     if raw is None:
         return DEFAULT_BRUTE_CAP
     try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_BRUTE_CAP} must be an integer, got {raw!r}") from None
-    return _at_least_one(cap, ENV_BRUTE_CAP)
+        return _at_least_one(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{ENV_BRUTE_CAP} {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("partition", help="evaluate the q-analog partition function")
-    p.add_argument("--rank", type=int, required=True)
+    p.set_defaults(handler=_run_partition)
+    p.add_argument("--rank", type=_at_least_one, required=True)
     p.add_argument("--xi", required=True, metavar="c1,...,cr",
                    help="coefficients over the simple-root basis")
     p.add_argument("--method", choices=["dp", "oracle"], default="dp")
@@ -417,15 +393,17 @@ def build_parser() -> argparse.ArgumentParser:
                    default="text")
 
     p = sub.add_parser("altset", help="list a Weyl alternation set")
-    p.add_argument("--rank", type=int, required=True)
+    p.set_defaults(handler=_run_altset)
+    p.add_argument("--rank", type=_at_least_one, required=True)
     p.add_argument("--mu", required=True, metavar="SPEC",
                    help="index set, e.g. '1,3-5'")
     p.add_argument("--method", choices=["brute", "closed"], default="closed")
     p.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
-    p.add_argument("--brute-cap", type=int, default=None)
+    p.add_argument("--brute-cap", type=_at_least_one, default=None)
 
     p = sub.add_parser("multiplicity", help="compute the weight q-multiplicity")
-    p.add_argument("--rank", type=int, required=True)
+    p.set_defaults(handler=_run_multiplicity)
+    p.add_argument("--rank", type=_at_least_one, required=True)
     p.add_argument("--mu", required=True, metavar="SPEC",
                    help="index set, or coeffs:c1,...,cr for arbitrary mu")
     p.add_argument("--method",
@@ -433,45 +411,23 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--format", dest="fmt", choices=["text", "json", "latex"],
                    default="text")
-    p.add_argument("--brute-cap", type=int, default=None)
+    p.add_argument("--brute-cap", type=_at_least_one, default=None)
 
     p = sub.add_parser("verify", help="cross-check all computation routes")
-    p.add_argument("--max-rank", type=int, required=True)
-    p.add_argument("--samples", type=int, default=25,
+    p.set_defaults(handler=_run_verify)
+    p.add_argument("--max-rank", type=_at_least_one, required=True)
+    p.add_argument("--samples", type=_at_least_one, default=25,
                    help="random index sets per rank beyond the exhaustive range")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--brute-cap", type=int, default=None)
+    p.add_argument("--brute-cap", type=_at_least_one, default=None)
 
     p = sub.add_parser("bench", help="CSV of method term counts and timings")
-    p.add_argument("--max-rank", type=int, required=True)
+    p.set_defaults(handler=_run_bench)
+    p.add_argument("--max-rank", type=_at_least_one, required=True)
     p.add_argument("--mu", required=True, metavar="SPEC")
-    p.add_argument("--brute-cap", type=int, default=None)
+    p.add_argument("--brute-cap", type=_at_least_one, default=None)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cap = getattr(args, "brute_cap", None)
-    cap = _default_brute_cap() if cap is None else _at_least_one(cap, "--brute-cap")
-    cfg = RunConfig(command=args.command, brute_cap=cap)
-    if args.command == "partition":
-        cfg.rank = _at_least_one(args.rank, "--rank")
-        cfg.xi = _parse_coeff_list(args.xi, args.rank, "xi")
-        cfg.method = args.method
-        cfg.fmt = args.fmt
-    elif args.command in ("altset", "multiplicity"):
-        cfg.rank = _at_least_one(args.rank, "--rank")
-        cfg.mu_spec = args.mu
-        cfg.method = args.method
-        cfg.fmt = getattr(args, "fmt", "text")
-    elif args.command == "verify":
-        cfg.max_rank = _at_least_one(args.max_rank, "--max-rank")
-        cfg.samples = _at_least_one(args.samples, "--samples")
-        cfg.seed = args.seed
-    else:
-        cfg.max_rank = _at_least_one(args.max_rank, "--max-rank")
-        cfg.mu_spec = args.mu
-    return cfg
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -481,12 +437,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        return run(cfg)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return args.handler(args)
+    except ValueError as exc:  # CapExceededError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,12 +19,12 @@ Their agreement is the package's central cross-check.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import comb
 
-from .altset import WeylSweep, _free_runs, nonconsecutive_subsets
+from .altset import WeylSweep, reflection_index_sets
 from .intervals import IndexSet, interval_partition
-from .partition import kostant_q_interval_closed_form, table_for
+from .partition import table_for
 from .poly import ONE, Q, QPolynomial
 from .roots import RootVector, highest_root, simple_root
 from .weyl import DEFAULT_BRUTE_CAP
@@ -84,78 +84,42 @@ def m_q_brute(
 def m_q_altset(index_set: IndexSet) -> MultiplicityResult:
     """The signed sum over the alternation set only.
 
-    Each element is a product of nonconsecutive reflections with indices in
-    a subset J of the free region; its term has sign (-1)^|J| and shifted
-    image alpha_{I^c} minus the chosen alphas, an indicator vector whose
-    partition value factors over maximal runs as q(q+1)^(len-1).  The number
-    of terms is exactly the alternation-set cardinality, so ranks far beyond
-    brute-force reach stay cheap.
+    Each element is the product of s_j over a nonconsecutive subset J of the
+    free region (:func:`~qmult.altset.reflection_index_sets`); its term has
+    sign (-1)^|J| and shifted image alpha_{I^c} - alpha_J, an indicator
+    vector whose partition value factors over its maximal runs as
+    q(q+1)^(len-1).  With n runs of total length N = |I^c| - |J| the term is
+    q^n (q+1)^(N-n).  Removing j splits, shortens or deletes its run as
+    #{j-1, j+1} & I^c is 2, 1 or 0, and no two members of J are adjacent, so
+    n = runs(I^c) + sum over j in J of (#{j-1, j+1} & I^c - 1).  Every J is
+    still enumerated and counted, but terms are tallied by (|J|, n) and
+    expanded once per pair by the binomial theorem.  The number of terms is
+    exactly the alternation-set cardinality, so ranks far beyond brute-force
+    reach stay cheap.
     """
     r = index_set.rank
-    if index_set.is_empty():
-        raise ValueError("index set must be nonempty")
-    comp = index_set.complement().members
-    per_run = [list(nonconsecutive_subsets(lo, hi)) for lo, hi in _free_runs(index_set)]
+    comp = set(range(1, r + 1)).difference(index_set)
+    runs = sum(j - 1 not in comp for j in comp)  # members starting a run
+    split = {j: (j - 1 in comp) + (j + 1 in comp) - 1 for j in comp}
+    tally: dict[tuple[int, int], int] = {}
+    for chosen in reflection_index_sets(index_set):
+        key = len(chosen), runs + sum(map(split.__getitem__, chosen))
+        tally[key] = tally.get(key, 0) + 1
     acc = [0] * (r + 1)
-    terms = 0
-    for combo in itertools.product(*per_run):
-        terms += 1
-        chosen = set()
-        for part in combo:
-            chosen.update(part)
-        sign = -1 if len(chosen) & 1 else 1
-        cs = _poly_of_run_lengths(_support_run_lengths(comp, chosen)).coeffs
-        if sign > 0:
-            for k, c in enumerate(cs):
-                acc[k] += c
-        else:
-            for k, c in enumerate(cs):
-                acc[k] -= c
+    for (size, n), count in tally.items():
+        if size & 1:
+            count = -count
+        m = len(comp) - size - n
+        for k in range(m + 1):
+            acc[n + k] += count * comb(m, k)
     return MultiplicityResult(
         rank=r,
         lam=highest_root(r),
         mu=index_set.to_root_vector(),
         value=QPolynomial(acc),
         method="altset",
-        terms_evaluated=terms,
+        terms_evaluated=sum(tally.values()),
     )
-
-
-def _support_run_lengths(comp: tuple[int, ...], chosen: set) -> tuple[int, ...]:
-    """Sorted lengths of the maximal runs of comp with the chosen members removed."""
-    lengths = []
-    cur = 0
-    prev = None
-    for m in comp:
-        if m in chosen:
-            if cur:
-                lengths.append(cur)
-                cur = 0
-            prev = None
-            continue
-        if prev is not None and m == prev + 1:
-            cur += 1
-        else:
-            if cur:
-                lengths.append(cur)
-            cur = 1
-        prev = m
-    if cur:
-        lengths.append(cur)
-    return tuple(sorted(lengths))
-
-
-_RUN_POLY_CACHE: dict[tuple[int, ...], QPolynomial] = {}
-
-
-def _poly_of_run_lengths(lengths: tuple[int, ...]) -> QPolynomial:
-    got = _RUN_POLY_CACHE.get(lengths)
-    if got is None:
-        got = ONE
-        for length in lengths:
-            got = got * kostant_q_interval_closed_form(1, length, length)
-        _RUN_POLY_CACHE[lengths] = got
-    return got
 
 
 def m_q_closed_zero(rank: int) -> QPolynomial:

@@ -120,14 +120,6 @@ class QPolynomial:
         """
         return sum(self.coeffs)
 
-    def to_json_dict(self) -> dict:
-        """JSON form: ``{"coeffs": [c0, c1, ...]}`` in ascending order."""
-        return {"coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QPolynomial":
-        return cls(data["coeffs"])
-
     def __str__(self) -> str:
         return self._format(braces=False, tight=False)
 

@@ -6,8 +6,8 @@ function is evaluated.  A ``WeightVector`` holds r+1 ambient coordinates
 (the standard basis e_1, ..., e_{r+1} that the Weyl group permutes), with
 alpha_i = e_i - e_{i+1}.
 
-The Weyl-vector representative returned by :func:`rho_coords` is the integer
-vector (r, r-1, ..., 1, 0).  It differs from the true half-sum of positive
+The Weyl sweep uses the integer vector (r, r-1, ..., 1, 0) as the Weyl
+vector rho.  It differs from the true half-sum of positive
 roots by a constant vector, which permutations fix, so sigma(v + rho) - rho
 is unchanged by the substitution; tests confirm this against the honest
 half-sum for small ranks.
@@ -16,7 +16,7 @@ half-sum for small ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 @dataclass(frozen=True, init=False)
@@ -56,13 +56,6 @@ class RootVector:
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
 
-    def to_json_dict(self) -> dict:
-        return {"rank": self.rank, "coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RootVector":
-        return cls(data["rank"], data["coeffs"])
-
 
 @dataclass(frozen=True, init=False)
 class WeightVector:
@@ -79,18 +72,6 @@ class WeightVector:
             raise ValueError(f"expected {rank + 1} coordinates, got {len(cs)}")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "coords", cs)
-
-    def _check(self, other: "WeightVector") -> None:
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-
-    def __add__(self, other: "WeightVector") -> "WeightVector":
-        self._check(other)
-        return WeightVector(self.rank, (a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "WeightVector") -> "WeightVector":
-        self._check(other)
-        return WeightVector(self.rank, (a - b for a, b in zip(self.coords, other.coords)))
 
 
 def zero_root(rank: int) -> RootVector:
@@ -139,13 +120,6 @@ def alpha_of_index_set(members: Iterable[int], rank: int) -> RootVector:
     return RootVector(rank, tuple(1 if k in picked else 0 for k in range(1, rank + 1)))
 
 
-def rho_coords(rank: int) -> WeightVector:
-    """The staircase representative (rank, rank-1, ..., 1, 0) of the Weyl vector."""
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
-    return WeightVector(rank, tuple(range(rank, -1, -1)))
-
-
 def embed(v: RootVector) -> WeightVector:
     """Expand a root-basis vector into ambient coordinates via alpha_i = e_i - e_{i+1}."""
     c = v.coeffs
@@ -156,21 +130,3 @@ def embed(v: RootVector) -> WeightVector:
         prev = c[k]
     coords.append(-prev)
     return WeightVector(v.rank, coords)
-
-
-def to_root_basis(w: WeightVector) -> Optional[RootVector]:
-    """Convert ambient coordinates back to the simple-root basis.
-
-    A vector lies in the span of the simple roots exactly when its ambient
-    coordinates sum to zero; otherwise there is no expansion and None is
-    returned.  When the sum is zero the coefficient of alpha_k is the partial
-    sum of the first k coordinates.
-    """
-    if sum(w.coords) != 0:
-        return None
-    total = 0
-    out = []
-    for k in range(w.rank):
-        total += w.coords[k]
-        out.append(total)
-    return RootVector(w.rank, out)

@@ -7,14 +7,12 @@ inversion count of the one-line word, and sign is (-1)**length.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
-from .roots import WeightVector
-
-# Full enumeration walks (rank+1)! permutations, so brute-force entry points
-# refuse ranks above this unless the caller raises the cap.
+# The pruned sweep visits up to (rank+1)! leaves, how many depending on lam
+# and mu, so brute-force entry points refuse ranks above this unless the
+# caller raises the cap.
 DEFAULT_BRUTE_CAP = 9
 
 
@@ -52,18 +50,6 @@ class WeylElement:
     def sign(self) -> int:
         return -1 if self.length() & 1 else 1
 
-    def apply(self, v: WeightVector) -> WeightVector:
-        """Permute ambient coordinates: coordinate k of v moves to position perm[k]."""
-        if v.rank != self.rank:
-            raise ValueError("rank mismatch")
-        out = [0] * len(self.perm)
-        for k, image in enumerate(self.perm):
-            out[image - 1] = v.coords[k]
-        return WeightVector(v.rank, out)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return compose(self, other)
-
     def word(self) -> str:
         """Short word form like ``s2*s4`` when the element is a product of
         commuting simple reflections, else the one-line form like ``[2,1,3]``."""
@@ -89,40 +75,6 @@ def simple_reflection(i: int, rank: int) -> WeylElement:
     p = list(range(1, rank + 2))
     p[i - 1], p[i] = p[i], p[i - 1]
     return WeylElement(p)
-
-
-def compose(a: WeylElement, b: WeylElement) -> WeylElement:
-    """The product a∘b, i.e. apply b first: (a∘b)(k) = a(b(k))."""
-    if a.rank != b.rank:
-        raise ValueError("rank mismatch")
-    return WeylElement(a.perm[b.perm[k] - 1] for k in range(len(a.perm)))
-
-
-def all_elements(
-    rank: int,
-    cap: int = DEFAULT_BRUTE_CAP,
-    first_image: Optional[int] = None,
-) -> Iterator[WeylElement]:
-    """All of S_{rank+1} in lexicographic one-line order.
-
-    ``first_image`` restricts to elements mapping 1 to that value; iterating
-    the partitions for first_image = 1, ..., rank+1 in order reproduces the
-    full lexicographic enumeration, so partitioned sweeps are deterministic.
-    Raises CapExceededError when rank exceeds the cap.
-    """
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
-    if rank > cap:
-        raise CapExceededError(f"rank {rank} exceeds brute-force cap {cap}")
-    n = rank + 1
-    if first_image is None:
-        return (WeylElement(p) for p in itertools.permutations(range(1, n + 1)))
-    if not 1 <= first_image <= n:
-        raise ValueError(f"first image {first_image} outside [1, {n}]")
-    rest = [x for x in range(1, n + 1) if x != first_image]
-    return (
-        WeylElement((first_image,) + tail) for tail in itertools.permutations(rest)
-    )
 
 
 def product_of_commuting(indices: Iterable[int], rank: int) -> WeylElement:

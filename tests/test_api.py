@@ -1,0 +1,48 @@
+"""The public API: the README's library example runs as written, and the
+names exported from ``qmult`` are exactly the listed ones."""
+
+import ast
+import re
+from pathlib import Path
+
+import qmult
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_values():
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for node in ast.parse(block).body:
+        comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+        if isinstance(node, ast.Expr) and comment:
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            assert str(value) == comment
+            checked += 1
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert checked == 3
+
+
+def test_public_names():
+    assert sorted(qmult.__all__) == [
+        "AltSet",
+        "CapExceededError",
+        "IndexSet",
+        "MultiplicityResult",
+        "QPolynomial",
+        "RootVector",
+        "alt_set_brute",
+        "alt_set_closed",
+        "highest_root",
+        "kostant_q",
+        "kostant_q_oracle",
+        "m_q_altset",
+        "m_q_brute",
+        "m_q_closed_general",
+        "m_q_closed_zero",
+        "m_q_rank_reduction",
+    ]
+    assert all(hasattr(qmult, name) for name in qmult.__all__)

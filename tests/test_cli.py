@@ -1,10 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmult import cli
 from qmult.cli import main, parse_index_set, parse_mu
@@ -326,3 +329,50 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "multiplicity", "--rank", "4", "--mu", "0,2")
         assert code == 2
         assert "index set" in err
+
+    @pytest.mark.parametrize("spec", ["1-10000000000", "1-20000000", "1-1000"])
+    def test_range_past_rank_is_refused_before_expansion(self, capsys, spec):
+        # the range is checked against the rank before it is expanded, and
+        # the error names the item instead of echoing every member
+        code, out, err = run_cli(capsys, "altset", "--rank", "5", "--mu", spec)
+        assert code == 2
+        assert out == ""
+        assert spec in err and len(err.encode()) < 200
+
+
+class TestBruteCapScope:
+    def test_partition_ignores_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("QMULT_BRUTE_CAP", "-3")
+        code, out, err = run_cli(capsys, "partition", "--rank", "3", "--xi", "1,1,1")
+        assert (code, out, err) == (0, "q^3 + 2q^2 + q\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ("altset", "--rank", "5", "--mu", "2"),
+        ("multiplicity", "--rank", "5", "--mu", "2", "--method", "closed"),
+        ("verify", "--max-rank", "2"),
+        ("bench", "--max-rank", "3", "--mu", "2"),
+    ])
+    def test_brute_subcommands_reject_a_bad_value(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("QMULT_BRUTE_CAP", "-3")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "QMULT_BRUTE_CAP must be at least 1" in err
+
+
+# Index-set specs, coefficient lists and junk in between.
+mu_specs = st.text(alphabet="0123456789,-:coefs ", max_size=24) | st.builds(
+    lambda body: "coeffs:" + body, st.text(alphabet="0123456789,- ", max_size=16))
+
+
+class TestMuFuzz:
+    @given(mu_specs)
+    def test_any_mu_gives_an_exit_code(self, spec):
+        for argv in (["altset", "--rank", "6", "--mu", spec],
+                     ["multiplicity", "--rank", "6", "--mu", spec, "--method", "closed"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert out.getvalue() == "" and err.getvalue()

@@ -1,7 +1,5 @@
 """Tests for the exact q-polynomial arithmetic."""
 
-import json
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -113,13 +111,6 @@ class TestFormats:
         assert ZERO.latex() == "0"
         assert QPolynomial.monomial(2, -1).latex() == "-q^{2}"
         assert (Q ** 4 + 3 * Q ** 3 + 3 * Q ** 2 + Q).latex() == "q^{4}+3q^{3}+3q^{2}+q"
-
-    def test_json_round_trip(self):
-        p = Q ** 4 - 2 * Q ** 2 + 3
-        data = json.loads(json.dumps(p.to_json_dict()))
-        assert QPolynomial.from_json_dict(data) == p
-        assert p.to_json_dict() == {"coeffs": [3, 0, -2, 0, 1]}
-        assert ZERO.to_json_dict() == {"coeffs": []}
 
     def test_monomial(self):
         assert QPolynomial.monomial(0) == ONE
