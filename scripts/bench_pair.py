@@ -1,6 +1,6 @@
 """Write a before/after benchmark record for one change.
 
-    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_2.json
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_4.json
 
 DIR is a checkout (source, perfbench/ and BENCHMARK.json) of the parent
 commit and of the change.  For every workload in BENCHMARK.json this runs
@@ -8,11 +8,13 @@ commit and of the change.  For every workload in BENCHMARK.json this runs
     python3 perfbench/run.py --workload W --seed 1 --seconds 20 --trace 0
 
 in the before checkout and then in the after checkout, and keeps the last
-line each run prints (its JSON result).  It also records the structural
-counts of the pruned Weyl sweep on the seed-1 ``brute`` inputs, computed
-with the after checkout's source: rows are leaves, each pruned subtree is
-one dropped prefix, and leaves plus pruned elements account for (rank+1)!.
-Timings depend on the host, which the record names; the counts do not.
+line each run prints (its JSON result).  It also records structural
+counts, computed with the after checkout's source: the pruned Weyl sweep on
+the seed-1 ``brute`` inputs (rows are leaves, each pruned subtree is one
+dropped prefix, and leaves plus pruned elements account for (rank+1)!),
+and the number of entries in the partition memo after the seed-1
+``partition`` inputs.  Timings depend on the host, which the record names;
+the counts do not.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ def run_workload(checkout: Path, workload: str) -> dict:
     return json.loads(lines[-1])
 
 
-def sweep_counts(checkout: Path) -> dict:
-    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+def sweep_counts() -> dict:
     import workloads
     from qmult.altset import WeylSweep
     from qmult.roots import RootVector, highest_root
@@ -70,6 +71,17 @@ def sweep_counts(checkout: Path) -> dict:
             "rows_per_call_before": factorial(rank + 1), "calls": calls}
 
 
+def partition_memo_entries() -> dict:
+    import workloads
+    from qmult import partition
+    from qmult.roots import RootVector
+
+    partition._MEMO.clear()
+    for xi in workloads.generate("partition", SEED)["xis"]:
+        partition.kostant_q(RootVector(len(xi), xi))
+    return {"workload": "partition", "seed": SEED, "entries": len(partition._MEMO)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", type=Path, required=True)
@@ -83,6 +95,7 @@ def main(argv=None) -> int:
         name = w["name"]
         results[name] = {"before": run_workload(args.before, name),
                          "after": run_workload(args.after, name)}
+    sys.path[:0] = [str(args.after / "src"), str(args.after / "perfbench")]
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
                    f"--seconds {SECONDS} --trace 0",
@@ -90,7 +103,8 @@ def main(argv=None) -> int:
                  "platform": platform.platform(),
                  "python": platform.python_version()},
         "workloads": results,
-        "sweep_counts": sweep_counts(args.after),
+        "sweep_counts": sweep_counts(),
+        "partition_memo": partition_memo_entries(),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -17,7 +17,7 @@ from math import factorial, prod
 from typing import Iterator
 
 from .intervals import IndexSet, interval_partition, maximal_runs
-from .partition import table_for
+from .partition import kostant_q_coeffs
 from .roots import RootVector, embed
 from .weyl import (
     DEFAULT_BRUTE_CAP,
@@ -211,8 +211,7 @@ def alt_set_brute(
     xi; the pruned elements have count zero.  This is the ground-truth
     oracle the closed-form construction is checked against.
     """
-    sweep = WeylSweep(lam, mu, cap)
-    table = table_for(lam.rank)
     return frozenset(
-        WeylElement(perm) for perm, _, xi in sweep if table.kostant_q_coeffs(xi).coeffs
+        WeylElement(perm) for perm, _, xi in WeylSweep(lam, mu, cap)
+        if kostant_q_coeffs(xi).coeffs
     )

@@ -40,12 +40,7 @@ from .multiplicity import (
     m_q_closed_zero,
     m_q_rank_reduction,
 )
-from .partition import (
-    factorize_over_intervals,
-    kostant_q,
-    kostant_q_oracle,
-    table_for,
-)
+from .partition import factorize_over_intervals, kostant_q, kostant_q_oracle
 from .poly import QPolynomial
 from .roots import RootVector, highest_root
 from .weyl import DEFAULT_BRUTE_CAP, WeylElement, commuting_indices
@@ -86,13 +81,17 @@ def parse_index_set(spec: str, rank: int) -> IndexSet:
 
 
 def _parse_coeff_list(body: str, rank: int, what: str) -> tuple[int, ...]:
-    try:
-        cs = tuple(int(x.strip()) for x in body.split(","))
-    except ValueError:
-        raise ValueError(f"malformed {what} coefficient list {body!r}") from None
+    """Parse ``c1,...,crank``; an error names only the offending entry."""
+    cs = []
+    for pos, raw in enumerate(body.split(","), 1):
+        try:
+            cs.append(int(raw))
+        except ValueError:
+            raise ValueError(
+                f"malformed {what} coefficient {raw.strip()!r} at position {pos}") from None
     if len(cs) != rank:
         raise ValueError(f"{what} needs {rank} coefficients, got {len(cs)}")
-    return cs
+    return tuple(cs)
 
 
 def parse_mu(spec: str, rank: int) -> Union[IndexSet, RootVector]:
@@ -278,7 +277,7 @@ def _verify_one(index_set: IndexSet, brute_cap: Optional[int],
 
     if r <= 8:
         expect(
-            table_for(r).kostant_q(index_set.to_root_vector())
+            kostant_q(index_set.to_root_vector())
             == factorize_over_intervals(index_set),
             "partition factorization over runs",
         )

@@ -24,9 +24,9 @@ from math import comb
 
 from .altset import WeylSweep, reflection_index_sets
 from .intervals import IndexSet, interval_partition
-from .partition import table_for
-from .poly import ONE, Q, QPolynomial
-from .roots import RootVector, highest_root, simple_root
+from .partition import kostant_q_coeffs
+from .poly import Q, QPolynomial
+from .roots import RootVector, highest_root
 from .weyl import DEFAULT_BRUTE_CAP
 
 METHODS = ("brute", "altset", "rank_reduction", "closed")
@@ -59,10 +59,9 @@ def m_q_brute(
     """
     sweep = WeylSweep(lam, mu, cap)
     rank = lam.rank
-    table = table_for(rank)
     acc = [0]
     for _, sign, xi in sweep:
-        cs = table.kostant_q_coeffs(xi).coeffs
+        cs = kostant_q_coeffs(xi).coeffs
         if len(cs) > len(acc):
             acc.extend([0] * (len(cs) - len(acc)))
         if sign > 0:
@@ -155,47 +154,19 @@ def m_q_closed_general(index_set: IndexSet) -> QPolynomial:
     return (Q - 1) ** (n - 1) * QPolynomial.monomial(exponent)
 
 
-def m_q_rank_reduction(
-    index_set: IndexSet,
-    factors_by_brute: bool = False,
-    cap: int = DEFAULT_BRUTE_CAP,
-) -> QPolynomial:
+def m_q_rank_reduction(index_set: IndexSet) -> QPolynomial:
     """m_q at mu = alpha_I as a product of lower-rank multiplicities.
 
     Each stretch of the complement of I contributes one factor: a leading
     q^(i_1 - 1) when 1 is missing from I, a factor q^g - q^(g-1) per
     interior gap of width g, and a trailing q^(rank - j_n) when rank is
-    missing.  With ``factors_by_brute`` every factor is recomputed by a
-    brute-force sum at its own lower rank instead of its closed form.
+    missing.
     """
     runs = interval_partition(index_set).intervals
-    r = index_set.rank
-    factors: list[QPolynomial] = []
-    first_lo = runs[0][0]
-    last_hi = runs[-1][1]
-    if first_lo > 1:
-        if factors_by_brute:
-            sub = first_lo
-            factors.append(m_q_brute(highest_root(sub), simple_root(sub, sub), cap).value)
-        else:
-            factors.append(QPolynomial.monomial(first_lo - 1))
+    out = QPolynomial.monomial(runs[0][0] - 1 + index_set.rank - runs[-1][1])
     for (_, j_x), (i_next, _) in zip(runs, runs[1:]):
         gap = i_next - j_x - 1
-        if factors_by_brute:
-            sub = gap + 2
-            mu = simple_root(1, sub) + simple_root(sub, sub)
-            factors.append(m_q_brute(highest_root(sub), mu, cap).value)
-        else:
-            factors.append(QPolynomial.monomial(gap) - QPolynomial.monomial(gap - 1))
-    if last_hi < r:
-        if factors_by_brute:
-            sub = r - last_hi + 1
-            factors.append(m_q_brute(highest_root(sub), simple_root(1, sub), cap).value)
-        else:
-            factors.append(QPolynomial.monomial(r - last_hi))
-    out = ONE
-    for f in factors:
-        out = out * f
+        out = out * (QPolynomial.monomial(gap) - QPolynomial.monomial(gap - 1))
     return out
 
 

@@ -11,6 +11,13 @@ recursion over the positive roots in lexicographic (i, j) order, branching
 on how many copies of the current root are used.  ``kostant_q_oracle``
 enumerates the contributing multisets one root at a time with no shared
 state, and exists purely to cross-check the recursion on small inputs.
+
+The recursion has one memo for every rank.  No positive root covers a slot
+where xi is zero at an end of xi, so the value depends only on xi with its
+leading and trailing zeros stripped: (1, 1, 0) at rank 3 and (0, 1, 1, 0, 0)
+at rank 5 share one entry.  ``PartitionTable`` and ``table_for`` remain as
+a rank-checking view of that memo, with no values of their own, for callers
+that still ask for one table per rank.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ from .weyl import CapExceededError
 # absolute coefficients sum beyond this.
 DEFAULT_ORACLE_CAP = 20
 
+# (xi, shortest) -> _solve(xi, shortest), with xi stripped of its leading
+# and trailing zeros.
+_MEMO: dict[tuple[tuple[int, ...], int], QPolynomial] = {}
+
 
 def _root_supports(rank: int) -> tuple[tuple[int, int], ...]:
     """Inclusive 0-based support (start, end) of each positive root, in
@@ -34,90 +45,73 @@ def _root_supports(rank: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(rank) for j in range(i, rank))
 
 
-class PartitionTable:
-    """A per-rank memo table for the q-analog partition function.
+def _solve(xi: tuple[int, ...], shortest: int) -> QPolynomial:
+    """The q-analog at a nonnegative xi, counting only the multisets whose
+    roots starting at slot 0 are at least ``shortest`` slots long.
 
-    Intermediate results are memoized on (remaining vector, root index), so
-    repeated queries at the same rank share work.  The memo only grows; a
-    table is safe to reuse across any number of queries, and independent
-    tables always agree because every entry is a pure function of its key.
+    Roots are taken in lexicographic order: every copy of the root of
+    length ``shortest`` at slot 0 is placed before the longer ones, and a
+    root at a later slot only once slot 0 is cleared, when the bound starts
+    over at 1.  So the recursion is at most one level deep per root.
     """
+    lo, hi = 0, len(xi)
+    while lo < hi and not xi[lo]:
+        lo += 1
+    if lo == hi:
+        return ONE
+    if lo:
+        shortest = 1  # no root starts at slot 0, so none is spent at the first nonzero one
+    while not xi[hi - 1]:
+        hi -= 1
+    xi = xi[lo:hi]
+    if shortest > hi - lo:
+        return ZERO  # slot 0 can never be cleared
+    key = (xi, shortest)
+    got = _MEMO.get(key)
+    if got is not None:
+        return got
+    # Each root adds at least 1 to sum(xi), so no term exceeds q^sum(xi).
+    acc = [0] * (sum(xi) + 1)
+    head, tail = xi[:shortest], xi[shortest:]
+    for copies in range(min(head) + 1):
+        rest = tuple(c - copies for c in head) + tail if copies else xi
+        sub = _solve(rest, shortest + 1)
+        for k, c in enumerate(sub.coeffs, copies):
+            acc[k] += c
+    total = _MEMO[key] = QPolynomial(acc)
+    return total
+
+
+def kostant_q_coeffs(coeffs: Sequence[int]) -> QPolynomial:
+    """The q-analog at xi given by its coefficient tuple, of any rank."""
+    cs = tuple(coeffs)
+    return ZERO if min(cs, default=0) < 0 else _solve(cs, 1)
+
+
+def kostant_q(xi: RootVector) -> QPolynomial:
+    """The q-analog partition function, via the shared memo."""
+    return kostant_q_coeffs(xi.coeffs)
+
+
+class PartitionTable:
+    """A rank-checking view of the shared memo; it stores nothing itself."""
 
     def __init__(self, rank: int):
         if rank < 1:
             raise ValueError("rank must be at least 1")
         self.rank = rank
-        self._supports = _root_supports(rank)
-        self._memo: dict[tuple[tuple[int, ...], int], QPolynomial] = {}
 
     def kostant_q(self, xi: RootVector) -> QPolynomial:
-        """The q-analog partition function of xi."""
-        if xi.rank != self.rank:
-            raise ValueError("rank mismatch")
+        """The q-analog partition function of xi, which must have this rank."""
         return self.kostant_q_coeffs(xi.coeffs)
 
-    def kostant(self, xi: RootVector) -> int:
-        """The plain partition count, i.e. the q-analog at q = 1."""
-        return self.kostant_q(xi).eval_at_one()
-
     def kostant_q_coeffs(self, coeffs: Sequence[int]) -> QPolynomial:
-        """Tuple-based entry point used by the hot loops of the Weyl sums."""
-        cs = tuple(coeffs)
-        if len(cs) != self.rank:
-            raise ValueError(f"expected {self.rank} coefficients, got {len(cs)}")
-        if any(c < 0 for c in cs):
-            return ZERO
-        return self._solve(cs, 0)
-
-    def _solve(self, rem: tuple[int, ...], idx: int) -> QPolynomial:
-        # rem is componentwise nonnegative here.
-        rank = self.rank
-        p = 0
-        while p < rank and rem[p] == 0:
-            p += 1
-        if p == rank:
-            return ONE
-        supports = self._supports
-        n = len(supports)
-        # Roots starting before p are unusable (their first slot is already
-        # zero); if none starts exactly at p, slot p can never be cleared.
-        while idx < n and supports[idx][0] < p:
-            idx += 1
-        if idx == n or supports[idx][0] > p:
-            return ZERO
-        key = (rem, idx)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        a, b = supports[idx]
-        total = self._solve(rem, idx + 1)
-        cur = list(rem)
-        copies = 0
-        while all(cur[t] > 0 for t in range(a, b + 1)):
-            for t in range(a, b + 1):
-                cur[t] -= 1
-            copies += 1
-            sub = self._solve(tuple(cur), idx + 1)
-            if sub.coeffs:
-                total = total + sub.shift(copies)
-        self._memo[key] = total
-        return total
+        if len(coeffs) != self.rank:
+            raise ValueError(f"expected {self.rank} coefficients, got {len(coeffs)}")
+        return kostant_q_coeffs(coeffs)
 
 
-@lru_cache(maxsize=None)
-def table_for(rank: int) -> PartitionTable:
-    """The shared per-rank table used by the module-level functions."""
-    return PartitionTable(rank)
-
-
-def kostant_q(xi: RootVector) -> QPolynomial:
-    """The q-analog partition function, via the shared memoized table."""
-    return table_for(xi.rank).kostant_q(xi)
-
-
-def kostant(xi: RootVector) -> int:
-    """The number of ways to write xi as a sum of positive roots."""
-    return table_for(xi.rank).kostant(xi)
+table_for = lru_cache(maxsize=None)(PartitionTable)
 
 
 def kostant_q_oracle(xi: RootVector, cap: int = DEFAULT_ORACLE_CAP) -> QPolynomial:
@@ -164,16 +158,11 @@ def kostant_q_oracle(xi: RootVector, cap: int = DEFAULT_ORACLE_CAP) -> QPolynomi
     return QPolynomial(counts)
 
 
-@lru_cache(maxsize=None)
-def _interval_poly(width: int) -> QPolynomial:
-    return Q * (ONE + Q) ** width
-
-
 def kostant_q_interval_closed_form(i: int, j: int, rank: int) -> QPolynomial:
     """The closed form q(q+1)^{j-i} for the q-analog at alpha_i + ... + alpha_j."""
     if not 1 <= i <= j <= rank:
         raise ValueError(f"need 1 <= i <= j <= rank, got ({i}, {j}, {rank})")
-    return _interval_poly(j - i)
+    return Q * (ONE + Q) ** (j - i)
 
 
 def factorize_over_intervals(index_set: IndexSet) -> QPolynomial:
@@ -184,9 +173,7 @@ def factorize_over_intervals(index_set: IndexSet) -> QPolynomial:
     this product against the single direct evaluation is one of the core
     cross-checks.
     """
-    parts = interval_partition(index_set)
-    table = table_for(index_set.rank)
     out = ONE
-    for lo, hi in parts:
-        out = out * table.kostant_q(positive_root(lo, hi, index_set.rank))
+    for lo, hi in interval_partition(index_set):
+        out = out * kostant_q(positive_root(lo, hi, index_set.rank))
     return out

@@ -1,0 +1,73 @@
+"""The rank-indexed partition DP, kept as an oracle for the shared memo.
+
+This is how ``qmult.partition`` worked before it had one memo for every
+rank: each rank has its own table, memoized on (remaining vector, index of
+the next positive root in lexicographic order), and zeros at either end of
+the vector are part of the key.  It branches on the number of copies of a
+root the way the shared memo does, but over other keys, so it is an
+independent check at weights beyond ``kostant_q_oracle``'s cap.
+"""
+
+from functools import lru_cache
+
+from qmult.poly import ONE, ZERO, QPolynomial
+
+
+class RankTable:
+    """The q-analog partition function at one rank, with its own memo."""
+
+    def __init__(self, rank: int):
+        self.rank = rank
+        # inclusive 0-based (start, end) of each positive root, lexicographic
+        self._supports = tuple((i, j) for i in range(rank) for j in range(i, rank))
+        self._memo: dict[tuple[tuple[int, ...], int], QPolynomial] = {}
+
+    def kostant_q_coeffs(self, coeffs) -> QPolynomial:
+        cs = tuple(coeffs)
+        if len(cs) != self.rank:
+            raise ValueError(f"expected {self.rank} coefficients, got {len(cs)}")
+        if any(c < 0 for c in cs):
+            return ZERO
+        return self._solve(cs, 0)
+
+    def _solve(self, rem: tuple[int, ...], idx: int) -> QPolynomial:
+        # rem is componentwise nonnegative here.
+        rank = self.rank
+        p = 0
+        while p < rank and rem[p] == 0:
+            p += 1
+        if p == rank:
+            return ONE
+        supports = self._supports
+        n = len(supports)
+        # Roots starting before p are unusable (their first slot is already
+        # zero); if none starts exactly at p, slot p can never be cleared.
+        while idx < n and supports[idx][0] < p:
+            idx += 1
+        if idx == n or supports[idx][0] > p:
+            return ZERO
+        key = (rem, idx)
+        got = self._memo.get(key)
+        if got is not None:
+            return got
+        a, b = supports[idx]
+        total = self._solve(rem, idx + 1)
+        cur = list(rem)
+        copies = 0
+        while all(cur[t] > 0 for t in range(a, b + 1)):
+            for t in range(a, b + 1):
+                cur[t] -= 1
+            copies += 1
+            sub = self._solve(tuple(cur), idx + 1)
+            if sub.coeffs:
+                total = total + sub.shift(copies)
+        self._memo[key] = total
+        return total
+
+
+rank_table = lru_cache(maxsize=None)(RankTable)
+
+
+def kostant_q_by_rank(coeffs) -> QPolynomial:
+    """The q-analog at coeffs, from the table of rank len(coeffs)."""
+    return rank_table(len(coeffs)).kostant_q_coeffs(coeffs)

@@ -339,6 +339,21 @@ class TestUsageErrors:
         assert out == ""
         assert spec in err and len(err.encode()) < 200
 
+    @pytest.mark.parametrize("argv", [
+        ("partition", "--rank", "3", "--xi"),
+        ("multiplicity", "--rank", "3", "--method", "brute", "--mu"),
+    ])
+    def test_malformed_coefficient_is_named_alone(self, capsys, argv):
+        # one bad entry among 5,000: the error names it and its position
+        # instead of echoing the whole list
+        body = ",".join(["1"] * 4999 + ["x"])
+        if argv[-1] == "--mu":
+            body = "coeffs:" + body
+        code, out, err = run_cli(capsys, *argv, body)
+        assert code == 2
+        assert out == ""
+        assert "'x' at position 5000" in err and len(err.encode()) < 200
+
 
 class TestBruteCapScope:
     def test_partition_ignores_the_variable(self, capsys, monkeypatch):

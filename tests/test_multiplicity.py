@@ -24,6 +24,7 @@ from qmult.roots import (
     embed,
     highest_root,
     positive_root,
+    simple_root,
     zero_root,
 )
 from qmult.weyl import CapExceededError
@@ -170,11 +171,28 @@ class TestRankReduction:
         assert m_q_rank_reduction(IndexSet(1, [1])) == ONE
 
     def test_factors_recomputed_by_lower_rank_brute(self):
+        # each stretch of the complement is a lower-rank multiplicity: mu =
+        # alpha_{i_1} at rank i_1 for the leading one, alpha_1 + alpha_{g+2}
+        # at rank g + 2 for a gap of width g, and alpha_1 at rank r - j_n + 1
+        # for the trailing one
         for r, members in ((5, [3]), (6, [1, 4]), (6, [2, 6]), (7, [1, 4, 7]),
                            (6, [2, 4, 6]), (4, [1, 2, 3, 4])):
             index_set = IndexSet(r, members)
-            assert m_q_rank_reduction(index_set, factors_by_brute=True) == \
-                m_q_rank_reduction(index_set)
+            runs = interval_partition(index_set).intervals
+            problems = []
+            if runs[0][0] > 1:
+                k = runs[0][0]
+                problems.append((k, simple_root(k, k)))
+            for (_, j_x), (i_next, _) in zip(runs, runs[1:]):
+                k = i_next - j_x + 1
+                problems.append((k, simple_root(1, k) + simple_root(k, k)))
+            if runs[-1][1] < r:
+                k = r - runs[-1][1] + 1
+                problems.append((k, simple_root(1, k)))
+            product = ONE
+            for k, mu in problems:
+                product = product * m_q_brute(highest_root(k), mu).value
+            assert product == m_q_rank_reduction(index_set)
 
 
 class TestClassical:

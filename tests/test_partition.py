@@ -2,17 +2,20 @@
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qmult import partition
 from qmult.intervals import IndexSet
 from qmult.partition import (
     PartitionTable,
     factorize_over_intervals,
-    kostant,
     kostant_q,
+    kostant_q_coeffs,
     kostant_q_interval_closed_form,
     kostant_q_oracle,
     table_for,
@@ -27,6 +30,11 @@ from qmult.roots import (
     zero_root,
 )
 from qmult.weyl import CapExceededError
+from partition_oracle import kostant_q_by_rank
+
+# the benchmark's seeded inputs, whose weights pass the oracle's cap
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 capped_vectors = st.integers(min_value=1, max_value=5).flatmap(
     lambda r: st.lists(st.integers(min_value=-2, max_value=4), min_size=r, max_size=r)
@@ -38,21 +46,21 @@ capped_vectors = st.integers(min_value=1, max_value=5).flatmap(
 class TestKostantQ:
     def test_zero_vector(self):
         assert kostant_q(zero_root(4)) == ONE
-        assert kostant(zero_root(4)) == 1
+        assert kostant_q(zero_root(4)).eval_at_one() == 1
 
     def test_single_simple_root(self):
         assert kostant_q(simple_root(2, 3)) == Q
-        assert kostant(simple_root(1, 1)) == 1
+        assert kostant_q(simple_root(1, 1)).eval_at_one() == 1
 
     def test_negative_coefficient_gives_zero(self):
         assert kostant_q(RootVector(3, (-1, 0, 0))) == ZERO
         assert kostant_q(RootVector(3, (1, -1, 1))) == ZERO
-        assert kostant(RootVector(2, (-2, 3))) == 0
+        assert kostant_q(RootVector(2, (-2, 3))).eval_at_one() == 0
 
     def test_highest_root_rank3(self):
         # four multisets: one, two, two and three roots respectively
         assert kostant_q(highest_root(3)) == QPolynomial([0, 1, 2, 1])
-        assert kostant(highest_root(3)) == 4
+        assert kostant_q(highest_root(3)).eval_at_one() == 4
 
     def test_hand_counted_non_indicator_values_rank2(self):
         assert kostant_q(RootVector(2, (1, 2))) == Q ** 3 + Q ** 2
@@ -70,6 +78,10 @@ class TestKostantQ:
         assert fresh_a.kostant_q(xi) == fresh_b.kostant_q(xi) == table_for(3).kostant_q(xi)
         assert fresh_a.kostant_q(xi) == fresh_a.kostant_q(xi)
 
+    def test_tables_are_views_of_the_shared_memo(self):
+        assert vars(PartitionTable(3)) == {"rank": 3}
+        assert table_for(3) is table_for(3)
+
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             table_for(3).kostant_q(zero_root(2))
@@ -77,6 +89,30 @@ class TestKostantQ:
             table_for(3).kostant_q_coeffs((1, 0))
         with pytest.raises(ValueError):
             PartitionTable(0)
+
+
+class TestSharedMemo:
+    """The one memo for every rank against the rank-indexed DP it replaced."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_agrees_with_rank_dp_on_partition_workload(self, seed):
+        # weights up to 183, far beyond the backtracking oracle's cap
+        for xi in workloads.generate("partition", seed)["xis"]:
+            assert kostant_q_coeffs(xi) == kostant_q_by_rank(xi)
+
+    @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=6),
+           st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2))
+    def test_agrees_with_rank_dp_and_ignores_zero_padding(self, xi, left, right):
+        value = kostant_q_coeffs(xi)
+        assert value == kostant_q_by_rank(xi)
+        padded = [0] * left + xi + [0] * right
+        assert kostant_q_coeffs(padded) == kostant_q_by_rank(padded) == value
+
+    def test_zero_padding_adds_no_memo_entries(self):
+        kostant_q_coeffs((3, 1, 2))
+        size = len(partition._MEMO)
+        assert kostant_q_coeffs((0, 0, 3, 1, 2, 0)) == kostant_q_coeffs((3, 1, 2))
+        assert len(partition._MEMO) == size
 
 
 class TestOracle:

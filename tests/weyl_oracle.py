@@ -7,7 +7,7 @@ to drop prefixes.  Small ranks only: rank 7 already means 40,320 rows.
 
 import itertools
 
-from qmult.partition import table_for
+from qmult.partition import kostant_q_coeffs
 from qmult.poly import QPolynomial
 from qmult.roots import RootVector, embed
 from qmult.weyl import WeylElement
@@ -43,17 +43,15 @@ def nonnegative_rows(lam: RootVector, mu: RootVector):
 
 def m_q_unpruned(lam: RootVector, mu: RootVector) -> QPolynomial:
     """The signed sum of q-analog partition values over every Weyl element."""
-    table = table_for(lam.rank)
     total = QPolynomial()
     for _, sign, xi in nonnegative_rows(lam, mu):
-        total = total + sign * table.kostant_q(RootVector(lam.rank, xi))
+        total = total + sign * kostant_q_coeffs(xi)
     return total
 
 
 def alt_set_unpruned(lam: RootVector, mu: RootVector) -> frozenset:
     """The Weyl elements with a positive partition count at xi."""
-    table = table_for(lam.rank)
     return frozenset(
         WeylElement(perm) for perm, _, xi in nonnegative_rows(lam, mu)
-        if table.kostant_q_coeffs(xi).coeffs
+        if kostant_q_coeffs(xi).coeffs
     )
