@@ -2,17 +2,19 @@
 
 Subcommands: ``partition`` evaluates the q-analog partition function,
 ``altset`` lists an alternation set, ``multiplicity`` computes the
-q-multiplicity by one or all methods, ``verify`` cross-checks every route
+q-multiplicity by one or all routes, ``verify`` cross-checks every route
 against every other up to a rank bound, and ``bench`` emits a CSV of term
-counts and timings.
+counts and timings.  ``multiplicity`` and ``bench`` reach the routes, in the
+order of ``multiplicity.METHODS``, through ``_route`` alone; ``verify``
+spells out its pairwise checks.
 
 Exit codes: 0 on success, 1 when routes that must agree do not, 2 on usage
-errors or when a request exceeds a brute-force cap.  The subcommands with
-a brute-force route (``altset``, ``multiplicity``, ``verify``, ``bench``)
-take the cap from --brute-cap, else from the environment variable
-QMULT_BRUTE_CAP, else the default; ``partition`` reads neither.  All output
-except bench timings is byte-identical across runs for a fixed
-configuration and seed.
+errors, on a request past a brute-force cap, or when memory runs out.  The
+subcommands with a brute-force route (``altset``, ``multiplicity``,
+``verify``, ``bench``) take the cap from --brute-cap, else from the
+environment variable QMULT_BRUTE_CAP, else the default; ``partition`` reads
+neither.  All output except bench timings is byte-identical across runs for
+a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .altset import (
 )
 from .intervals import IndexSet, interval_partition, n_of_complement
 from .multiplicity import (
+    METHODS,
     m_q_altset,
     m_q_brute,
     m_q_closed_general,
@@ -71,13 +74,18 @@ def parse_index_set(spec: str, rank: int) -> IndexSet:
         try:
             lo, hi = (int(a), int(b)) if dash else (int(item),) * 2
         except ValueError:
-            raise ValueError(f"malformed item {item!r} in index-set spec") from None
+            raise ValueError(f"malformed item {_shown(item)} in index-set spec") from None
         if lo > hi:
-            raise ValueError(f"empty range {item!r} in index-set spec")
+            raise ValueError(f"empty range {_shown(item)} in index-set spec")
         if lo < 1 or hi > rank:
-            raise ValueError(f"item {item!r} of the index set lies outside [1, {rank}]")
+            raise ValueError(f"item {_shown(item)} of the index set lies outside [1, {rank}]")
         members.extend(range(lo, hi + 1))
     return IndexSet(rank, members)
+
+
+def _shown(item: str) -> str:
+    """An item as an error message quotes it: its first 32 characters."""
+    return repr(item[:32]) + ("..." if len(item) > 32 else "")
 
 
 def _parse_coeff_list(body: str, rank: int, what: str) -> tuple[int, ...]:
@@ -87,8 +95,8 @@ def _parse_coeff_list(body: str, rank: int, what: str) -> tuple[int, ...]:
         try:
             cs.append(int(raw))
         except ValueError:
-            raise ValueError(
-                f"malformed {what} coefficient {raw.strip()!r} at position {pos}") from None
+            raise ValueError(f"malformed {what} coefficient {_shown(raw.strip())} "
+                             f"at position {pos}") from None
     if len(cs) != rank:
         raise ValueError(f"{what} needs {rank} coefficients, got {len(cs)}")
     return tuple(cs)
@@ -115,11 +123,8 @@ def _element_sort_key(w: WeylElement) -> tuple:
     return (w.length(), indices if indices is not None else w.perm)
 
 
-def _print_poly(value: QPolynomial, fmt: str) -> None:
-    if fmt == "latex":
-        print(value.latex())
-    else:
-        print(value)
+def _render(value: QPolynomial, fmt: str) -> str:
+    return value.latex() if fmt == "latex" else str(value)
 
 
 def _run_partition(args: argparse.Namespace) -> int:
@@ -133,7 +138,7 @@ def _run_partition(args: argparse.Namespace) -> int:
             "coeffs": list(value.coeffs),
         }))
     else:
-        _print_poly(value, args.fmt)
+        print(_render(value, args.fmt))
     return 0
 
 
@@ -162,59 +167,48 @@ def _run_altset(args: argparse.Namespace) -> int:
     return 0
 
 
-def _multiplicity_methods(method: str, index_set: Optional[IndexSet],
-                          mu_is_zero: bool) -> list[str]:
-    closed_ok = index_set is not None or mu_is_zero
-    if method == "all":
-        if index_set is not None:
-            return ["brute", "altset", "rank_reduction", "closed"]
-        if mu_is_zero:
-            return ["brute", "closed"]
-        return ["brute"]
-    name = {"reduce": "rank_reduction"}.get(method, method)
-    if name == "brute":
-        return [name]
-    if name in ("altset", "rank_reduction") and index_set is None:
-        raise ValueError(
-            f"mu is not a nonzero sum of distinct simple roots; "
-            f"method {method} needs one (use --method brute)"
-        )
-    if name == "closed" and not closed_ok:
-        raise ValueError(
-            "mu is neither zero nor a sum of distinct simple roots; "
-            "no closed form applies (use --method brute)"
-        )
-    return [name]
+def _route(method: str, mu: Union[IndexSet, RootVector],
+           cap: int) -> Optional[tuple[QPolynomial, Optional[int]]]:
+    """One route's value at mu and its term count (None for the formula
+    routes), or None when the route does not apply to mu."""
+    rank = mu.rank
+    index_set = _as_index_set(mu)
+    if method == "brute":
+        mu_vec = mu.to_root_vector() if isinstance(mu, IndexSet) else mu
+        res = m_q_brute(highest_root(rank), mu_vec, cap)
+        return res.value, res.terms_evaluated
+    if index_set is None:
+        if method == "closed" and mu.is_zero():
+            return m_q_closed_zero(rank), None
+        return None
+    if method == "altset":
+        res = m_q_altset(index_set)
+        return res.value, res.terms_evaluated
+    if method == "rank_reduction":
+        return m_q_rank_reduction(index_set), None
+    return m_q_closed_general(index_set), None
 
 
 def _run_multiplicity(args: argparse.Namespace) -> int:
     cap = _brute_cap(args)
-    rank = args.rank
-    mu = parse_mu(args.mu, rank)
-    index_set = _as_index_set(mu)
-    mu_vec = mu.to_root_vector() if isinstance(mu, IndexSet) else mu
-    mu_is_zero = mu_vec.is_zero()
-    methods = _multiplicity_methods(args.method, index_set, mu_is_zero)
+    mu = parse_mu(args.mu, args.rank)
+    names = METHODS if args.method == "all" else (
+        {"reduce": "rank_reduction"}.get(args.method, args.method),)
     results: list[tuple[str, QPolynomial, Optional[int]]] = []
-    for method in methods:
-        if method == "brute":
-            res = m_q_brute(highest_root(rank), mu_vec, cap)
-            results.append(("brute", res.value, res.terms_evaluated))
-        elif method == "altset":
-            res = m_q_altset(index_set)
-            results.append(("altset", res.value, res.terms_evaluated))
-        elif method == "rank_reduction":
-            results.append(("rank_reduction", m_q_rank_reduction(index_set), None))
-        else:
-            value = (m_q_closed_zero(rank) if index_set is None
-                     else m_q_closed_general(index_set))
-            results.append(("closed", value, None))
+    for name in names:
+        out = _route(name, mu, cap)
+        if out is not None:
+            results.append((name, *out))
+        elif args.method != "all":
+            raise ValueError(f"method {args.method} does not apply to this mu; "
+                             f"only brute takes any mu (use --method brute)")
     agree = all(value == results[0][1] for _, value, _ in results)
     if args.fmt == "json":
+        index_set = _as_index_set(mu)
         mu_json = ({"members": list(index_set.members)} if index_set is not None
-                   else {"coeffs": list(mu_vec.coeffs)})
-        payload = {
-            "rank": rank,
+                   else {"coeffs": list(mu.coeffs)})
+        print(json.dumps({
+            "rank": args.rank,
             "mu": mu_json,
             "results": [
                 {"method": m, "coeffs": list(v.coeffs)} if t is None
@@ -222,29 +216,26 @@ def _run_multiplicity(args: argparse.Namespace) -> int:
                 for m, v, t in results
             ],
             "agree": agree,
-        }
-        print(json.dumps(payload))
+        }))
     elif len(results) == 1:
-        _print_poly(results[0][1], args.fmt)
+        print(_render(results[0][1], args.fmt))
     else:
-        render = (lambda v: v.latex()) if args.fmt == "latex" else str
         for method, value, terms in results:
             suffix = "" if terms is None else f"  [terms {terms}]"
-            print(f"{method}: {render(value)}{suffix}")
+            print(f"{method}: {_render(value, args.fmt)}{suffix}")
         print(f"verdict: {'AGREE' if agree else 'MISMATCH'}")
     return 0 if agree else 1
 
 
-def _nonempty_subsets(rank: int):
-    for mask in range(1, 1 << rank):
-        yield IndexSet(rank, (k + 1 for k in range(rank) if mask >> k & 1))
+def _from_mask(rank: int, mask: int) -> IndexSet:
+    """The index set whose members are the set bits of mask, bit 0 being 1."""
+    return IndexSet(rank, (k + 1 for k in range(rank) if mask >> k & 1))
 
 
 def _sampled_subsets(rank: int, rng: random.Random, samples: int):
     for _ in range(samples):
         for _ in range(200):
-            mask = rng.randrange(1, 1 << rank)
-            index_set = IndexSet(rank, (k + 1 for k in range(rank) if mask >> k & 1))
+            index_set = _from_mask(rank, rng.randrange(1, 1 << rank))
             if alt_set_cardinality(index_set) <= _VERIFY_TERMS_CAP:
                 yield index_set
                 break
@@ -300,7 +291,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     for r in range(1, args.max_rank + 1):
         brute_cap = cap if r <= min(_VERIFY_BRUTE_MAX, cap) else None
         if r <= _VERIFY_EXHAUSTIVE_MAX:
-            sets = list(_nonempty_subsets(r))
+            sets = [_from_mask(r, mask) for mask in range(1, 1 << r)]
             mode = "exhaustive"
         else:
             sets = list(_sampled_subsets(r, rng, args.samples))
@@ -330,23 +321,13 @@ def _run_bench(args: argparse.Namespace) -> int:
     writer.writerow(["rank", "mu", "method", "terms", "micros"])
     for r in range(min_rank, args.max_rank + 1):
         index_set = parse_index_set(args.mu, r)
-        mu_vec = index_set.to_root_vector()
-        rows: list[tuple[str, int, float]] = []
-        if r <= cap:
+        for name in METHODS:
+            if name == "brute" and r > cap:
+                continue
             start = time.perf_counter()
-            res = m_q_brute(highest_root(r), mu_vec, cap)
-            rows.append(("brute", res.terms_evaluated, time.perf_counter() - start))
-        start = time.perf_counter()
-        res = m_q_altset(index_set)
-        rows.append(("altset", res.terms_evaluated, time.perf_counter() - start))
-        start = time.perf_counter()
-        m_q_rank_reduction(index_set)
-        rows.append(("rank_reduction", 0, time.perf_counter() - start))
-        start = time.perf_counter()
-        m_q_closed_general(index_set)
-        rows.append(("closed", 0, time.perf_counter() - start))
-        for method, terms, seconds in rows:
-            writer.writerow([r, args.mu, method, terms, int(seconds * 1_000_000)])
+            _, terms = _route(name, index_set, cap)
+            micros = int((time.perf_counter() - start) * 1_000_000)
+            writer.writerow([r, args.mu, name, terms or 0, micros])
     return 0
 
 
@@ -437,8 +418,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ValueError as exc:  # CapExceededError included
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # CapExceededError included
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -26,9 +26,10 @@ from .altset import WeylSweep, reflection_index_sets
 from .intervals import IndexSet, interval_partition
 from .partition import kostant_q_coeffs
 from .poly import Q, QPolynomial
-from .roots import RootVector, highest_root
+from .roots import RootVector
 from .weyl import DEFAULT_BRUTE_CAP
 
+# The route names, in the order ``qmult multiplicity`` and ``qmult bench`` run them.
 METHODS = ("brute", "altset", "rank_reduction", "closed")
 
 
@@ -41,9 +42,6 @@ class MultiplicityResult:
     alternation-set cardinality for the restricted sum.
     """
 
-    rank: int
-    lam: RootVector
-    mu: RootVector
     value: QPolynomial
     method: str
     terms_evaluated: int
@@ -58,7 +56,6 @@ def m_q_brute(
     prunes are zero, so this is the defining sum over all (rank+1)! elements.
     """
     sweep = WeylSweep(lam, mu, cap)
-    rank = lam.rank
     acc = [0]
     for _, sign, xi in sweep:
         cs = kostant_q_coeffs(xi).coeffs
@@ -70,14 +67,7 @@ def m_q_brute(
         else:
             for k, c in enumerate(cs):
                 acc[k] -= c
-    return MultiplicityResult(
-        rank=rank,
-        lam=lam,
-        mu=mu,
-        value=QPolynomial(acc),
-        method="brute",
-        terms_evaluated=sweep.accounted,
-    )
+    return MultiplicityResult(QPolynomial(acc), "brute", sweep.accounted)
 
 
 def m_q_altset(index_set: IndexSet) -> MultiplicityResult:
@@ -111,14 +101,7 @@ def m_q_altset(index_set: IndexSet) -> MultiplicityResult:
         m = len(comp) - size - n
         for k in range(m + 1):
             acc[n + k] += count * comb(m, k)
-    return MultiplicityResult(
-        rank=r,
-        lam=highest_root(r),
-        mu=index_set.to_root_vector(),
-        value=QPolynomial(acc),
-        method="altset",
-        terms_evaluated=sum(tally.values()),
-    )
+    return MultiplicityResult(QPolynomial(acc), "altset", sum(tally.values()))
 
 
 def m_q_closed_zero(rank: int) -> QPolynomial:

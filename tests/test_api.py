@@ -1,7 +1,9 @@
-"""The public API: the README's library example runs as written, and the
-names exported from ``qmult`` are exactly the listed ones."""
+"""The public API: the README's library example runs as written, the
+names exported from ``qmult`` are exactly the listed ones, and so are the
+fields of ``MultiplicityResult``."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -46,3 +48,8 @@ def test_public_names():
         "m_q_rank_reduction",
     ]
     assert all(hasattr(qmult, name) for name in qmult.__all__)
+
+
+def test_multiplicity_result_fields():
+    fields = tuple(f.name for f in dataclasses.fields(qmult.MultiplicityResult))
+    assert fields == ("value", "method", "terms_evaluated")

@@ -4,6 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -330,29 +333,52 @@ class TestUsageErrors:
         assert code == 2
         assert "index set" in err
 
-    @pytest.mark.parametrize("spec", ["1-10000000000", "1-20000000", "1-1000"])
+    @pytest.mark.parametrize("spec", ["1-10000000000", "1-20000000", "1-1000",
+                                      "1-" + "9" * 9998])
     def test_range_past_rank_is_refused_before_expansion(self, capsys, spec):
         # the range is checked against the rank before it is expanded, and
-        # the error names the item instead of echoing every member
+        # the error names the item, at most its first 32 characters, instead
+        # of echoing every member
         code, out, err = run_cli(capsys, "altset", "--rank", "5", "--mu", spec)
         assert code == 2
         assert out == ""
-        assert spec in err and len(err.encode()) < 200
+        assert spec[:32] in err and len(err.encode()) < 200
 
     @pytest.mark.parametrize("argv", [
         ("partition", "--rank", "3", "--xi"),
         ("multiplicity", "--rank", "3", "--method", "brute", "--mu"),
     ])
     def test_malformed_coefficient_is_named_alone(self, capsys, argv):
-        # one bad entry among 5,000: the error names it and its position
-        # instead of echoing the whole list
-        body = ",".join(["1"] * 4999 + ["x"])
-        if argv[-1] == "--mu":
-            body = "coeffs:" + body
-        code, out, err = run_cli(capsys, *argv, body)
-        assert code == 2
-        assert out == ""
-        assert "'x' at position 5000" in err and len(err.encode()) < 200
+        # one bad entry among 5,000: the error names it, at most its first 32
+        # characters, and its position instead of echoing the whole list
+        for bad in ("x", "x" * 10_000):
+            body = ",".join(["1"] * 4999 + [bad])
+            if argv[-1] == "--mu":
+                body = "coeffs:" + body
+            code, out, err = run_cli(capsys, *argv, body)
+            assert code == 2
+            assert out == ""
+            shown = repr(bad[:32]) + ("..." if len(bad) > 32 else "")
+            assert f"{shown} at position 5000" in err and len(err.encode()) < 200
+
+    def test_out_of_memory_is_exit_2(self):
+        # a huge rank asks the closed form for a 1e9-coefficient polynomial;
+        # the child caps its own address space at 1 GiB so the request fails
+        # fast instead of taking the machine's memory
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from qmult.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "multiplicity", "--rank", "1000000000",
+             "--mu", "1", "--method", "closed"],
+            capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: out of memory\n"
 
 
 class TestBruteCapScope:
