@@ -1,6 +1,6 @@
 """Write a before/after benchmark record for one change.
 
-    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_4.json
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_6.json
 
 DIR is a checkout (source, perfbench/ and BENCHMARK.json) of the parent
 commit and of the change.  For every workload in BENCHMARK.json this runs
@@ -12,9 +12,12 @@ line each run prints (its JSON result).  It also records structural
 counts, computed with the after checkout's source: the pruned Weyl sweep on
 the seed-1 ``brute`` inputs (rows are leaves, each pruned subtree is one
 dropped prefix, and leaves plus pruned elements account for (rank+1)!),
-and the number of entries in the partition memo after the seed-1
-``partition`` inputs.  Timings depend on the host, which the record names;
-the counts do not.
+the number of entries in the partition memo after the seed-1
+``partition`` inputs, and the alternation-set elements visited on the
+seed-1 ``altset`` inputs (``terms_evaluated`` of each ``m_q_altset`` call
+and the element count of the ``alt_set_closed`` call), each of which must
+equal perfbench's independent ``alt_set_size``.  Timings depend on the
+host, which the record names; the counts do not.
 """
 
 from __future__ import annotations
@@ -82,6 +85,30 @@ def partition_memo_entries() -> dict:
     return {"workload": "partition", "seed": SEED, "entries": len(partition._MEMO)}
 
 
+def altset_terms() -> dict:
+    import workloads
+    from qmult.altset import alt_set_closed
+    from qmult.intervals import IndexSet
+    from qmult.multiplicity import m_q_altset
+
+    inputs = workloads.generate("altset", SEED)
+    calls = []
+    for members in inputs["index_sets"]:
+        res = m_q_altset(IndexSet(inputs["rank"], members))
+        calls.append({"call": "m_q_altset", "rank": inputs["rank"], "members": members,
+                      "terms": res.terms_evaluated,
+                      "alt_set_size": workloads.alt_set_size(inputs["rank"], members)})
+    c = inputs["closed"]
+    elements = alt_set_closed(IndexSet(c["rank"], c["members"])).cardinality
+    calls.append({"call": "alt_set_closed", "rank": c["rank"], "members": c["members"],
+                  "terms": elements,
+                  "alt_set_size": workloads.alt_set_size(c["rank"], c["members"])})
+    for call in calls:
+        if call["terms"] != call["alt_set_size"]:
+            raise RuntimeError(f"alternation set miscounted: {call}")
+    return {"workload": "altset", "seed": SEED, "calls": calls}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", type=Path, required=True)
@@ -105,6 +132,7 @@ def main(argv=None) -> int:
         "workloads": results,
         "sweep_counts": sweep_counts(),
         "partition_memo": partition_memo_entries(),
+        "altset_terms": altset_terms(),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -5,18 +5,19 @@ in the multiplicity sum is nonzero, i.e. those with a positive partition
 value at sigma(lam + rho) - rho - mu.  For lam the highest root and
 mu = alpha_I, the set consists exactly of the products of simple
 reflections over nonconsecutive indices drawn from the complement of I with
-the endpoints 1 and rank removed.  Counting nonconsecutive subsets run by
-run makes the cardinality a product of Fibonacci numbers.
+the endpoints 1 and rank removed.  One walk over those free indices,
+:func:`alternation_walk`, lists the elements; counting nonconsecutive
+subsets stretch by stretch makes the cardinality a product of Fibonacci
+numbers.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterator
 
-from .intervals import IndexSet, interval_partition, maximal_runs
+from .intervals import IndexSet, interval_partition
 from .partition import kostant_q_coeffs
 from .roots import RootVector, embed
 from .weyl import (
@@ -38,27 +39,6 @@ def fibonacci(n: int) -> int:
     for _ in range(n - 1):
         a, b = b, a + b
     return a
-
-
-def nonconsecutive_subsets(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """All subsets of {lo, ..., hi} with no two consecutive members.
-
-    The interval may be empty (lo == hi + 1), giving just the empty subset;
-    an interval of n integers yields fibonacci(n + 2) subsets.  Subsets come
-    out as sorted tuples in a fixed deterministic order.
-    """
-    if lo > hi + 1:
-        raise ValueError(f"invalid interval [{lo}, {hi}]")
-    return _ncs(lo, hi)
-
-
-def _ncs(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    if lo > hi:
-        yield ()
-        return
-    yield from _ncs(lo + 1, hi)
-    for rest in _ncs(lo + 2, hi):
-        yield (lo,) + rest
 
 
 @dataclass(frozen=True)
@@ -91,15 +71,16 @@ class AltSet:
 
 
 def fib_profile(index_set: IndexSet) -> tuple[int, ...]:
-    """Fibonacci indices for the runs of I: (i_1, gaps + 1, rank - j_n + 1).
+    """Fibonacci indices for the runs of I: (i_1, i_{x+1} - j_x + 1, rank - j_n + 1).
 
     With runs [i_1, j_1], ..., [i_n, j_n], the free indices left of i_1 form
     the interval [2, i_1 - 1], each gap contributes [j_x + 1, i_{x+1} - 1],
     and the right stretch is [j_n + 1, rank - 1]; an interval of n integers
-    has fibonacci(n + 2) nonconsecutive subsets, giving these indices.
+    has fibonacci(n + 2) nonconsecutive subsets, giving these indices.  So
+    an interior entry is the gap's width plus 2: I = {1, 6} at rank 6 has a
+    gap of width 4 and the profile (1, 6, 1).
     """
-    parts = interval_partition(index_set)
-    runs = parts.intervals
+    runs = interval_partition(index_set)
     r = index_set.rank
     profile = [runs[0][0]]
     for (_, j_x), (i_next, _) in zip(runs, runs[1:]):
@@ -113,32 +94,50 @@ def alt_set_cardinality(index_set: IndexSet) -> int:
     return prod(fibonacci(k) for k in fib_profile(index_set))
 
 
-def reflection_index_sets(index_set: IndexSet) -> Iterator[tuple[int, ...]]:
-    """The index set J of each alternation-set element, sorted ascending.
+def alternation_walk(index_set: IndexSet) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(J, n) for each alternation-set element, the identity (J empty) first.
 
-    J is a nonconsecutive subset of the complement of I minus {1, rank},
-    chosen independently within each maximal run of that free region, and
-    the element is the product of s_j over J.  There are
-    alt_set_cardinality(I) of them, the identity (J empty) first.
+    J is a nonconsecutive subset of the free indices, [2, rank - 1] minus I,
+    sorted ascending; the element is the product of s_j over J.  The walk
+    passes the free indices in order and at each one either skips it or
+    takes it, and taking an index also skips its right free neighbour, so
+    every J is one leaf and there are alt_set_cardinality(I) of them.
+
+    n counts the maximal runs of I^c minus J.  Removing j from I^c splits,
+    shortens or deletes its run as #{j-1, j+1} & I^c is 2, 1 or 0, and no
+    two members of J are adjacent, so n = runs(I^c) + sum over j in J of
+    split[j] with split[j] = #{j-1, j+1} & I^c - 1.  The walk carries n
+    down with J.
     """
     if index_set.is_empty():
         raise ValueError("index set must be nonempty")
-    picked = set(index_set.members)
-    free = maximal_runs(k for k in range(2, index_set.rank) if k not in picked)
-    per_run = [tuple(nonconsecutive_subsets(lo, hi)) for lo, hi in free]
-    for combo in itertools.product(*per_run):
-        yield tuple(itertools.chain.from_iterable(combo))
+    comp = set(range(1, index_set.rank + 1)).difference(index_set)
+    free = [k for k in range(2, index_set.rank) if k in comp]
+    size = len(free)
+    split = [(k - 1 in comp) + (k + 1 in comp) - 1 for k in free]
+    # the position the walk resumes at after taking free[i]
+    after = [i + 1 + (i + 1 < size and free[i + 1] == k + 1) for i, k in enumerate(free)]
+    runs = sum(k - 1 not in comp for k in comp)  # members starting a run
+    # Each entry is a node (position, J, n); popping it follows the skip
+    # branch to the end, pushing the take branch at every position passed.
+    stack = [(0, (), runs)]
+    while stack:
+        i, chosen, n = stack.pop()
+        while i < size:
+            stack.append((after[i], chosen + (free[i],), n + split[i]))
+            i += 1
+        yield chosen, n
 
 
 def alt_set_closed(index_set: IndexSet) -> AltSet:
     """The alternation set built from the closed-form description: the
-    products of simple reflections over :func:`reflection_index_sets`."""
+    products of simple reflections over the J of :func:`alternation_walk`."""
     r = index_set.rank
     return AltSet(
         rank=r,
         mu=index_set,
         elements=frozenset(
-            product_of_commuting(j, r) for j in reflection_index_sets(index_set)
+            product_of_commuting(j, r) for j, _ in alternation_walk(index_set)
         ),
         fib_profile=fib_profile(index_set),
     )

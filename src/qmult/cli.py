@@ -254,7 +254,7 @@ def _verify_one(index_set: IndexSet, brute_cap: Optional[int],
         if not ok:
             failures.append(f"rank {r}, I={index_set}: {label}")
 
-    n = interval_partition(index_set).n
+    n = len(interval_partition(index_set))
     has_1, has_r = 1 in index_set, r in index_set
     predicted = n - 1 if (has_1 and has_r) else n + 1 if not (has_1 or has_r) else n
     expect(n_of_complement(index_set) == predicted, "complement run count")

@@ -1,9 +1,9 @@
 """Index sets I inside [1, rank] and their maximal-run decompositions.
 
 A nonempty index set splits uniquely into maximal runs of consecutive
-integers [i_1, j_1], ..., [i_n, j_n] with i_{x+1} >= j_x + 2; this interval
-partition drives both the closed-form multiplicities and the Fibonacci
-counts of alternation sets.
+integers [i_1, j_1], ..., [i_n, j_n] with i_{x+1} >= j_x + 2.  These runs,
+a plain tuple of (lo, hi) pairs, drive both the closed-form multiplicities
+and the Fibonacci counts of alternation sets.
 """
 
 from __future__ import annotations
@@ -76,42 +76,15 @@ def maximal_runs(members: Iterable[int]) -> tuple[tuple[int, int], ...]:
     return tuple(runs)
 
 
-@dataclass(frozen=True, init=False)
-class IntervalPartition:
-    """The maximal runs of a nonempty index set, as inclusive (lo, hi) pairs."""
+def interval_partition(index_set: IndexSet) -> tuple[tuple[int, int], ...]:
+    """The maximal runs of a nonempty index set, as inclusive (lo, hi) pairs.
 
-    intervals: tuple[tuple[int, int], ...]
-
-    def __init__(self, intervals: Iterable[tuple[int, int]]):
-        ivs = tuple((int(a), int(b)) for a, b in intervals)
-        if not ivs:
-            raise ValueError("interval partition must be nonempty")
-        for a, b in ivs:
-            if a > b:
-                raise ValueError(f"empty interval ({a}, {b})")
-        for (_, b), (a2, _) in zip(ivs, ivs[1:]):
-            if a2 < b + 2:
-                raise ValueError(f"intervals not separated: ...{b}], [{a2}...")
-        object.__setattr__(self, "intervals", ivs)
-
-    @property
-    def n(self) -> int:
-        """Number of intervals."""
-        return len(self.intervals)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.intervals)
-
-
-def interval_partition(index_set: IndexSet) -> IntervalPartition:
-    """The interval partition of a nonempty index set.
-
-    >>> interval_partition(IndexSet(8, [1, 2, 4, 7])).intervals
+    >>> interval_partition(IndexSet(8, [1, 2, 4, 7]))
     ((1, 2), (4, 4), (7, 7))
     """
     if index_set.is_empty():
         raise ValueError("interval partition of the empty set is undefined")
-    return IntervalPartition(maximal_runs(index_set.members))
+    return maximal_runs(index_set.members)
 
 
 def n_of_complement(index_set: IndexSet) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .altset import WeylSweep, reflection_index_sets
+from .altset import WeylSweep, alternation_walk
 from .intervals import IndexSet, interval_partition
 from .partition import kostant_q_coeffs
 from .poly import Q, QPolynomial
@@ -74,31 +74,26 @@ def m_q_altset(index_set: IndexSet) -> MultiplicityResult:
     """The signed sum over the alternation set only.
 
     Each element is the product of s_j over a nonconsecutive subset J of the
-    free region (:func:`~qmult.altset.reflection_index_sets`); its term has
+    free region (:func:`~qmult.altset.alternation_walk`); its term has
     sign (-1)^|J| and shifted image alpha_{I^c} - alpha_J, an indicator
     vector whose partition value factors over its maximal runs as
-    q(q+1)^(len-1).  With n runs of total length N = |I^c| - |J| the term is
-    q^n (q+1)^(N-n).  Removing j splits, shortens or deletes its run as
-    #{j-1, j+1} & I^c is 2, 1 or 0, and no two members of J are adjacent, so
-    n = runs(I^c) + sum over j in J of (#{j-1, j+1} & I^c - 1).  Every J is
-    still enumerated and counted, but terms are tallied by (|J|, n) and
-    expanded once per pair by the binomial theorem.  The number of terms is
-    exactly the alternation-set cardinality, so ranks far beyond brute-force
-    reach stay cheap.
+    q(q+1)^(len-1).  With n runs of total length N = |I^c| - |J|, which the
+    walk yields with J, the term is q^n (q+1)^(N-n).  Every J is still
+    enumerated and counted, but terms are tallied by (|J|, n) and expanded
+    once per pair by the binomial theorem.  The number of terms is exactly
+    the alternation-set cardinality, so ranks far beyond brute-force reach
+    stay cheap.
     """
     r = index_set.rank
-    comp = set(range(1, r + 1)).difference(index_set)
-    runs = sum(j - 1 not in comp for j in comp)  # members starting a run
-    split = {j: (j - 1 in comp) + (j + 1 in comp) - 1 for j in comp}
     tally: dict[tuple[int, int], int] = {}
-    for chosen in reflection_index_sets(index_set):
-        key = len(chosen), runs + sum(map(split.__getitem__, chosen))
+    for chosen, n in alternation_walk(index_set):
+        key = len(chosen), n
         tally[key] = tally.get(key, 0) + 1
     acc = [0] * (r + 1)
     for (size, n), count in tally.items():
         if size & 1:
             count = -count
-        m = len(comp) - size - n
+        m = r - len(index_set) - size - n
         for k in range(m + 1):
             acc[n + k] += count * comb(m, k)
     return MultiplicityResult(QPolynomial(acc), "altset", sum(tally.values()))
@@ -131,8 +126,7 @@ def m_q_closed_two_intervals(rank: int, i: int, j: int) -> QPolynomial:
 
 def m_q_closed_general(index_set: IndexSet) -> QPolynomial:
     """m_q at mu = alpha_I: (q - 1)^(n-1) q^(rank - |I| - n + 1), n = runs of I."""
-    parts = interval_partition(index_set)
-    n = parts.n
+    n = len(interval_partition(index_set))
     exponent = index_set.rank - len(index_set) - n + 1
     return (Q - 1) ** (n - 1) * QPolynomial.monomial(exponent)
 
@@ -145,7 +139,7 @@ def m_q_rank_reduction(index_set: IndexSet) -> QPolynomial:
     interior gap of width g, and a trailing q^(rank - j_n) when rank is
     missing.
     """
-    runs = interval_partition(index_set).intervals
+    runs = interval_partition(index_set)
     out = QPolynomial.monomial(runs[0][0] - 1 + index_set.rank - runs[-1][1])
     for (_, j_x), (i_next, _) in zip(runs, runs[1:]):
         gap = i_next - j_x - 1

@@ -2,18 +2,18 @@
 
 import pytest
 
+from altset_oracle import nonconsecutive_subsets, reflection_index_sets
 from qmult.altset import (
     AltSet,
     alt_set_brute,
     alt_set_cardinality,
     alt_set_closed,
+    alternation_walk,
     fib_profile,
     fibonacci,
-    nonconsecutive_subsets,
 )
 from qmult.intervals import (
     IndexSet,
-    IntervalPartition,
     interval_partition,
     maximal_runs,
     n_of_complement,
@@ -71,21 +71,20 @@ class TestIntervalPartition:
         assert maximal_runs([3]) == ((3, 3),)
 
     def test_interval_partition(self):
-        parts = interval_partition(IndexSet(8, [1, 2, 4, 7]))
-        assert parts.intervals == ((1, 2), (4, 4), (7, 7))
-        assert parts.n == 3
-        assert interval_partition(IndexSet(5, range(1, 6))).n == 1
+        runs = interval_partition(IndexSet(8, [1, 2, 4, 7]))
+        assert runs == ((1, 2), (4, 4), (7, 7))
+        assert len(runs) == 3
+        assert len(interval_partition(IndexSet(5, range(1, 6)))) == 1
         with pytest.raises(ValueError):
             interval_partition(IndexSet(4, []))
 
     def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            IntervalPartition([])
-        with pytest.raises(ValueError):
-            IntervalPartition([(2, 1)])
-        with pytest.raises(ValueError):
-            IntervalPartition([(1, 2), (3, 4)])  # touching runs must merge
-        assert IntervalPartition([(1, 2), (4, 4)]).n == 2
+        # the invariants the runs must hold: nonempty, ordered, separated
+        assert len(interval_partition(IndexSet(4, [1, 2, 4]))) == 2
+        for index_set in _all_index_sets(7):
+            runs = interval_partition(index_set)
+            assert runs and all(lo <= hi for lo, hi in runs)
+            assert all(hi + 2 <= lo for (_, hi), (lo, _) in zip(runs, runs[1:]))
 
     def test_runs_cover_the_set_exactly(self):
         for index_set in _all_index_sets(7):
@@ -108,7 +107,7 @@ class TestNOfComplement:
         # n(complement) is n-1, n, or n+1 according to which endpoints I holds
         for r in range(1, 11):
             for index_set in _all_index_sets(r):
-                n = interval_partition(index_set).n
+                n = len(interval_partition(index_set))
                 has_1 = 1 in index_set
                 has_r = r in index_set
                 if has_1 and has_r:
@@ -151,7 +150,7 @@ class TestFibProfile:
 
     def test_profile_length_is_runs_plus_one(self):
         for index_set in _all_index_sets(6):
-            assert len(fib_profile(index_set)) == interval_partition(index_set).n + 1
+            assert len(fib_profile(index_set)) == len(interval_partition(index_set)) + 1
 
     def test_cardinality_examples(self):
         assert alt_set_cardinality(IndexSet(7, [4])) == 9
@@ -164,6 +163,41 @@ class TestFibProfile:
             for index_set in _all_index_sets(r):
                 brute = alt_set_brute(theta, index_set.to_root_vector())
                 assert len(brute) == alt_set_cardinality(index_set)
+
+
+def _walks_up_to_rank(max_rank):
+    for r in range(1, max_rank + 1):
+        for index_set in _all_index_sets(r):
+            yield index_set, list(alternation_walk(index_set))
+
+
+class TestAlternationWalk:
+    def test_examples(self):
+        assert list(alternation_walk(IndexSet(7, [4]))) == [
+            ((), 2), ((6,), 3), ((5,), 2), ((3,), 2), ((3, 6), 3), ((3, 5), 2),
+            ((2,), 3), ((2, 6), 4), ((2, 5), 3),
+        ]
+        assert list(alternation_walk(IndexSet(1, [1]))) == [((), 0)]
+        assert list(alternation_walk(IndexSet(2, [2]))) == [((), 1)]
+        with pytest.raises(ValueError):
+            list(alternation_walk(IndexSet(4, [])))
+
+    def test_index_sets_match_the_oracle(self):
+        for index_set, walk in _walks_up_to_rank(12):
+            got = sorted(chosen for chosen, _ in walk)
+            assert got == sorted(reflection_index_sets(index_set)), index_set
+
+    def test_each_element_once_identity_first(self):
+        for index_set, walk in _walks_up_to_rank(12):
+            chosen = [j for j, _ in walk]
+            assert chosen[0] == ()
+            assert len(set(chosen)) == len(chosen) == alt_set_cardinality(index_set)
+
+    def test_run_counts_match_maximal_runs(self):
+        for index_set, walk in _walks_up_to_rank(12):
+            comp = set(index_set.complement())
+            for chosen, n in walk:
+                assert n == len(maximal_runs(comp - set(chosen))), (index_set, chosen)
 
 
 class TestAltSetClosed:

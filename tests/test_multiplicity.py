@@ -178,7 +178,7 @@ class TestRankReduction:
         for r, members in ((5, [3]), (6, [1, 4]), (6, [2, 6]), (7, [1, 4, 7]),
                            (6, [2, 4, 6]), (4, [1, 2, 3, 4])):
             index_set = IndexSet(r, members)
-            runs = interval_partition(index_set).intervals
+            runs = interval_partition(index_set)
             problems = []
             if runs[0][0] > 1:
                 k = runs[0][0]
@@ -204,7 +204,7 @@ class TestClassical:
     def test_nonzero_exactly_for_single_runs(self):
         for r in range(1, 13):
             for index_set in _all_index_sets(r):
-                expected = 1 if interval_partition(index_set).n == 1 else 0
+                expected = 1 if len(interval_partition(index_set)) == 1 else 0
                 assert m_classical(index_set) == expected
 
     def test_matches_brute_at_q_one(self):
