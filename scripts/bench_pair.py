@@ -1,6 +1,6 @@
 """Write a before/after benchmark record for one change.
 
-    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_6.json
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_7.json
 
 DIR is a checkout (source, perfbench/ and BENCHMARK.json) of the parent
 commit and of the change.  For every workload in BENCHMARK.json this runs
@@ -12,11 +12,12 @@ line each run prints (its JSON result).  It also records structural
 counts, computed with the after checkout's source: the pruned Weyl sweep on
 the seed-1 ``brute`` inputs (rows are leaves, each pruned subtree is one
 dropped prefix, and leaves plus pruned elements account for (rank+1)!),
-the number of entries in the partition memo after the seed-1
-``partition`` inputs, and the alternation-set elements visited on the
-seed-1 ``altset`` inputs (``terms_evaluated`` of each ``m_q_altset`` call
-and the element count of the ``alt_set_closed`` call), each of which must
-equal perfbench's independent ``alt_set_size``.  Timings depend on the
+the number of entries in the partition memo and of calls to its
+recursion ``_solve`` after the seed-1 ``partition`` inputs, and the
+alternation-set elements visited on the seed-1 ``altset`` inputs
+(``terms_evaluated`` of each ``m_q_altset`` call and the element count of
+the ``alt_set_closed`` call), each of which must equal perfbench's
+independent ``alt_set_size``.  Timings depend on the
 host, which the record names; the counts do not.
 """
 
@@ -74,15 +75,30 @@ def sweep_counts() -> dict:
             "rows_per_call_before": factorial(rank + 1), "calls": calls}
 
 
-def partition_memo_entries() -> dict:
+def partition_counts() -> tuple[dict, dict]:
+    """The memo's entry count and the number of ``_solve`` calls after the
+    seed-1 ``partition`` inputs, from a cleared memo.  The recursion calls
+    the module global ``_solve``, so a wrapper put there counts every call."""
     import workloads
     from qmult import partition
     from qmult.roots import RootVector
 
+    solve, calls = partition._solve, 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
     partition._MEMO.clear()
-    for xi in workloads.generate("partition", SEED)["xis"]:
-        partition.kostant_q(RootVector(len(xi), xi))
-    return {"workload": "partition", "seed": SEED, "entries": len(partition._MEMO)}
+    partition._solve = counted
+    try:
+        for xi in workloads.generate("partition", SEED)["xis"]:
+            partition.kostant_q(RootVector(len(xi), xi))
+    finally:
+        partition._solve = solve
+    return ({"workload": "partition", "seed": SEED, "entries": len(partition._MEMO)},
+            {"workload": "partition", "seed": SEED, "calls": calls})
 
 
 def altset_terms() -> dict:
@@ -123,6 +139,7 @@ def main(argv=None) -> int:
         results[name] = {"before": run_workload(args.before, name),
                          "after": run_workload(args.after, name)}
     sys.path[:0] = [str(args.after / "src"), str(args.after / "perfbench")]
+    memo, calls = partition_counts()
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
                    f"--seconds {SECONDS} --trace 0",
@@ -131,7 +148,8 @@ def main(argv=None) -> int:
                  "python": platform.python_version()},
         "workloads": results,
         "sweep_counts": sweep_counts(),
-        "partition_memo": partition_memo_entries(),
+        "partition_memo": memo,
+        "partition_calls": calls,
         "altset_terms": altset_terms(),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -18,11 +18,20 @@ leading and trailing zeros stripped: (1, 1, 0) at rank 3 and (0, 1, 1, 0, 0)
 at rank 5 share one entry.  ``PartitionTable`` and ``table_for`` remain as
 a rank-checking view of that memo, with no values of their own, for callers
 that still ask for one table per rank.
+
+The recursion makes only the calls that can contribute.  Once the
+full-width root is the only one left at slot 0, it is forced: it must be
+used exactly xi[0] times, so that entry recurses once, on xi - xi[0], when
+xi[0] = min(xi), and is zero otherwise.  A child whose slot 0 stays nonzero
+is already stripped, so the parent looks its key up in the memo and calls
+``_solve`` only on a miss.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
+from operator import add, sub
 from typing import Sequence
 
 from .intervals import IndexSet, interval_partition
@@ -53,6 +62,10 @@ def _solve(xi: tuple[int, ...], shortest: int) -> QPolynomial:
     length ``shortest`` at slot 0 is placed before the longer ones, and a
     root at a later slot only once slot 0 is cleared, when the bound starts
     over at 1.  So the recursion is at most one level deep per root.
+
+    Only calls that can contribute are made: the last root at slot 0 is
+    forced, and a child that needs no stripping is looked up in the memo
+    before it is called.
     """
     lo, hi = 0, len(xi)
     while lo < hi and not xi[lo]:
@@ -64,21 +77,35 @@ def _solve(xi: tuple[int, ...], shortest: int) -> QPolynomial:
     while not xi[hi - 1]:
         hi -= 1
     xi = xi[lo:hi]
-    if shortest > hi - lo:
+    width = hi - lo
+    if shortest > width:
         return ZERO  # slot 0 can never be cleared
     key = (xi, shortest)
     got = _MEMO.get(key)
     if got is not None:
         return got
-    # Each root adds at least 1 to sum(xi), so no term exceeds q^sum(xi).
-    acc = [0] * (sum(xi) + 1)
-    head, tail = xi[:shortest], xi[shortest:]
-    for copies in range(min(head) + 1):
-        rest = tuple(c - copies for c in head) + tail if copies else xi
-        sub = _solve(rest, shortest + 1)
-        for k, c in enumerate(sub.coeffs, copies):
-            acc[k] += c
-    total = _MEMO[key] = QPolynomial(acc)
+    first = xi[0]
+    if shortest == width:
+        # Only the full-width root is left to clear slot 0, so it is used
+        # exactly xi[0] times, which needs xi[0] = min(xi).
+        if first == min(xi):
+            total = _solve(tuple(map(sub, xi, repeat(first))), 1).shift(first)
+        else:
+            total = ZERO
+    else:
+        # Each root adds at least 1 to sum(xi), so no term exceeds q^sum(xi).
+        acc = [0] * (sum(xi) + 1)
+        head, tail = xi[:shortest], xi[shortest:]
+        longer = shortest + 1
+        for copies in range(min(head) + 1):
+            rest = tuple(map(sub, head, repeat(copies))) + tail if copies else xi
+            # While rest[0] > 0, rest is stripped already: its last slot is xi's.
+            got = _MEMO.get((rest, longer)) if copies < first else None
+            child = (got if got is not None else _solve(rest, longer)).coeffs
+            end = copies + len(child)
+            acc[copies:end] = map(add, acc[copies:end], child)
+        total = QPolynomial(acc)
+    _MEMO[key] = total
     return total
 
 

@@ -27,7 +27,7 @@ class WeylElement:
     perm: tuple[int, ...]
 
     def __init__(self, perm: Iterable[int]):
-        p = tuple(int(x) for x in perm)
+        p = tuple(map(int, perm))
         if sorted(p) != list(range(1, len(p) + 1)):
             raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
         if len(p) < 2:

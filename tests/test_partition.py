@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qmult import partition
@@ -30,7 +30,8 @@ from qmult.roots import (
     zero_root,
 )
 from qmult.weyl import CapExceededError
-from partition_oracle import kostant_q_by_rank
+import partition_oracle
+from partition_oracle import kostant_q_by_rank, kostant_q_shared
 
 # the benchmark's seeded inputs, whose weights pass the oracle's cap
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -113,6 +114,32 @@ class TestSharedMemo:
         size = len(partition._MEMO)
         assert kostant_q_coeffs((0, 0, 3, 1, 2, 0)) == kostant_q_coeffs((3, 1, 2))
         assert len(partition._MEMO) == size
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_agrees_with_predecessor_on_partition_workload(self, seed):
+        for xi in workloads.generate("partition", seed)["xis"]:
+            assert kostant_q_coeffs(xi) == kostant_q_shared(xi)
+
+    @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=6))
+    @example([5, 1, 5])  # reaches (5, 1, 5) with only the full-width root left: zero
+    def test_agrees_with_predecessor(self, xi):
+        assert kostant_q_coeffs(xi) == kostant_q_shared(xi)
+
+    def test_last_root_is_forced(self):
+        # only alpha_{1,3} is left at slot 0: it must be used xi[0] times
+        partition._MEMO.clear()
+        assert partition._solve((5, 1, 5), 3) == ZERO
+        assert partition._solve((1, 1, 2), 3) == Q * kostant_q_coeffs((0, 0, 1))
+        assert set(partition._MEMO) == {((5, 1, 5), 3), ((1, 1, 2), 3), ((1,), 1)}
+
+    def test_memo_keys_equal_predecessors_on_partition_workload(self):
+        partition._MEMO.clear()
+        partition_oracle._MEMO.clear()
+        for xi in workloads.generate("partition", 1)["xis"]:
+            kostant_q_coeffs(xi)
+            kostant_q_shared(xi)
+        assert len(partition._MEMO) == 22142
+        assert partition._MEMO == partition_oracle._MEMO
 
 
 class TestOracle:
