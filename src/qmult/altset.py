@@ -20,12 +20,7 @@ from typing import Iterator
 from .intervals import IndexSet, interval_partition
 from .partition import kostant_q_coeffs
 from .roots import RootVector, embed
-from .weyl import (
-    DEFAULT_BRUTE_CAP,
-    CapExceededError,
-    WeylElement,
-    product_of_commuting,
-)
+from .weyl import DEFAULT_BRUTE_CAP, CapExceededError, WeylElement
 
 def fibonacci(n: int) -> int:
     """The n-th Fibonacci number with F_1 = F_2 = 1.
@@ -131,16 +126,19 @@ def alternation_walk(index_set: IndexSet) -> Iterator[tuple[tuple[int, ...], int
 
 def alt_set_closed(index_set: IndexSet) -> AltSet:
     """The alternation set built from the closed-form description: the
-    products of simple reflections over the J of :func:`alternation_walk`."""
+    products of simple reflections over the J of :func:`alternation_walk`,
+    each built from J directly by swapping j and j+1 in the identity for
+    every j in J (J is nonconsecutive, so the swaps commute)."""
     r = index_set.rank
-    return AltSet(
-        rank=r,
-        mu=index_set,
-        elements=frozenset(
-            product_of_commuting(j, r) for j, _ in alternation_walk(index_set)
-        ),
-        fib_profile=fib_profile(index_set),
-    )
+    identity = list(range(1, r + 2))
+    elements = []
+    for chosen, _ in alternation_walk(index_set):
+        p = identity.copy()
+        for j in chosen:
+            p[j - 1], p[j] = j + 1, j
+        elements.append(WeylElement(p))
+    return AltSet(rank=r, mu=index_set, elements=frozenset(elements),
+                  fib_profile=fib_profile(index_set))
 
 
 class WeylSweep:
@@ -169,7 +167,7 @@ class WeylSweep:
         rank = self.lam.rank
         n = rank + 1
         rho = tuple(range(rank, -1, -1))
-        shifted = tuple(a + b for a, b in zip(embed(self.lam).coords, rho))
+        shifted = tuple(a + b for a, b in zip(embed(self.lam), rho))
         # The last prefix sum is the coordinate sum of lam, always 0.
         mu = self.mu.coeffs + (0,)
         subtree = [factorial(n - p - 1) for p in range(n)]

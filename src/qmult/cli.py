@@ -26,7 +26,7 @@ import os
 import random
 import sys
 import time
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .altset import (
     alt_set_brute,
@@ -118,9 +118,19 @@ def _as_index_set(mu: Union[IndexSet, RootVector]) -> Optional[IndexSet]:
     return IndexSet(mu.rank, (k + 1 for k, c in enumerate(mu.coeffs) if c))
 
 
-def _element_sort_key(w: WeylElement) -> tuple:
-    indices = commuting_indices(w)
-    return (w.length(), indices if indices is not None else w.perm)
+def element_words(elements: Iterable[WeylElement]) -> list[str]:
+    """The words of an alternation set, by length and then reflection indices:
+    ``s2*s5`` (``1`` for the identity) for the product over J of commuting
+    simple reflections, whose length is len(J); else the one-line ``[2,3,1]``,
+    sorted by inversion count and then one-line word."""
+    keyed = []
+    for w in elements:
+        j = commuting_indices(w)
+        if j is None:
+            keyed.append((w.length(), w.perm, str(w)))
+        else:
+            keyed.append((len(j), j, "*".join(f"s{i}" for i in j) or "1"))
+    return [word for *_, word in sorted(keyed)]
 
 
 def _render(value: QPolynomial, fmt: str) -> str:
@@ -150,7 +160,7 @@ def _run_altset(args: argparse.Namespace) -> int:
     else:
         elements = alt_set_closed(index_set).elements
     profile = fib_profile(index_set)
-    words = [w.word() for w in sorted(elements, key=_element_sort_key)]
+    words = element_words(elements)
     if args.fmt == "json":
         print(json.dumps({
             "rank": args.rank,

@@ -2,9 +2,9 @@
 
 Vectors live in two coordinate systems.  A ``RootVector`` holds coefficients
 over the simple-root basis alpha_1, ..., alpha_r; this is where the partition
-function is evaluated.  A ``WeightVector`` holds r+1 ambient coordinates
-(the standard basis e_1, ..., e_{r+1} that the Weyl group permutes), with
-alpha_i = e_i - e_{i+1}.
+function is evaluated.  :func:`embed` gives the r+1 ambient coordinates (over
+the standard basis e_1, ..., e_{r+1} that the Weyl group permutes) as a plain
+tuple, with alpha_i = e_i - e_{i+1}.
 
 The Weyl sweep uses the integer vector (r, r-1, ..., 1, 0) as the Weyl
 vector rho.  It differs from the true half-sum of positive
@@ -57,23 +57,6 @@ class RootVector:
         return all(c >= 0 for c in self.coeffs)
 
 
-@dataclass(frozen=True, init=False)
-class WeightVector:
-    """An integer vector over the ambient coordinates e_1, ..., e_{rank+1}."""
-
-    rank: int
-    coords: tuple[int, ...]
-
-    def __init__(self, rank: int, coords: Iterable[int]):
-        if rank < 1:
-            raise ValueError("rank must be at least 1")
-        cs = tuple(int(c) for c in coords)
-        if len(cs) != rank + 1:
-            raise ValueError(f"expected {rank + 1} coordinates, got {len(cs)}")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "coords", cs)
-
-
 def zero_root(rank: int) -> RootVector:
     """The zero vector of the root lattice, usable as the weight mu = 0."""
     return RootVector(rank, (0,) * rank)
@@ -120,13 +103,7 @@ def alpha_of_index_set(members: Iterable[int], rank: int) -> RootVector:
     return RootVector(rank, tuple(1 if k in picked else 0 for k in range(1, rank + 1)))
 
 
-def embed(v: RootVector) -> WeightVector:
+def embed(v: RootVector) -> tuple[int, ...]:
     """Expand a root-basis vector into ambient coordinates via alpha_i = e_i - e_{i+1}."""
-    c = v.coeffs
-    prev = 0
-    coords = []
-    for k in range(v.rank):
-        coords.append(c[k] - prev)
-        prev = c[k]
-    coords.append(-prev)
-    return WeightVector(v.rank, coords)
+    padded = (0,) + v.coeffs + (0,)
+    return tuple(b - a for a, b in zip(padded, padded[1:]))

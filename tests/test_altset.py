@@ -12,6 +12,7 @@ from qmult.altset import (
     fib_profile,
     fibonacci,
 )
+from qmult.cli import element_words
 from qmult.intervals import (
     IndexSet,
     interval_partition,
@@ -19,13 +20,8 @@ from qmult.intervals import (
     n_of_complement,
 )
 from qmult.roots import highest_root, positive_root, zero_root
-from qmult.weyl import (
-    CapExceededError,
-    commuting_indices,
-    identity,
-    product_of_commuting,
-    simple_reflection,
-)
+from qmult.weyl import CapExceededError, commuting_indices
+from weyl_helpers import identity, product_of_commuting, simple_reflection
 
 
 def _all_index_sets(rank):
@@ -213,10 +209,25 @@ class TestAltSetClosed:
     def test_rank7_center(self):
         aset = alt_set_closed(IndexSet(7, [4]))
         assert aset.cardinality == 9
-        words = sorted(w.word() for w in aset.elements)
-        assert words == sorted(
-            ["1", "s2", "s3", "s5", "s6", "s2*s5", "s2*s6", "s3*s5", "s3*s6"]
-        )
+        assert element_words(aset.elements) == [
+            "1", "s2", "s3", "s5", "s6", "s2*s5", "s2*s6", "s3*s5", "s3*s6"
+        ]
+
+    def test_matches_the_product_construction(self):
+        # the construction before permutations were built from J directly
+        for index_set, walk in _walks_up_to_rank(12):
+            r = index_set.rank
+            expected = frozenset(product_of_commuting(j, r) for j, _ in walk)
+            assert alt_set_closed(index_set).elements == expected, index_set
+
+    def test_length_is_the_number_of_reflections(self):
+        # element_words sorts a commuting product by len(J), not by length()
+        for index_set, walk in _walks_up_to_rank(10):
+            by_indices = {commuting_indices(w): w
+                          for w in alt_set_closed(index_set).elements}
+            assert sorted(by_indices) == sorted(j for j, _ in walk), index_set
+            for j, w in by_indices.items():
+                assert w.length() == len(j), (index_set, j)
 
     def test_elements_draw_only_on_free_indices(self):
         for r, members in ((6, [2, 5]), (7, [4]), (8, [3, 6]), (5, [1, 5])):

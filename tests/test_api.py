@@ -1,6 +1,7 @@
 """The public API: the README's library example runs as written, the
 names exported from ``qmult`` are exactly the listed ones, and so are the
-fields of ``MultiplicityResult``."""
+fields of ``MultiplicityResult`` and the public names that ``qmult.weyl``
+and ``qmult.roots`` define, so that test-only helpers stay in ``tests/``."""
 
 import ast
 import dataclasses
@@ -8,6 +9,7 @@ import re
 from pathlib import Path
 
 import qmult
+from qmult import roots, weyl
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,6 +50,35 @@ def test_public_names():
         "m_q_rank_reduction",
     ]
     assert all(hasattr(qmult, name) for name in qmult.__all__)
+
+
+def _defined_public_names(module):
+    """Names without a leading underscore that module binds itself; an
+    object without ``__module__``, like an int constant, counts as its own."""
+    return sorted(
+        name for name, value in vars(module).items()
+        if not name.startswith("_")
+        and getattr(value, "__module__", module.__name__) == module.__name__
+    )
+
+
+def test_weyl_and_roots_public_names():
+    assert _defined_public_names(weyl) == [
+        "CapExceededError",
+        "DEFAULT_BRUTE_CAP",
+        "WeylElement",
+        "commuting_indices",
+    ]
+    assert _defined_public_names(roots) == [
+        "RootVector",
+        "all_positive_roots",
+        "alpha_of_index_set",
+        "embed",
+        "highest_root",
+        "positive_root",
+        "simple_root",
+        "zero_root",
+    ]
 
 
 def test_multiplicity_result_fields():

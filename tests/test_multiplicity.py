@@ -28,7 +28,7 @@ from qmult.roots import (
     zero_root,
 )
 from qmult.weyl import CapExceededError
-from weyl_helpers import add, apply, rho_coords, sub, to_root_basis
+from weyl_helpers import WeightVector, add, apply, rho_coords, sign, sub, to_root_basis
 
 
 def _all_index_sets(rank):
@@ -93,13 +93,13 @@ class TestAltsetSum:
         # the tallied sum equals the honest sigma-by-sigma sum
         for r in range(1, 7):
             rho = rho_coords(r)
-            shifted = add(embed(highest_root(r)), rho)
+            shifted = add(WeightVector(r, embed(highest_root(r))), rho)
             for index_set in _all_index_sets(r):
                 mu = index_set.to_root_vector()
                 total = QPolynomial()
                 for w in alt_set_closed(index_set).elements:
                     xi = to_root_basis(sub(apply(w, shifted), rho)) - mu
-                    total = total + w.sign() * kostant_q(xi)
+                    total = total + sign(w) * kostant_q(xi)
                 assert total == m_q_altset(index_set).value
 
 

@@ -5,16 +5,24 @@ import math
 
 import pytest
 
-from qmult.roots import WeightVector, embed, highest_root
-from qmult.weyl import (
-    CapExceededError,
-    WeylElement,
-    commuting_indices,
+from qmult.cli import element_words
+from qmult.roots import embed, highest_root
+from qmult.weyl import CapExceededError, WeylElement, commuting_indices
+from weyl_helpers import (
+    WeightVector,
+    add,
+    all_elements,
+    apply,
+    compose,
     identity,
+    is_identity,
     product_of_commuting,
+    rho_coords,
+    sign,
     simple_reflection,
+    sub,
+    to_root_basis,
 )
-from weyl_helpers import add, all_elements, apply, compose, rho_coords, sub, to_root_basis
 
 
 def _bfs_min_word_lengths(rank):
@@ -51,9 +59,9 @@ class TestBasics:
 
     def test_identity(self):
         e = identity(3)
-        assert e.is_identity()
+        assert is_identity(e)
         assert e.length() == 0
-        assert e.sign() == 1
+        assert sign(e) == 1
         assert str(e) == "[1,2,3,4]"
 
     def test_apply_moves_coordinates(self):
@@ -66,7 +74,7 @@ class TestBasics:
     def test_apply_shifted_highest_root_rank2(self):
         # sigma(theta + rho) - rho over the root basis for both reflections
         rho = rho_coords(2)
-        shifted = add(embed(highest_root(2)), rho)
+        shifted = add(WeightVector(2, embed(highest_root(2))), rho)
         s1 = simple_reflection(1, 2)
         s2 = simple_reflection(2, 2)
         assert to_root_basis(sub(apply(s1, shifted), rho)).coeffs == (-1, 1)
@@ -101,7 +109,7 @@ class TestLengthAndSign:
             elems = list(all_elements(rank))
             for a in elems:
                 for b in elems:
-                    assert compose(a, b).sign() == a.sign() * b.sign()
+                    assert sign(compose(a, b)) == sign(a) * sign(b)
 
 
 class TestEnumeration:
@@ -162,8 +170,20 @@ class TestProducts:
     def test_word_round_trip(self):
         w = product_of_commuting([2, 4], 5)
         assert commuting_indices(w) == (2, 4)
-        assert w.word() == "s2*s4"
-        assert identity(3).word() == "1"
-        assert WeylElement((2, 3, 1)).word() == "[2,3,1]"
+        assert element_words([w]) == ["s2*s4"]
+        assert element_words([identity(3)]) == ["1"]
+        assert element_words([WeylElement((2, 3, 1))]) == ["[2,3,1]"]
         assert commuting_indices(WeylElement((2, 3, 1))) is None
         assert commuting_indices(WeylElement((3, 2, 1))) is None
+
+    def test_listing_order(self):
+        # by length, then reflection indices; [2,3,1,4,5,6] has two
+        # inversions, so it sorts after s1*s3 and before s1*s3*s5
+        elements = [
+            product_of_commuting([1, 3, 5], 5),
+            WeylElement((2, 3, 1, 4, 5, 6)),
+            product_of_commuting([1, 3], 5),
+            identity(5),
+            simple_reflection(2, 5),
+        ]
+        assert element_words(elements) == ["1", "s2", "s1*s3", "[2,3,1,4,5,6]", "s1*s3*s5"]

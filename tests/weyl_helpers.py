@@ -1,12 +1,73 @@
 """Ambient-coordinate helpers for the tests: the Weyl group acting on
 weights by permuting coordinates, written out plainly so that the library's
 sweep and closed forms can be checked against them.  Small ranks only.
+``product_of_commuting`` is the oracle for ``alt_set_closed``.
 """
 
 import itertools
+from dataclasses import dataclass
+from typing import Iterable
 
-from qmult.roots import RootVector, WeightVector
+from qmult.roots import RootVector
 from qmult.weyl import DEFAULT_BRUTE_CAP, CapExceededError, WeylElement
+
+
+@dataclass(frozen=True, init=False)
+class WeightVector:
+    """An integer vector over the ambient coordinates e_1, ..., e_{rank+1}."""
+
+    rank: int
+    coords: tuple[int, ...]
+
+    def __init__(self, rank: int, coords: Iterable[int]):
+        if rank < 1:
+            raise ValueError("rank must be at least 1")
+        cs = tuple(int(c) for c in coords)
+        if len(cs) != rank + 1:
+            raise ValueError(f"expected {rank + 1} coordinates, got {len(cs)}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "coords", cs)
+
+
+def identity(rank: int) -> WeylElement:
+    return WeylElement(range(1, rank + 2))
+
+
+def is_identity(w: WeylElement) -> bool:
+    return all(w.perm[k] == k + 1 for k in range(len(w.perm)))
+
+
+def sign(w: WeylElement) -> int:
+    return -1 if w.length() & 1 else 1
+
+
+def simple_reflection(i: int, rank: int) -> WeylElement:
+    """The transposition s_i = (i, i+1) in S_{rank+1}."""
+    if not 1 <= i <= rank:
+        raise ValueError(f"reflection index {i} outside [1, {rank}]")
+    p = list(range(1, rank + 2))
+    p[i - 1], p[i] = p[i], p[i - 1]
+    return WeylElement(p)
+
+
+def product_of_commuting(indices: Iterable[int], rank: int) -> WeylElement:
+    """The product of s_i over a set of pairwise nonconsecutive indices.
+
+    The factors commute, so the product is well defined without an ordering.
+    Consecutive or repeated indices are rejected.
+    """
+    ms = sorted(indices)
+    if len(set(ms)) != len(ms):
+        raise ValueError(f"repeated reflection index in {ms}")
+    if ms and (ms[0] < 1 or ms[-1] > rank):
+        raise ValueError(f"reflection indices {ms} outside [1, {rank}]")
+    for a, b in zip(ms, ms[1:]):
+        if b - a < 2:
+            raise ValueError(f"indices {a} and {b} are consecutive; factors do not commute")
+    p = list(range(1, rank + 2))
+    for i in ms:
+        p[i - 1], p[i] = p[i], p[i - 1]
+    return WeylElement(p)
 
 
 def all_elements(rank: int, cap: int = DEFAULT_BRUTE_CAP):
@@ -20,14 +81,14 @@ def all_elements(rank: int, cap: int = DEFAULT_BRUTE_CAP):
 
 def compose(a: WeylElement, b: WeylElement) -> WeylElement:
     """The product a∘b, i.e. apply b first: (a∘b)(k) = a(b(k))."""
-    if a.rank != b.rank:
+    if len(a.perm) != len(b.perm):
         raise ValueError("rank mismatch")
     return WeylElement(a.perm[b.perm[k] - 1] for k in range(len(a.perm)))
 
 
 def apply(w: WeylElement, v: WeightVector) -> WeightVector:
     """Permute ambient coordinates: coordinate k of v moves to position perm[k]."""
-    if v.rank != w.rank:
+    if len(v.coords) != len(w.perm):
         raise ValueError("rank mismatch")
     out = [0] * len(w.perm)
     for k, image in enumerate(w.perm):

@@ -22,7 +22,7 @@ def all_rows(lam: RootVector, mu: RootVector):
     rank = lam.rank
     n = rank + 1
     rho = tuple(range(rank, -1, -1))
-    shifted = tuple(a + b for a, b in zip(embed(lam).coords, rho))
+    shifted = tuple(a + b for a, b in zip(embed(lam), rho))
     for perm in itertools.permutations(range(1, n + 1)):
         img = [0] * n
         for k in range(n):
