@@ -17,8 +17,10 @@ recursion ``_solve`` after the seed-1 ``partition`` inputs, and the
 alternation-set elements visited on the seed-1 ``altset`` inputs
 (``terms_evaluated`` of each ``m_q_altset`` call and the element count of
 the ``alt_set_closed`` call), each of which must equal perfbench's
-independent ``alt_set_size``.  Timings depend on the
-host, which the record names; the counts do not.
+independent ``alt_set_size``.  ``src_lines`` is the line count of
+``src/qmult/*.py`` in each checkout, as ``wc -l`` gives it, so a change's
+size is read from the record.  Timings depend on the host, which the
+record names; the counts do not.
 """
 
 from __future__ import annotations
@@ -54,6 +56,11 @@ def run_workload(checkout: Path, workload: str) -> dict:
     if not lines:
         raise RuntimeError(f"{workload} in {checkout} printed nothing:\n{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def src_lines(checkout: Path) -> int:
+    """Newlines in the package's modules, the total ``wc -l src/qmult/*.py`` prints."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "qmult").glob("*.py"))
 
 
 def sweep_counts() -> dict:
@@ -147,6 +154,7 @@ def main(argv=None) -> int:
                  "platform": platform.platform(),
                  "python": platform.python_version()},
         "workloads": results,
+        "src_lines": {"before": src_lines(args.before), "after": src_lines(args.after)},
         "sweep_counts": sweep_counts(),
         "partition_memo": memo,
         "partition_calls": calls,

@@ -40,21 +40,16 @@ def fibonacci(n: int) -> int:
 class AltSet:
     """An alternation set for the highest root against mu = alpha_I.
 
-    ``fib_profile`` holds the Fibonacci indices certifying the cardinality:
-    one for the stretch left of the first run of I, one per gap between
-    runs, one for the stretch right of the last run.  The product of those
-    Fibonacci numbers must equal the number of elements.
+    The number of elements must equal the Fibonacci product
+    :func:`alt_set_cardinality` gives for mu, the certificate of the
+    closed-form description.
     """
 
-    rank: int
     mu: IndexSet
     elements: frozenset[WeylElement]
-    fib_profile: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.mu.rank != self.rank:
-            raise ValueError("rank mismatch between alternation set and mu")
-        expected = prod(fibonacci(k) for k in self.fib_profile)
+        expected = alt_set_cardinality(self.mu)
         if len(self.elements) != expected:
             raise ValueError(
                 f"{len(self.elements)} elements but Fibonacci profile gives {expected}"
@@ -129,16 +124,14 @@ def alt_set_closed(index_set: IndexSet) -> AltSet:
     products of simple reflections over the J of :func:`alternation_walk`,
     each built from J directly by swapping j and j+1 in the identity for
     every j in J (J is nonconsecutive, so the swaps commute)."""
-    r = index_set.rank
-    identity = list(range(1, r + 2))
+    identity = list(range(1, index_set.rank + 2))
     elements = []
     for chosen, _ in alternation_walk(index_set):
         p = identity.copy()
         for j in chosen:
             p[j - 1], p[j] = j + 1, j
         elements.append(WeylElement(p))
-    return AltSet(rank=r, mu=index_set, elements=frozenset(elements),
-                  fib_profile=fib_profile(index_set))
+    return AltSet(mu=index_set, elements=frozenset(elements))
 
 
 class WeylSweep:

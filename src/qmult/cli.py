@@ -377,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run_partition)
     p.add_argument("--rank", type=_at_least_one, required=True)
     p.add_argument("--xi", required=True, metavar="c1,...,cr",
-                   help="coefficients over the simple-root basis")
+                   help="coefficients over the simple-root basis; write a "
+                        "negative first coefficient as --xi=-1,2,1")
     p.add_argument("--method", choices=["dp", "oracle"], default="dp")
     p.add_argument("--format", dest="fmt", choices=["text", "json", "latex"],
                    default="text")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .roots import RootVector, alpha_of_index_set
+from .roots import RootVector
 
 
 @dataclass(frozen=True, init=False)
@@ -52,7 +52,12 @@ class IndexSet:
 
     def to_root_vector(self) -> RootVector:
         """The weight alpha_I = sum of alpha_i over the members (nonempty only)."""
-        return alpha_of_index_set(self.members, self.rank)
+        if not self.members:
+            raise ValueError("index set must be nonempty")
+        cs = [0] * self.rank
+        for m in self.members:
+            cs[m - 1] = 1
+        return RootVector(self.rank, cs)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(m) for m in self.members) + "}"

@@ -106,24 +106,6 @@ def m_q_closed_zero(rank: int) -> QPolynomial:
     return QPolynomial([0] + [1] * rank)
 
 
-def m_q_closed_positive_root(rank: int, i: int, j: int) -> QPolynomial:
-    """m_q at mu = alpha_i + ... + alpha_j: the monomial q^(rank - j + i - 1)."""
-    if not 1 <= i <= j <= rank:
-        raise ValueError(f"need 1 <= i <= j <= rank, got ({i}, {j}, {rank})")
-    return QPolynomial.monomial(rank - j + i - 1)
-
-
-def m_q_closed_two_intervals(rank: int, i: int, j: int) -> QPolynomial:
-    """m_q at mu = alpha_{1..i} + alpha_{i+j+1..rank}: equals q^j - q^(j-1).
-
-    Valid for i in [rank - 2] and j in [rank - i - 1], i.e. two runs hugging
-    both endpoints with a gap of j >= 1 in between.
-    """
-    if rank < 3 or not 1 <= i <= rank - 2 or not 1 <= j <= rank - i - 1:
-        raise ValueError(f"need i in [rank-2], j in [rank-i-1], got ({i}, {j}, {rank})")
-    return QPolynomial.monomial(j) - QPolynomial.monomial(j - 1)
-
-
 def m_q_closed_general(index_set: IndexSet) -> QPolynomial:
     """m_q at mu = alpha_I: (q - 1)^(n-1) q^(rank - |I| - n + 1), n = runs of I."""
     n = len(interval_partition(index_set))
@@ -146,10 +128,3 @@ def m_q_rank_reduction(index_set: IndexSet) -> QPolynomial:
         out = out * (QPolynomial.monomial(gap) - QPolynomial.monomial(gap - 1))
     return out
 
-
-def m_classical(index_set: IndexSet) -> int:
-    """The ordinary multiplicity m(theta, alpha_I): the q-multiplicity at q = 1.
-
-    Nonzero (equal to 1) exactly when I is a single run.
-    """
-    return m_q_closed_general(index_set).eval_at_one()

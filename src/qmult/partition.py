@@ -15,9 +15,10 @@ state, and exists purely to cross-check the recursion on small inputs.
 The recursion has one memo for every rank.  No positive root covers a slot
 where xi is zero at an end of xi, so the value depends only on xi with its
 leading and trailing zeros stripped: (1, 1, 0) at rank 3 and (0, 1, 1, 0, 0)
-at rank 5 share one entry.  ``PartitionTable`` and ``table_for`` remain as
-a rank-checking view of that memo, with no values of their own, for callers
-that still ask for one table per rank.
+at rank 5 share one entry.  ``PartitionTable`` and ``table_for``, a
+rank-checking view of that memo with no values of their own, remain only
+for the benchmark's checks in ``perfbench/``, until the benchmark moves off
+them and they are deleted.
 
 The recursion makes only the calls that can contribute.  Once the
 full-width root is the only one left at slot 0, it is forced: it must be
@@ -35,12 +36,12 @@ from operator import add, sub
 from typing import Sequence
 
 from .intervals import IndexSet, interval_partition
-from .poly import ONE, ZERO, Q, QPolynomial
+from .poly import ONE, ZERO, QPolynomial
 from .roots import RootVector, positive_root
 from .weyl import CapExceededError
 
-# The oracle enumerates every multiset explicitly, so it refuses inputs whose
-# absolute coefficients sum beyond this.
+# The oracle enumerates every multiset explicitly, so it refuses a
+# nonnegative xi whose coefficients sum beyond this.
 DEFAULT_ORACLE_CAP = 20
 
 # (xi, shortest) -> _solve(xi, shortest), with xi stripped of its leading
@@ -130,12 +131,9 @@ class PartitionTable:
 
     def kostant_q(self, xi: RootVector) -> QPolynomial:
         """The q-analog partition function of xi, which must have this rank."""
-        return self.kostant_q_coeffs(xi.coeffs)
-
-    def kostant_q_coeffs(self, coeffs: Sequence[int]) -> QPolynomial:
-        if len(coeffs) != self.rank:
-            raise ValueError(f"expected {self.rank} coefficients, got {len(coeffs)}")
-        return kostant_q_coeffs(coeffs)
+        if xi.rank != self.rank:
+            raise ValueError(f"expected {self.rank} coefficients, got {xi.rank}")
+        return kostant_q_coeffs(xi.coeffs)
 
 
 table_for = lru_cache(maxsize=None)(PartitionTable)
@@ -148,14 +146,15 @@ def kostant_q_oracle(xi: RootVector, cap: int = DEFAULT_ORACLE_CAP) -> QPolynomi
     at every step the chosen root must start at the first nonzero slot of
     the remainder, which is forced for the sorted word.  No memoization and
     no polynomial arithmetic: counts are accumulated by multiset size.
-    Raises CapExceededError when sum(|coeffs|) exceeds the cap.
+    A negative coefficient gives zero at once; otherwise raises
+    CapExceededError when sum(coeffs) exceeds the cap.
     """
     cs = xi.coeffs
-    weight = sum(abs(c) for c in cs)
-    if weight > cap:
-        raise CapExceededError(f"coefficient weight {weight} exceeds oracle cap {cap}")
     if any(c < 0 for c in cs):
         return ZERO
+    weight = sum(cs)
+    if weight > cap:
+        raise CapExceededError(f"coefficient sum {weight} exceeds oracle cap {cap}")
     rank = xi.rank
     supports = _root_supports(rank)
     n = len(supports)
@@ -183,13 +182,6 @@ def kostant_q_oracle(xi: RootVector, cap: int = DEFAULT_ORACLE_CAP) -> QPolynomi
 
     rec(list(cs), 0, 0)
     return QPolynomial(counts)
-
-
-def kostant_q_interval_closed_form(i: int, j: int, rank: int) -> QPolynomial:
-    """The closed form q(q+1)^{j-i} for the q-analog at alpha_i + ... + alpha_j."""
-    if not 1 <= i <= j <= rank:
-        raise ValueError(f"need 1 <= i <= j <= rank, got ({i}, {j}, {rank})")
-    return Q * (ONE + Q) ** (j - i)
 
 
 def factorize_over_intervals(index_set: IndexSet) -> QPolynomial:

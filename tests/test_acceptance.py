@@ -29,12 +29,13 @@ from qmult.multiplicity import (
     m_q_altset,
     m_q_brute,
     m_q_closed_general,
-    m_q_closed_two_intervals,
     m_q_rank_reduction,
 )
 from qmult.partition import factorize_over_intervals, kostant_q, kostant_q_oracle
 from qmult.poly import ONE, Q, QPolynomial
-from qmult.roots import RootVector, highest_root, positive_root, zero_root
+from qmult.roots import RootVector, highest_root, positive_root
+from closed_forms import m_q_closed_two_intervals
+from weyl_helpers import zero_root
 
 
 @contextmanager

@@ -19,9 +19,9 @@ from qmult.intervals import (
     maximal_runs,
     n_of_complement,
 )
-from qmult.roots import highest_root, positive_root, zero_root
+from qmult.roots import highest_root, positive_root
 from qmult.weyl import CapExceededError, commuting_indices
-from weyl_helpers import identity, product_of_commuting, simple_reflection
+from weyl_helpers import identity, product_of_commuting, simple_reflection, zero_root
 
 
 def _all_index_sets(rank):
@@ -249,12 +249,7 @@ class TestAltSetClosed:
 
     def test_certificate_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            AltSet(
-                rank=3,
-                mu=IndexSet(3, [3]),
-                elements=frozenset(),
-                fib_profile=(1, 1),
-            )
+            AltSet(mu=IndexSet(3, [3]), elements=frozenset())
 
     def test_empty_index_set_rejected(self):
         with pytest.raises(ValueError):

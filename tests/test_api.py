@@ -1,15 +1,16 @@
 """The public API: the README's library example runs as written, the
 names exported from ``qmult`` are exactly the listed ones, and so are the
-fields of ``MultiplicityResult`` and the public names that ``qmult.weyl``
-and ``qmult.roots`` define, so that test-only helpers stay in ``tests/``."""
+fields of ``MultiplicityResult`` and ``AltSet`` and the public names that
+each submodule defines, so that test-only helpers stay in ``tests/``."""
 
 import ast
 import dataclasses
+import importlib
+import inspect
 import re
 from pathlib import Path
 
 import qmult
-from qmult import roots, weyl
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -52,35 +53,50 @@ def test_public_names():
     assert all(hasattr(qmult, name) for name in qmult.__all__)
 
 
+# Each name has a caller in the package, the benchmark, scripts/ or the
+# README; a helper only the tests call belongs in tests/.
+SUBMODULE_NAMES = {
+    "altset": ["AltSet", "WeylSweep", "alt_set_brute", "alt_set_cardinality",
+               "alt_set_closed", "alternation_walk", "fib_profile", "fibonacci"],
+    "cli": ["ENV_BRUTE_CAP", "build_parser", "element_words", "main",
+            "parse_index_set", "parse_mu"],
+    "intervals": ["IndexSet", "interval_partition", "maximal_runs", "n_of_complement"],
+    "multiplicity": ["METHODS", "MultiplicityResult", "m_q_altset", "m_q_brute",
+                     "m_q_closed_general", "m_q_closed_zero", "m_q_rank_reduction"],
+    "partition": ["DEFAULT_ORACLE_CAP", "PartitionTable", "factorize_over_intervals",
+                  "kostant_q", "kostant_q_coeffs", "kostant_q_oracle", "table_for"],
+    "poly": ["ONE", "Q", "QPolynomial", "ZERO"],
+    "roots": ["RootVector", "embed", "highest_root", "positive_root"],
+    "weyl": ["CapExceededError", "DEFAULT_BRUTE_CAP", "WeylElement", "commuting_indices"],
+}
+
+
 def _defined_public_names(module):
-    """Names without a leading underscore that module binds itself; an
-    object without ``__module__``, like an int constant, counts as its own."""
-    return sorted(
-        name for name, value in vars(module).items()
-        if not name.startswith("_")
-        and getattr(value, "__module__", module.__name__) == module.__name__
-    )
+    """Names without a leading underscore that the module's own top-level
+    statements bind: functions, classes and assignments, not imports."""
+    names = []
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return sorted(name for name in names if not name.startswith("_"))
 
 
-def test_weyl_and_roots_public_names():
-    assert _defined_public_names(weyl) == [
-        "CapExceededError",
-        "DEFAULT_BRUTE_CAP",
-        "WeylElement",
-        "commuting_indices",
-    ]
-    assert _defined_public_names(roots) == [
-        "RootVector",
-        "all_positive_roots",
-        "alpha_of_index_set",
-        "embed",
-        "highest_root",
-        "positive_root",
-        "simple_root",
-        "zero_root",
-    ]
+def test_module_public_names():
+    modules = sorted(p.stem for p in Path(qmult.__file__).parent.glob("*.py")
+                     if p.stem != "__init__")
+    assert modules == sorted(SUBMODULE_NAMES)
+    for name, expected in SUBMODULE_NAMES.items():
+        module = importlib.import_module(f"qmult.{name}")
+        assert _defined_public_names(module) == expected, name
 
 
 def test_multiplicity_result_fields():
     fields = tuple(f.name for f in dataclasses.fields(qmult.MultiplicityResult))
     assert fields == ("value", "method", "terms_evaluated")
+
+
+def test_alt_set_fields():
+    assert tuple(f.name for f in dataclasses.fields(qmult.AltSet)) == ("mu", "elements")

@@ -88,6 +88,22 @@ class TestPartitionCommand:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize("method", ["dp", "oracle"])
+    def test_large_negative_coefficient_gives_zero(self, capsys, method):
+        # the oracle's cap bounds the coefficient sum of a nonnegative xi only
+        code, out, _ = run_cli(capsys, "partition", "--rank", "3", "--xi=-30,1,1",
+                               "--method", method)
+        assert (code, out) == (0, "0\n")
+
+    def test_negative_first_coefficient_needs_the_equals_form(self, capsys):
+        # argparse takes a separate "-1,2,1" for an option, so the README and
+        # --help spell such input --xi=-1,2,1
+        code, out, _ = run_cli(capsys, "partition", "--rank", "3", "--xi=-1,2,1")
+        assert (code, out) == (0, "0\n")
+        code, out, err = run_cli(capsys, "partition", "--rank", "3", "--xi", "-1,2,1")
+        assert (code, out) == (2, "")
+        assert "expected one argument" in err
+
 
 class TestAltsetCommand:
     def test_text_golden(self, capsys):

@@ -7,28 +7,30 @@ import pytest
 
 from qmult.altset import alt_set_cardinality, alt_set_closed, fibonacci
 from qmult.intervals import IndexSet, interval_partition
+from closed_forms import m_q_closed_positive_root, m_q_closed_two_intervals
 from qmult.multiplicity import (
-    m_classical,
     m_q_altset,
     m_q_brute,
     m_q_closed_general,
-    m_q_closed_positive_root,
-    m_q_closed_two_intervals,
     m_q_closed_zero,
     m_q_rank_reduction,
 )
 from qmult.partition import kostant_q
 from qmult.poly import ONE, Q, QPolynomial
-from qmult.roots import (
-    RootVector,
-    embed,
-    highest_root,
-    positive_root,
-    simple_root,
+from qmult.roots import RootVector, embed, highest_root, positive_root
+from qmult.weyl import CapExceededError
+from weyl_helpers import (
+    WeightVector,
+    add,
+    apply,
+    rho_coords,
+    root_add,
+    root_sub,
+    sign,
+    sub,
+    to_root_basis,
     zero_root,
 )
-from qmult.weyl import CapExceededError
-from weyl_helpers import WeightVector, add, apply, rho_coords, sign, sub, to_root_basis
 
 
 def _all_index_sets(rank):
@@ -98,7 +100,7 @@ class TestAltsetSum:
                 mu = index_set.to_root_vector()
                 total = QPolynomial()
                 for w in alt_set_closed(index_set).elements:
-                    xi = to_root_basis(sub(apply(w, shifted), rho)) - mu
+                    xi = root_sub(to_root_basis(sub(apply(w, shifted), rho)), mu)
                     total = total + sign(w) * kostant_q(xi)
                 assert total == m_q_altset(index_set).value
 
@@ -126,8 +128,9 @@ class TestClosedForms:
             theta = highest_root(r)
             for i in range(1, r + 1):
                 for j in range(i, r + 1):
-                    assert m_q_brute(theta, positive_root(i, j, r)).value == \
-                        m_q_closed_positive_root(r, i, j)
+                    expected = m_q_closed_positive_root(r, i, j)
+                    assert m_q_brute(theta, positive_root(i, j, r)).value == expected
+                    assert m_q_closed_general(IndexSet(r, range(i, j + 1))) == expected
 
     def test_two_interval_weight(self):
         assert m_q_closed_two_intervals(3, 1, 1) == Q - 1
@@ -143,6 +146,16 @@ class TestClosedForms:
         res = m_q_brute(highest_root(7), index_set.to_root_vector())
         assert res.value == m_q_closed_two_intervals(7, 2, 4) == Q ** 4 - Q ** 3
 
+    def test_two_interval_weight_matches_the_scalable_routes(self):
+        for r in range(3, 13):
+            for i in range(1, r - 1):
+                for j in range(1, r - i):
+                    index_set = IndexSet(r, [*range(1, i + 1), *range(i + j + 1, r + 1)])
+                    expected = m_q_closed_two_intervals(r, i, j)
+                    assert m_q_closed_general(index_set) == expected
+                    assert m_q_altset(index_set).value == expected
+                    assert m_q_rank_reduction(index_set) == expected
+
     def test_general_closed_form(self):
         assert m_q_closed_general(IndexSet(5, [2, 4])) == Q ** 3 - Q ** 2
         assert m_q_closed_general(IndexSet(6, [2, 3, 4])) == Q ** 3
@@ -150,8 +163,8 @@ class TestClosedForms:
         assert m_q_closed_general(IndexSet(4, range(1, 5))) == ONE
 
     def test_general_closed_form_matches_brute(self):
-        assert m_q_brute(highest_root(5), positive_root(2, 2, 5) +
-                         positive_root(4, 4, 5)).value == Q ** 3 - Q ** 2
+        assert m_q_brute(highest_root(5), root_add(positive_root(2, 2, 5),
+                         positive_root(4, 4, 5))).value == Q ** 3 - Q ** 2
         got = m_q_brute(highest_root(6), IndexSet(6, [2, 4, 6]).to_root_vector())
         assert got.value == (Q - 1) ** 2 * Q
 
@@ -182,13 +195,13 @@ class TestRankReduction:
             problems = []
             if runs[0][0] > 1:
                 k = runs[0][0]
-                problems.append((k, simple_root(k, k)))
+                problems.append((k, positive_root(k, k, k)))
             for (_, j_x), (i_next, _) in zip(runs, runs[1:]):
                 k = i_next - j_x + 1
-                problems.append((k, simple_root(1, k) + simple_root(k, k)))
+                problems.append((k, root_add(positive_root(1, 1, k), positive_root(k, k, k))))
             if runs[-1][1] < r:
                 k = r - runs[-1][1] + 1
-                problems.append((k, simple_root(1, k)))
+                problems.append((k, positive_root(1, 1, k)))
             product = ONE
             for k, mu in problems:
                 product = product * m_q_brute(highest_root(k), mu).value
@@ -196,23 +209,26 @@ class TestRankReduction:
 
 
 class TestClassical:
+    """The ordinary multiplicity m(theta, alpha_I) is the q-multiplicity at q = 1."""
+
     def test_examples(self):
-        assert m_classical(IndexSet(4, range(1, 5))) == 1
-        assert m_classical(IndexSet(6, [2, 3, 4])) == 1
-        assert m_classical(IndexSet(5, [2, 4])) == 0
+        assert m_q_closed_general(IndexSet(4, range(1, 5))).eval_at_one() == 1
+        assert m_q_closed_general(IndexSet(6, [2, 3, 4])).eval_at_one() == 1
+        assert m_q_closed_general(IndexSet(5, [2, 4])).eval_at_one() == 0
 
     def test_nonzero_exactly_for_single_runs(self):
         for r in range(1, 13):
             for index_set in _all_index_sets(r):
                 expected = 1 if len(interval_partition(index_set)) == 1 else 0
-                assert m_classical(index_set) == expected
+                assert m_q_closed_general(index_set).eval_at_one() == expected
 
     def test_matches_brute_at_q_one(self):
         for r in range(1, 6):
             theta = highest_root(r)
             for index_set in _all_index_sets(r):
                 brute = m_q_brute(theta, index_set.to_root_vector())
-                assert brute.value.eval_at_one() == m_classical(index_set)
+                classical = m_q_closed_general(index_set).eval_at_one()
+                assert brute.value.eval_at_one() == classical
 
 
 class TestFourWayAgreement:

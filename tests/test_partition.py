@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from closed_forms import kostant_q_interval_closed_form
 from qmult import partition
 from qmult.intervals import IndexSet
 from qmult.partition import (
@@ -16,22 +17,15 @@ from qmult.partition import (
     factorize_over_intervals,
     kostant_q,
     kostant_q_coeffs,
-    kostant_q_interval_closed_form,
     kostant_q_oracle,
     table_for,
 )
 from qmult.poly import ONE, Q, ZERO, QPolynomial
-from qmult.roots import (
-    RootVector,
-    alpha_of_index_set,
-    highest_root,
-    positive_root,
-    simple_root,
-    zero_root,
-)
+from qmult.roots import RootVector, highest_root, positive_root
 from qmult.weyl import CapExceededError
 import partition_oracle
 from partition_oracle import kostant_q_by_rank, kostant_q_shared
+from weyl_helpers import zero_root
 
 # the benchmark's seeded inputs, whose weights pass the oracle's cap
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -50,8 +44,8 @@ class TestKostantQ:
         assert kostant_q(zero_root(4)).eval_at_one() == 1
 
     def test_single_simple_root(self):
-        assert kostant_q(simple_root(2, 3)) == Q
-        assert kostant_q(simple_root(1, 1)).eval_at_one() == 1
+        assert kostant_q(positive_root(2, 2, 3)) == Q
+        assert kostant_q(positive_root(1, 1, 1)).eval_at_one() == 1
 
     def test_negative_coefficient_gives_zero(self):
         assert kostant_q(RootVector(3, (-1, 0, 0))) == ZERO
@@ -69,7 +63,7 @@ class TestKostantQ:
         assert kostant_q(RootVector(2, (2, 2))) == Q ** 4 + Q ** 3 + Q ** 2
 
     def test_two_runs_factor_rank7(self):
-        xi = alpha_of_index_set([2, 3, 5, 6], 7)
+        xi = IndexSet(7, [2, 3, 5, 6]).to_root_vector()
         assert kostant_q(xi) == (Q * (Q + 1)) ** 2
 
     def test_table_reuse_and_fresh_tables_agree(self):
@@ -86,8 +80,6 @@ class TestKostantQ:
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             table_for(3).kostant_q(zero_root(2))
-        with pytest.raises(ValueError):
-            table_for(3).kostant_q_coeffs((1, 0))
         with pytest.raises(ValueError):
             PartitionTable(0)
 
@@ -153,6 +145,13 @@ class TestOracle:
         with pytest.raises(CapExceededError):
             kostant_q_oracle(RootVector(3, (7, 7, 7)))
         with pytest.raises(CapExceededError):
+            kostant_q_oracle(RootVector(3, (0, 21, 0)))
+
+    def test_negative_coefficient_is_zero_before_the_cap(self):
+        # the cap bounds the enumeration, which a negative xi never starts
+        assert kostant_q_oracle(RootVector(3, (-30, 1, 1))) == ZERO
+        assert kostant_q_oracle(RootVector(2, (-1, 3)), cap=1) == ZERO
+        with pytest.raises(CapExceededError):
             kostant_q_oracle(RootVector(2, (3, 3)), cap=5)
         assert kostant_q_oracle(RootVector(2, (3, 3)), cap=6) == kostant_q(RootVector(2, (3, 3)))
 
@@ -209,8 +208,9 @@ class TestClosedFormAndFactorization:
         for r in range(1, 9):
             for i in range(1, r + 1):
                 for j in range(i, r + 1):
-                    assert kostant_q(positive_root(i, j, r)) == \
-                        kostant_q_interval_closed_form(i, j, r)
+                    expected = kostant_q_interval_closed_form(i, j, r)
+                    assert kostant_q(positive_root(i, j, r)) == expected
+                    assert kostant_q_oracle(positive_root(i, j, r)) == expected
 
     def test_factorize_examples(self):
         assert factorize_over_intervals(IndexSet(7, [2, 3, 5, 6])) == (Q * (Q + 1)) ** 2

@@ -4,17 +4,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qmult.roots import (
-    RootVector,
-    all_positive_roots,
-    alpha_of_index_set,
-    embed,
-    highest_root,
-    positive_root,
-    simple_root,
+from qmult import partition
+from qmult.intervals import IndexSet
+from qmult.roots import RootVector, embed, highest_root, positive_root
+from weyl_helpers import (
+    WeightVector,
+    add,
+    all_elements,
+    apply,
+    is_nonnegative,
+    rho_coords,
+    root_add,
+    root_neg,
+    root_sub,
+    sub,
+    to_root_basis,
     zero_root,
 )
-from weyl_helpers import WeightVector, add, all_elements, apply, rho_coords, sub, to_root_basis
 
 rank_and_coeffs = st.integers(min_value=1, max_value=8).flatmap(
     lambda r: st.tuples(
@@ -26,41 +32,44 @@ rank_and_coeffs = st.integers(min_value=1, max_value=8).flatmap(
 
 class TestRootConstruction:
     def test_simple_root(self):
-        assert simple_root(2, 4).coeffs == (0, 1, 0, 0)
+        assert positive_root(2, 2, 4).coeffs == (0, 1, 0, 0)
         with pytest.raises(ValueError):
-            simple_root(0, 4)
+            positive_root(0, 0, 4)
         with pytest.raises(ValueError):
-            simple_root(5, 4)
+            positive_root(5, 5, 4)
 
     def test_positive_root(self):
         assert positive_root(2, 3, 4).coeffs == (0, 1, 1, 0)
         assert positive_root(1, 4, 4) == highest_root(4)
-        assert positive_root(2, 2, 3) == simple_root(2, 3)
+        assert positive_root(2, 2, 3).coeffs == (0, 1, 0)
         with pytest.raises(ValueError):
             positive_root(3, 2, 4)
         with pytest.raises(ValueError):
             positive_root(1, 5, 4)
 
     def test_positive_root_is_sum_of_simples(self):
-        total = simple_root(2, 6)
+        total = positive_root(2, 2, 6)
         for k in range(3, 6):
-            total = total + simple_root(k, 6)
+            total = root_add(total, positive_root(k, k, 6))
         assert positive_root(2, 5, 6) == total
 
     def test_all_positive_roots(self):
-        assert [x.coeffs for x in all_positive_roots(2)] == [(1, 0), (1, 1), (0, 1)]
-        assert len(all_positive_roots(4)) == 10
-        assert len(set(all_positive_roots(6))) == 21
+        # the partition oracle walks the roots in this (i, j) order
+        assert partition._root_supports(2) == ((0, 0), (0, 1), (1, 1))
+        assert len(partition._root_supports(4)) == 10
+        supports = partition._root_supports(6)
+        assert len(set(supports)) == 21
+        assert list(supports) == sorted(supports)
 
     def test_alpha_of_index_set(self):
-        assert alpha_of_index_set([1, 3, 4], 5).coeffs == (1, 0, 1, 1, 0)
-        assert alpha_of_index_set((3, 1, 3), 4).coeffs == (1, 0, 1, 0)
+        assert IndexSet(5, [1, 3, 4]).to_root_vector().coeffs == (1, 0, 1, 1, 0)
+        assert IndexSet(4, (3, 1, 3)).to_root_vector().coeffs == (1, 0, 1, 0)
         with pytest.raises(ValueError):
-            alpha_of_index_set([], 4)
+            IndexSet(4, []).to_root_vector()
         with pytest.raises(ValueError):
-            alpha_of_index_set([5], 4)
+            IndexSet(4, [5])
         with pytest.raises(ValueError):
-            alpha_of_index_set([0], 4)
+            IndexSet(4, [0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -70,18 +79,18 @@ class TestRootConstruction:
         with pytest.raises(ValueError):
             RootVector(0, ())
         with pytest.raises(ValueError):
-            simple_root(1, 2) + simple_root(1, 3)
+            root_add(positive_root(1, 1, 2), positive_root(1, 1, 3))
 
     def test_vector_arithmetic(self):
-        a = simple_root(1, 3)
-        b = simple_root(3, 3)
-        assert (a + b).coeffs == (1, 0, 1)
-        assert (a - b).coeffs == (1, 0, -1)
-        assert (-a).coeffs == (-1, 0, 0)
+        a = positive_root(1, 1, 3)
+        b = positive_root(3, 3, 3)
+        assert root_add(a, b).coeffs == (1, 0, 1)
+        assert root_sub(a, b).coeffs == (1, 0, -1)
+        assert root_neg(a).coeffs == (-1, 0, 0)
         assert zero_root(3).is_zero()
         assert not a.is_zero()
-        assert a.is_nonnegative()
-        assert not (a - b).is_nonnegative()
+        assert is_nonnegative(a)
+        assert not is_nonnegative(root_sub(a, b))
 
 
 class TestCoordinates:
@@ -95,8 +104,8 @@ class TestCoordinates:
         # constant vector only.
         for r in range(1, 8):
             doubled = [0] * (r + 1)
-            for root in all_positive_roots(r):
-                for k, c in enumerate(embed(root)):
+            for i, j in partition._root_supports(r):
+                for k, c in enumerate(embed(positive_root(i + 1, j + 1, r))):
                     doubled[k] += c
             assert doubled == [r - 2 * k for k in range(r + 1)]
             assert [2 * c - r for c in rho_coords(r).coords] == doubled
@@ -107,7 +116,7 @@ class TestCoordinates:
         for r in range(1, 6):
             rho = rho_coords(r)
             two_true = WeightVector(r, (r - 2 * k for k in range(r + 1)))
-            for v in (highest_root(r), simple_root(1, r), zero_root(r)):
+            for v in (highest_root(r), positive_root(1, 1, r), zero_root(r)):
                 amb = WeightVector(r, embed(v))
                 doubled = WeightVector(r, (2 * c for c in amb.coords))
                 for sigma in all_elements(r):
@@ -116,7 +125,7 @@ class TestCoordinates:
                     assert tuple(2 * c for c in a.coords) == b.coords
 
     def test_embed(self):
-        assert embed(simple_root(1, 2)) == (1, -1, 0)
+        assert embed(positive_root(1, 1, 2)) == (1, -1, 0)
         assert embed(highest_root(3)) == (1, 0, 0, -1)
         assert embed(positive_root(2, 3, 4)) == (0, 1, 0, -1, 0)
 

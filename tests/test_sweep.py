@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from qmult.altset import WeylSweep, alt_set_brute
 from qmult.multiplicity import m_q_brute
-from qmult.roots import RootVector, highest_root, zero_root
+from qmult.roots import RootVector, highest_root
 from qmult.weyl import CapExceededError
+from weyl_helpers import zero_root
 from weyl_oracle import alt_set_unpruned, m_q_unpruned, nonnegative_rows
 
 

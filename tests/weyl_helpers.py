@@ -1,7 +1,8 @@
 """Ambient-coordinate helpers for the tests: the Weyl group acting on
 weights by permuting coordinates, written out plainly so that the library's
 sweep and closed forms can be checked against them.  Small ranks only.
-``product_of_commuting`` is the oracle for ``alt_set_closed``.
+``product_of_commuting`` is the oracle for ``alt_set_closed``.  Arithmetic
+on root-basis vectors, which the library never needs, is here too.
 """
 
 import itertools
@@ -122,3 +123,31 @@ def to_root_basis(w: WeightVector):
     if sum(w.coords) != 0:
         return None
     return RootVector(w.rank, itertools.accumulate(w.coords[:-1]))
+
+
+def zero_root(rank: int) -> RootVector:
+    """The zero vector of the root lattice, usable as the weight mu = 0."""
+    return RootVector(rank, (0,) * rank)
+
+
+def _check_ranks(v: RootVector, w: RootVector) -> None:
+    if v.rank != w.rank:
+        raise ValueError("rank mismatch")
+
+
+def root_add(v: RootVector, w: RootVector) -> RootVector:
+    _check_ranks(v, w)
+    return RootVector(v.rank, (a + b for a, b in zip(v.coeffs, w.coeffs)))
+
+
+def root_sub(v: RootVector, w: RootVector) -> RootVector:
+    _check_ranks(v, w)
+    return RootVector(v.rank, (a - b for a, b in zip(v.coeffs, w.coeffs)))
+
+
+def root_neg(v: RootVector) -> RootVector:
+    return RootVector(v.rank, (-a for a in v.coeffs))
+
+
+def is_nonnegative(v: RootVector) -> bool:
+    return all(c >= 0 for c in v.coeffs)
