@@ -1,6 +1,6 @@
 """Write a before/after benchmark record for one change.
 
-    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_7.json
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_10.json
 
 DIR is a checkout (source, perfbench/ and BENCHMARK.json) of the parent
 commit and of the change.  For every workload in BENCHMARK.json this runs
@@ -9,11 +9,12 @@ commit and of the change.  For every workload in BENCHMARK.json this runs
 
 in the before checkout and then in the after checkout, and keeps the last
 line each run prints (its JSON result).  It also records structural
-counts, computed with the after checkout's source: the pruned Weyl sweep on
-the seed-1 ``brute`` inputs (rows are leaves, each pruned subtree is one
-dropped prefix, and leaves plus pruned elements account for (rank+1)!),
-the number of entries in the partition memo and of calls to its
-recursion ``_solve`` after the seed-1 ``partition`` inputs, and the
+counts.  The number of entries in the partition memo and of calls to its
+recursion ``_solve`` after the seed-1 ``partition`` inputs are counted in
+each checkout, each in a fresh process.  The rest are computed with the
+after checkout's source: the pruned Weyl sweep on the seed-1 ``brute``
+inputs (rows are leaves, each pruned subtree is one dropped prefix, and
+leaves plus pruned elements account for (rank+1)!), and the
 alternation-set elements visited on the seed-1 ``altset`` inputs
 (``terms_evaluated`` of each ``m_q_altset`` call and the element count of
 the ``alt_set_closed`` call), each of which must equal perfbench's
@@ -82,7 +83,7 @@ def sweep_counts() -> dict:
             "rows_per_call_before": factorial(rank + 1), "calls": calls}
 
 
-def partition_counts() -> tuple[dict, dict]:
+def count_partition() -> dict:
     """The memo's entry count and the number of ``_solve`` calls after the
     seed-1 ``partition`` inputs, from a cleared memo.  The recursion calls
     the module global ``_solve``, so a wrapper put there counts every call."""
@@ -104,8 +105,17 @@ def partition_counts() -> tuple[dict, dict]:
             partition.kostant_q(RootVector(len(xi), xi))
     finally:
         partition._solve = solve
-    return ({"workload": "partition", "seed": SEED, "entries": len(partition._MEMO)},
-            {"workload": "partition", "seed": SEED, "calls": calls})
+    return {"entries": len(partition._MEMO), "calls": calls}
+
+
+def partition_counts(checkout: Path) -> dict:
+    """``count_partition`` on the checkout's source, in a fresh process."""
+    here = str(Path(__file__).resolve().parent)
+    code = (f"import json, sys; sys.path[:0] = ['src', 'perfbench', {here!r}]; "
+            "import bench_pair; print(json.dumps(bench_pair.count_partition()))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=checkout,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def altset_terms() -> dict:
@@ -145,8 +155,8 @@ def main(argv=None) -> int:
         name = w["name"]
         results[name] = {"before": run_workload(args.before, name),
                          "after": run_workload(args.after, name)}
+    counts = {"before": partition_counts(args.before), "after": partition_counts(args.after)}
     sys.path[:0] = [str(args.after / "src"), str(args.after / "perfbench")]
-    memo, calls = partition_counts()
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
                    f"--seconds {SECONDS} --trace 0",
@@ -156,8 +166,10 @@ def main(argv=None) -> int:
         "workloads": results,
         "src_lines": {"before": src_lines(args.before), "after": src_lines(args.after)},
         "sweep_counts": sweep_counts(),
-        "partition_memo": memo,
-        "partition_calls": calls,
+        "partition_memo": {"workload": "partition", "seed": SEED,
+                           "entries": {k: c["entries"] for k, c in counts.items()}},
+        "partition_calls": {"workload": "partition", "seed": SEED,
+                            "calls": {k: c["calls"] for k, c in counts.items()}},
         "altset_terms": altset_terms(),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

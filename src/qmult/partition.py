@@ -26,6 +26,15 @@ used exactly xi[0] times, so that entry recurses once, on xi - xi[0], when
 xi[0] = min(xi), and is zero otherwise.  A child whose slot 0 stays nonzero
 is already stripped, so the parent looks its key up in the memo and calls
 ``_solve`` only on a miss.
+
+An entry that branches on the copies of the root r covering slots
+0 .. s-1 has a sibling, (xi - r, s): its copies are the entry's copies
+from the second on, so entry = child with no copy + q * sibling.  When
+xi is nonzero on all of r and xi[0] > 1, the sibling is stripped already,
+and if its key is in the memo, that sum replaces the loop over every
+copy.  The sibling is only looked up, never computed: every child it
+stands for went into the memo with it, so the memo holds the same keys
+and values as without the reuse.
 """
 
 from __future__ import annotations
@@ -66,7 +75,9 @@ def _solve(xi: tuple[int, ...], shortest: int) -> QPolynomial:
 
     Only calls that can contribute are made: the last root at slot 0 is
     forced, and a child that needs no stripping is looked up in the memo
-    before it is called.
+    before it is called.  A sibling (xi - r, shortest) found in the memo
+    stands for every copy but the first: the value is then the child with
+    no copy plus q times the sibling, and no new key is made.
     """
     lo, hi = 0, len(xi)
     while lo < hi and not xi[lo]:
@@ -94,18 +105,27 @@ def _solve(xi: tuple[int, ...], shortest: int) -> QPolynomial:
         else:
             total = ZERO
     else:
-        # Each root adds at least 1 to sum(xi), so no term exceeds q^sum(xi).
-        acc = [0] * (sum(xi) + 1)
         head, tail = xi[:shortest], xi[shortest:]
         longer = shortest + 1
-        for copies in range(min(head) + 1):
-            rest = tuple(map(sub, head, repeat(copies))) + tail if copies else xi
-            # While rest[0] > 0, rest is stripped already: its last slot is xi's.
-            got = _MEMO.get((rest, longer)) if copies < first else None
-            child = (got if got is not None else _solve(rest, longer)).coeffs
-            end = copies + len(child)
-            acc[copies:end] = map(add, acc[copies:end], child)
-        total = QPolynomial(acc)
+        most = min(head)
+        # The sibling, xi less one copy of the current root, sums copies 1..
+        # of this loop, shifted down by one; xi[0] > 1 keeps it stripped.
+        sibling = (_MEMO.get((tuple(map(sub, head, repeat(1))) + tail, shortest))
+                   if most and first > 1 else None)
+        if sibling is not None:
+            got = _MEMO.get((xi, longer))
+            total = (got if got is not None else _solve(xi, longer)) + sibling.shift(1)
+        else:
+            # Each root adds at least 1 to sum(xi), so no term exceeds q^sum(xi).
+            acc = [0] * (sum(xi) + 1)
+            for copies in range(most + 1):
+                rest = tuple(map(sub, head, repeat(copies))) + tail if copies else xi
+                # While rest[0] > 0, rest is stripped already: its last slot is xi's.
+                got = _MEMO.get((rest, longer)) if copies < first else None
+                child = (got if got is not None else _solve(rest, longer)).coeffs
+                end = copies + len(child)
+                acc[copies:end] = map(add, acc[copies:end], child)
+            total = QPolynomial(acc)
     _MEMO[key] = total
     return total
 

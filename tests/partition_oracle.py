@@ -8,8 +8,9 @@ of copies of a root the way the shared memo does, but over other keys, so
 it is an independent check at weights beyond ``kostant_q_oracle``'s cap.
 
 ``kostant_q_shared`` is the shared-memo DP as it was before it forced the
-last root at slot 0 and looked children up in the memo before calling them:
-the same keys and values, reached by calling ``_solve`` for every copy.  Its
+last root at slot 0, looked children up in the memo before calling them and
+read all copies but the first from a sibling already in the memo: the same
+keys and values, reached by calling ``_solve`` for every copy.  Its
 ``_solve`` is kept unchanged, with its own ``_MEMO``.
 """
 

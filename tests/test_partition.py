@@ -124,6 +124,29 @@ class TestSharedMemo:
         assert partition._solve((1, 1, 2), 3) == Q * kostant_q_coeffs((0, 0, 1))
         assert set(partition._MEMO) == {((5, 1, 5), 3), ((1, 1, 2), 3), ((1,), 1)}
 
+    def test_sibling_is_reused(self, monkeypatch):
+        # (4, 5, 5) is (5, 6, 5) less one alpha_{1,2}: its copies are the
+        # parent's copies from the second on, so only the parent's child
+        # with no copy, (5, 6, 5) at length 3, is computed
+        partition._MEMO.clear()
+        partition._solve((4, 5, 5), 2)
+        before = set(partition._MEMO)
+        solve, calls = partition._solve, []
+        monkeypatch.setattr(partition, "_solve", lambda *args: calls.append(args) or solve(*args))
+        value = solve((5, 6, 5), 2)
+        monkeypatch.undo()
+        assert value == partition_oracle._solve((5, 6, 5), 2)
+        assert set(partition._MEMO) - before == {((5, 6, 5), 2), ((5, 6, 5), 3)}
+        assert calls == [((5, 6, 5), 3), ((0, 1, 0), 1)]
+
+    def test_stripped_sibling_is_not_probed(self):
+        # at xi[0] == 1 the sibling (0, 2, 3) strips to another key, so the
+        # unstripped key is never read: a wrong value planted there is unseen
+        partition._MEMO.clear()
+        partition._MEMO[((0, 2, 3), 2)] = ZERO
+        assert partition._solve((1, 3, 3), 2) == partition_oracle._solve((1, 3, 3), 2)
+        partition._MEMO.clear()
+
     def test_memo_keys_equal_predecessors_on_partition_workload(self):
         partition._MEMO.clear()
         partition_oracle._MEMO.clear()
@@ -131,6 +154,13 @@ class TestSharedMemo:
             kostant_q_coeffs(xi)
             kostant_q_shared(xi)
         assert len(partition._MEMO) == 22142
+        assert partition._MEMO == partition_oracle._MEMO
+
+    @pytest.mark.parametrize("xi", [(60, 59, 61), (20, 19, 21, 20)])
+    def test_memo_keys_equal_predecessors_beyond_the_workload(self, xi):
+        partition._MEMO.clear()
+        partition_oracle._MEMO.clear()
+        assert kostant_q_coeffs(xi) == kostant_q_shared(xi)
         assert partition._MEMO == partition_oracle._MEMO
 
 
