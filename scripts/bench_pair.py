@@ -1,6 +1,6 @@
 """Write a before/after benchmark record for one change.
 
-    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_10.json
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_11.json
 
 DIR is a checkout (source, perfbench/ and BENCHMARK.json) of the parent
 commit and of the change.  For every workload in BENCHMARK.json this runs
@@ -10,8 +10,10 @@ commit and of the change.  For every workload in BENCHMARK.json this runs
 in the before checkout and then in the after checkout, and keeps the last
 line each run prints (its JSON result).  It also records structural
 counts.  The number of entries in the partition memo and of calls to its
-recursion ``_solve`` after the seed-1 ``partition`` inputs are counted in
-each checkout, each in a fresh process.  The rest are computed with the
+recursion ``_solve`` after the seed-1 ``partition`` inputs, and the number
+of passes over a ``WeylSweep`` (calls of its ``__iter__``) that one run of
+the seed-1 ``verify`` inputs makes, are counted in each checkout, each in a
+fresh process.  The rest are computed with the
 after checkout's source: the pruned Weyl sweep on the seed-1 ``brute``
 inputs (rows are leaves, each pruned subtree is one dropped prefix, and
 leaves plus pruned elements account for (rank+1)!), and the
@@ -108,11 +110,41 @@ def count_partition() -> dict:
     return {"entries": len(partition._MEMO), "calls": calls}
 
 
-def partition_counts(checkout: Path) -> dict:
-    """``count_partition`` on the checkout's source, in a fresh process."""
+def count_verify_sweeps() -> int:
+    """The passes over a ``WeylSweep`` that one run of the seed-1 ``verify``
+    inputs makes.  Every pass calls the class's ``__iter__``, so a wrapper
+    put there counts them, whichever module the sweep is reached through."""
+    import contextlib
+    import io
+
+    import workloads
+    from qmult import cli
+    from qmult.altset import WeylSweep
+
+    iterate, passes = WeylSweep.__iter__, 0
+
+    def counted(self):
+        nonlocal passes
+        passes += 1
+        return iterate(self)
+
+    WeylSweep.__iter__ = counted
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(workloads.generate("verify", SEED)["argv"])
+    finally:
+        WeylSweep.__iter__ = iterate
+    if code != 0:
+        raise RuntimeError(f"verify exited {code}")
+    return passes
+
+
+def fresh_count(checkout: Path, count: str):
+    """The named counting function of this script, run on the checkout's
+    source in a fresh process."""
     here = str(Path(__file__).resolve().parent)
     code = (f"import json, sys; sys.path[:0] = ['src', 'perfbench', {here!r}]; "
-            "import bench_pair; print(json.dumps(bench_pair.count_partition()))")
+            f"import bench_pair; print(json.dumps(bench_pair.{count}()))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=checkout,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
@@ -155,7 +187,9 @@ def main(argv=None) -> int:
         name = w["name"]
         results[name] = {"before": run_workload(args.before, name),
                          "after": run_workload(args.after, name)}
-    counts = {"before": partition_counts(args.before), "after": partition_counts(args.after)}
+    sides = {"before": args.before, "after": args.after}
+    counts = {k: fresh_count(d, "count_partition") for k, d in sides.items()}
+    sweeps = {k: fresh_count(d, "count_verify_sweeps") for k, d in sides.items()}
     sys.path[:0] = [str(args.after / "src"), str(args.after / "perfbench")]
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
@@ -170,6 +204,7 @@ def main(argv=None) -> int:
                            "entries": {k: c["entries"] for k, c in counts.items()}},
         "partition_calls": {"workload": "partition", "seed": SEED,
                             "calls": {k: c["calls"] for k, c in counts.items()}},
+        "verify_sweeps": {"workload": "verify", "seed": SEED, "passes": sweeps},
         "altset_terms": altset_terms(),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -18,7 +18,6 @@ from math import factorial, prod
 from typing import Iterator
 
 from .intervals import IndexSet, interval_partition
-from .partition import kostant_q_coeffs
 from .roots import RootVector, embed
 from .weyl import DEFAULT_BRUTE_CAP, CapExceededError, WeylElement
 
@@ -197,11 +196,10 @@ def alt_set_brute(
 ) -> frozenset[WeylElement]:
     """The alternation set for arbitrary lam and mu, by a pruned Weyl sweep.
 
-    Keeps the rows of :class:`WeylSweep` with a positive partition count at
-    xi; the pruned elements have count zero.  This is the ground-truth
-    oracle the closed-form construction is checked against.
+    The set is the elements of the rows of :class:`WeylSweep`.  In type A
+    every xi >= 0 is sum xi_i alpha_i, a sum of positive roots, so its
+    partition count is at least 1: the sweep keeps exactly the terms with a
+    positive count.  This is the ground-truth oracle the closed-form
+    construction is checked against.
     """
-    return frozenset(
-        WeylElement(perm) for perm, _, xi in WeylSweep(lam, mu, cap)
-        if kostant_q_coeffs(xi).coeffs
-    )
+    return frozenset(WeylElement(perm) for perm, _, _ in WeylSweep(lam, mu, cap))

@@ -6,7 +6,9 @@ q-multiplicity by one or all routes, ``verify`` cross-checks every route
 against every other up to a rank bound, and ``bench`` emits a CSV of term
 counts and timings.  ``multiplicity`` and ``bench`` reach the routes, in the
 order of ``multiplicity.METHODS``, through ``_route`` alone; ``verify``
-spells out its pairwise checks.
+spells out its pairwise checks and sweeps each index set once for the brute
+route: the rows' elements are the brute alternation set (each row's xi >= 0
+has partition count at least 1) and their ``signed_sum`` is m_q_brute's value.
 
 Exit codes: 0 on success, 1 when routes that must agree do not, 2 on usage
 errors, on a request past a brute-force cap, or when memory runs out.  The
@@ -29,6 +31,7 @@ import time
 from typing import Iterable, Optional, Union
 
 from .altset import (
+    WeylSweep,
     alt_set_brute,
     alt_set_cardinality,
     alt_set_closed,
@@ -42,6 +45,7 @@ from .multiplicity import (
     m_q_closed_general,
     m_q_closed_zero,
     m_q_rank_reduction,
+    signed_sum,
 )
 from .partition import factorize_over_intervals, kostant_q, kostant_q_oracle
 from .poly import QPolynomial
@@ -283,12 +287,11 @@ def _verify_one(index_set: IndexSet, brute_cap: Optional[int],
             "partition factorization over runs",
         )
     if brute_cap is not None:
-        alt = alt_set_closed(index_set)
-        mu = index_set.to_root_vector()
-        brute_elems = alt_set_brute(highest_root(r), mu, brute_cap)
-        expect(alt.elements == brute_elems, "alternation set closed vs brute")
-        expect(m_q_brute(highest_root(r), mu, brute_cap).value == closed,
-               "brute multiplicity vs closed form")
+        rows = list(WeylSweep(highest_root(r), index_set.to_root_vector(), brute_cap))
+        expect(alt_set_closed(index_set).elements
+               == {WeylElement(perm) for perm, _, _ in rows},
+               "alternation set closed vs brute")
+        expect(signed_sum(rows) == closed, "brute multiplicity vs closed form")
     return checks
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Iterable
 
 from .altset import WeylSweep, alternation_walk
 from .intervals import IndexSet, interval_partition
@@ -47,17 +48,11 @@ class MultiplicityResult:
     terms_evaluated: int
 
 
-def m_q_brute(
-    lam: RootVector, mu: RootVector, cap: int = DEFAULT_BRUTE_CAP
-) -> MultiplicityResult:
-    """The signed sum over the whole Weyl group, for arbitrary lam and mu.
-
-    Sums the rows of a pruned :class:`~qmult.altset.WeylSweep`; the terms it
-    prunes are zero, so this is the defining sum over all (rank+1)! elements.
-    """
-    sweep = WeylSweep(lam, mu, cap)
+def signed_sum(rows: Iterable[tuple]) -> QPolynomial:
+    """The sum of sign * P_q(xi) over the (perm, sign, xi) rows of a
+    :class:`~qmult.altset.WeylSweep`."""
     acc = [0]
-    for _, sign, xi in sweep:
+    for _, sign, xi in rows:
         cs = kostant_q_coeffs(xi).coeffs
         if len(cs) > len(acc):
             acc.extend([0] * (len(cs) - len(acc)))
@@ -67,7 +62,21 @@ def m_q_brute(
         else:
             for k, c in enumerate(cs):
                 acc[k] -= c
-    return MultiplicityResult(QPolynomial(acc), "brute", sweep.accounted)
+    return QPolynomial(acc)
+
+
+def m_q_brute(
+    lam: RootVector, mu: RootVector, cap: int = DEFAULT_BRUTE_CAP
+) -> MultiplicityResult:
+    """The signed sum over the whole Weyl group, for arbitrary lam and mu.
+
+    Sums the rows of a pruned :class:`~qmult.altset.WeylSweep`; the terms it
+    prunes are zero, so this is the defining sum over all (rank+1)! elements.
+    Each row's xi >= 0 is sum xi_i alpha_i, with partition count at least 1,
+    so the rows' elements are exactly :func:`~qmult.altset.alt_set_brute`.
+    """
+    sweep = WeylSweep(lam, mu, cap)
+    return MultiplicityResult(signed_sum(sweep), "brute", sweep.accounted)
 
 
 def m_q_altset(index_set: IndexSet) -> MultiplicityResult:

@@ -62,7 +62,8 @@ SUBMODULE_NAMES = {
             "parse_index_set", "parse_mu"],
     "intervals": ["IndexSet", "interval_partition", "maximal_runs", "n_of_complement"],
     "multiplicity": ["METHODS", "MultiplicityResult", "m_q_altset", "m_q_brute",
-                     "m_q_closed_general", "m_q_closed_zero", "m_q_rank_reduction"],
+                     "m_q_closed_general", "m_q_closed_zero", "m_q_rank_reduction",
+                     "signed_sum"],
     "partition": ["DEFAULT_ORACLE_CAP", "PartitionTable", "factorize_over_intervals",
                   "kostant_q", "kostant_q_coeffs", "kostant_q_oracle", "table_for"],
     "poly": ["ONE", "Q", "QPolynomial", "ZERO"],
@@ -91,6 +92,22 @@ def test_module_public_names():
     for name, expected in SUBMODULE_NAMES.items():
         module = importlib.import_module(f"qmult.{name}")
         assert _defined_public_names(module) == expected, name
+
+
+def test_altset_does_not_import_the_partition_dp():
+    # the alternation-set layer stands on the sweep alone; only the
+    # multiplicity routes evaluate partition values
+    source = (Path(qmult.__file__).parent / "altset.py").read_text()
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported += [base] if node.module else [base + a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported
+    assert not any(name in (".partition", "qmult.partition")
+                   or name.startswith("qmult.partition.") for name in imported), imported
 
 
 def test_multiplicity_result_fields():

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmult import cli
+from qmult.altset import WeylSweep
 from qmult.cli import main, parse_index_set, parse_mu
 from qmult.intervals import IndexSet
 from qmult.multiplicity import m_q_closed_general
@@ -278,6 +279,34 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--max-rank", "8", "--brute-cap", "7")
         assert code == 0
         assert "rank 8: 255 index sets (exhaustive, closed forms)" in out
+
+    def test_one_sweep_per_brute_checked_index_set(self, capsys, monkeypatch):
+        passes = 0
+        iterate = WeylSweep.__iter__
+
+        def counted(self):
+            nonlocal passes
+            passes += 1
+            return iterate(self)
+
+        monkeypatch.setattr(WeylSweep, "__iter__", counted)
+        code, out, _ = run_cli(capsys, "verify", "--max-rank", "6")
+        assert code == 0
+        assert out.splitlines()[-1] == "VERIFY PASS (840 checks)"
+        # one pass per nonempty index set of ranks 1-6
+        assert passes == sum(2 ** r - 1 for r in range(1, 7)) == 120
+
+    def test_brute_checks_read_the_sweep(self, capsys, monkeypatch):
+        class DropsLastRow(WeylSweep):
+            def __iter__(self):
+                yield from list(super().__iter__())[:-1]
+
+        monkeypatch.setattr(cli, "WeylSweep", DropsLastRow)
+        code, out, _ = run_cli(capsys, "verify", "--max-rank", "3")
+        assert code == 1
+        mismatches = [line for line in out.splitlines() if line.startswith("MISMATCH")]
+        assert any(line.endswith(": alternation set closed vs brute") for line in mismatches)
+        assert any(line.endswith(": brute multiplicity vs closed form") for line in mismatches)
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_samples_below_one_rejected(self, capsys, samples):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from qmult.altset import WeylSweep, alt_set_brute
 from qmult.multiplicity import m_q_brute
+from qmult.partition import kostant_q_coeffs, kostant_q_oracle
+from qmult.poly import ZERO
 from qmult.roots import RootVector, highest_root
 from qmult.weyl import CapExceededError
 from weyl_helpers import zero_root
@@ -40,6 +42,37 @@ class TestAgainstUnprunedScan:
         lam, mu = RootVector(len(lam_c), lam_c), RootVector(len(mu_c), mu_c)
         assert m_q_brute(lam, mu).value == m_q_unpruned(lam, mu)
         assert alt_set_brute(lam, mu) == alt_set_unpruned(lam, mu)
+
+
+def _assert_every_leaf_has_a_partition(lam, mu):
+    """Every row the sweep keeps has a nonzero partition value, by the DP and,
+    where the coefficient sum is at most 20, equally by the oracle: xi >= 0
+    is sum xi_i alpha_i, so P(xi) >= 1.  This is why ``alt_set_brute`` needs
+    no partition-count filter."""
+    for _, _, xi in WeylSweep(lam, mu):
+        value = kostant_q_coeffs(xi)
+        assert value != ZERO, xi
+        if sum(xi) <= 20:
+            assert kostant_q_oracle(RootVector(len(xi), xi)) == value, xi
+
+
+class TestEveryLeafCounts:
+    def test_every_index_set_up_to_rank7(self):
+        for r in range(1, 8):
+            theta = highest_root(r)
+            for mu in _indicator_weights(r):
+                if any(mu.coeffs):
+                    _assert_every_leaf_has_a_partition(theta, mu)
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 5).flatmap(lambda r: st.tuples(
+        st.lists(st.integers(0, 3), min_size=r, max_size=r),
+        st.lists(st.integers(-3, 2), min_size=r, max_size=r),
+    )))
+    def test_nonnegative_lam_and_arbitrary_mu(self, pair):
+        lam_c, mu_c = pair
+        _assert_every_leaf_has_a_partition(RootVector(len(lam_c), lam_c),
+                                           RootVector(len(mu_c), mu_c))
 
 
 class TestAccounting:
