@@ -1,6 +1,6 @@
 """Write a before/after benchmark record for one change.
 
-    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_11.json
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_12.json
 
 DIR is a checkout (source, perfbench/ and BENCHMARK.json) of the parent
 commit and of the change.  For every workload in BENCHMARK.json this runs
@@ -8,15 +8,18 @@ commit and of the change.  For every workload in BENCHMARK.json this runs
     python3 perfbench/run.py --workload W --seed 1 --seconds 20 --trace 0
 
 in the before checkout and then in the after checkout, and keeps the last
-line each run prints (its JSON result).  It also records structural
-counts.  The number of entries in the partition memo and of calls to its
-recursion ``_solve`` after the seed-1 ``partition`` inputs, and the number
-of passes over a ``WeylSweep`` (calls of its ``__iter__``) that one run of
-the seed-1 ``verify`` inputs makes, are counted in each checkout, each in a
-fresh process.  The rest are computed with the
-after checkout's source: the pruned Weyl sweep on the seed-1 ``brute``
-inputs (rows are leaves, each pruned subtree is one dropped prefix, and
-leaves plus pruned elements account for (rank+1)!), and the
+line each run prints (its JSON result).  Every run has
+PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to a new empty
+directory, so no bytecode cache is read or written and both sides'
+``setup_s`` compile from source.  It also records structural counts.  The
+entries the partition engine retains after the seed-1 ``partition`` inputs
+(the memo ``_MEMO`` of a checkout that has one, else the answer cache
+``_CACHE``), and the number of passes over a ``WeylSweep`` (calls of its
+``__iter__``) that one run of the seed-1 ``verify`` inputs makes, are
+counted in each checkout, each in a fresh process.  The rest are computed
+with the after checkout's source: the pruned Weyl sweep on the seed-1
+``brute`` inputs (rows are leaves, each pruned subtree is one dropped
+prefix, and leaves plus pruned elements account for (rank+1)!), and the
 alternation-set elements visited on the seed-1 ``altset`` inputs
 (``terms_evaluated`` of each ``m_q_altset`` call and the element count of
 the ``alt_set_closed`` call), each of which must equal perfbench's
@@ -34,6 +37,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 from math import factorial
 from pathlib import Path
 
@@ -54,7 +58,9 @@ def cpu_model() -> str:
 def run_workload(checkout: Path, workload: str) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory() as pycache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     lines = proc.stdout.splitlines()
     if not lines:
         raise RuntimeError(f"{workload} in {checkout} printed nothing:\n{proc.stderr}")
@@ -86,28 +92,17 @@ def sweep_counts() -> dict:
 
 
 def count_partition() -> dict:
-    """The memo's entry count and the number of ``_solve`` calls after the
-    seed-1 ``partition`` inputs, from a cleared memo.  The recursion calls
-    the module global ``_solve``, so a wrapper put there counts every call."""
+    """The entries the partition engine retains after the seed-1
+    ``partition`` inputs: its memo ``_MEMO`` where the checkout has one,
+    else its answer cache ``_CACHE``, counted from a fresh process."""
     import workloads
     from qmult import partition
     from qmult.roots import RootVector
 
-    solve, calls = partition._solve, 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return solve(*args)
-
-    partition._MEMO.clear()
-    partition._solve = counted
-    try:
-        for xi in workloads.generate("partition", SEED)["xis"]:
-            partition.kostant_q(RootVector(len(xi), xi))
-    finally:
-        partition._solve = solve
-    return {"entries": len(partition._MEMO), "calls": calls}
+    for xi in workloads.generate("partition", SEED)["xis"]:
+        partition.kostant_q(RootVector(len(xi), xi))
+    store = "_MEMO" if hasattr(partition, "_MEMO") else "_CACHE"
+    return {"store": store, "entries": len(getattr(partition, store))}
 
 
 def count_verify_sweeps() -> int:
@@ -200,10 +195,9 @@ def main(argv=None) -> int:
         "workloads": results,
         "src_lines": {"before": src_lines(args.before), "after": src_lines(args.after)},
         "sweep_counts": sweep_counts(),
-        "partition_memo": {"workload": "partition", "seed": SEED,
-                           "entries": {k: c["entries"] for k, c in counts.items()}},
-        "partition_calls": {"workload": "partition", "seed": SEED,
-                            "calls": {k: c["calls"] for k, c in counts.items()}},
+        "partition_entries": {"workload": "partition", "seed": SEED,
+                              "store": {k: c["store"] for k, c in counts.items()},
+                              "entries": {k: c["entries"] for k, c in counts.items()}},
         "verify_sweeps": {"workload": "verify", "seed": SEED, "passes": sweeps},
         "altset_terms": altset_terms(),
     }

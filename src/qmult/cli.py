@@ -7,8 +7,8 @@ against every other up to a rank bound, and ``bench`` emits a CSV of term
 counts and timings.  ``multiplicity`` and ``bench`` reach the routes, in the
 order of ``multiplicity.METHODS``, through ``_route`` alone; ``verify``
 spells out its pairwise checks and sweeps each index set once for the brute
-route: the rows' elements are the brute alternation set (each row's xi >= 0
-has partition count at least 1) and their ``signed_sum`` is m_q_brute's value.
+route: the rows' permutations are the brute alternation set (a row's
+xi >= 0 has partition count >= 1); their ``signed_sum`` is m_q_brute's value.
 
 Exit codes: 0 on success, 1 when routes that must agree do not, 2 on usage
 errors, on a request past a brute-force cap, or when memory runs out.  The
@@ -288,8 +288,8 @@ def _verify_one(index_set: IndexSet, brute_cap: Optional[int],
         )
     if brute_cap is not None:
         rows = list(WeylSweep(highest_root(r), index_set.to_root_vector(), brute_cap))
-        expect(alt_set_closed(index_set).elements
-               == {WeylElement(perm) for perm, _, _ in rows},
+        expect({w.perm for w in alt_set_closed(index_set).elements}
+               == {perm for perm, _, _ in rows},
                "alternation set closed vs brute")
         expect(signed_sum(rows) == closed, "brute multiplicity vs closed form")
     return checks

@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .altset import WeylSweep, alternation_walk
 from .intervals import IndexSet, interval_partition
-from .partition import kostant_q_coeffs
+from .partition import kostant_q_sum
 from .poly import Q, QPolynomial
 from .roots import RootVector
 from .weyl import DEFAULT_BRUTE_CAP
@@ -50,19 +50,12 @@ class MultiplicityResult:
 
 def signed_sum(rows: Iterable[tuple]) -> QPolynomial:
     """The sum of sign * P_q(xi) over the (perm, sign, xi) rows of a
-    :class:`~qmult.altset.WeylSweep`."""
-    acc = [0]
+    :class:`~qmult.altset.WeylSweep`, the signs of equal xi added first
+    (:func:`~qmult.partition.kostant_q_sum`)."""
+    weights: dict[tuple[int, ...], int] = {}
     for _, sign, xi in rows:
-        cs = kostant_q_coeffs(xi).coeffs
-        if len(cs) > len(acc):
-            acc.extend([0] * (len(cs) - len(acc)))
-        if sign > 0:
-            for k, c in enumerate(cs):
-                acc[k] += c
-        else:
-            for k, c in enumerate(cs):
-                acc[k] -= c
-    return QPolynomial(acc)
+        weights[xi] = weights.get(xi, 0) + sign
+    return kostant_q_sum(weights)
 
 
 def m_q_brute(

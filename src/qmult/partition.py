@@ -6,35 +6,23 @@ multisets of exactly i positive roots with sum xi.  Setting q = 1 gives the
 plain partition count.  By convention the value is 1 at xi = 0 and 0
 whenever any coefficient of xi is negative.
 
-Two independent evaluators are provided.  ``kostant_q`` runs a memoized
-recursion over the positive roots in lexicographic (i, j) order, branching
-on how many copies of the current root are used.  ``kostant_q_oracle``
-enumerates the contributing multisets one root at a time with no shared
-state, and exists purely to cross-check the recursion on small inputs.
+``kostant_q`` runs a division pass; ``kostant_q_oracle`` enumerates the
+multisets one root at a time, to cross-check the pass on small inputs.  The
+generating function is the product over the positive roots alpha of
+1 / (1 - q e^alpha), so ``kostant_q_sum`` evaluates sum_xi w(xi) P_q(xi) by
+dividing by those factors, clearing one slot of every state per round.  One
+root of each length 1 .. L starts at slot 0, and every multiset with sum xi
+holds xi[0] of them, so each weight is first multiplied by q^xi[0].  The
+root r of each length l < L in turn maps the weights w to
+w'(y) = w(y) + w'(y + r), summed down each line xi, xi - r, ... from its top.
+Later roots cover slots 0 and l alike, so a point with y[0] > y[l] is
+dropped at once: the full-width root, which takes what is left at slot 0,
+needs y[0] <= min(y).  Equal states merge and zero weights are dropped.
 
-The recursion has one memo for every rank.  No positive root covers a slot
-where xi is zero at an end of xi, so the value depends only on xi with its
-leading and trailing zeros stripped: (1, 1, 0) at rank 3 and (0, 1, 1, 0, 0)
-at rank 5 share one entry.  ``PartitionTable`` and ``table_for``, a
-rank-checking view of that memo with no values of their own, remain only
-for the benchmark's checks in ``perfbench/``, until the benchmark moves off
-them and they are deleted.
-
-The recursion makes only the calls that can contribute.  Once the
-full-width root is the only one left at slot 0, it is forced: it must be
-used exactly xi[0] times, so that entry recurses once, on xi - xi[0], when
-xi[0] = min(xi), and is zero otherwise.  A child whose slot 0 stays nonzero
-is already stripped, so the parent looks its key up in the memo and calls
-``_solve`` only on a miss.
-
-An entry that branches on the copies of the root r covering slots
-0 .. s-1 has a sibling, (xi - r, s): its copies are the entry's copies
-from the second on, so entry = child with no copy + q * sibling.  When
-xi is nonzero on all of r and xi[0] > 1, the sibling is stripped already,
-and if its key is in the memo, that sum replaces the loop over every
-copy.  The sibling is only looked up, never computed: every child it
-stands for went into the memo with it, so the memo holds the same keys
-and values as without the reuse.
+``kostant_q_coeffs`` keeps one answer cache for every rank, one entry per
+query, keyed by xi less the zeros at its ends, which no root covers: (1, 1, 0)
+at rank 3 and (0, 1, 1, 0, 0) at rank 5 share one.  ``PartitionTable`` and
+``table_for``, a rank-checking view of it, serve only ``perfbench/``'s checks.
 """
 
 from __future__ import annotations
@@ -42,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from operator import add, sub
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .intervals import IndexSet, interval_partition
 from .poly import ONE, ZERO, QPolynomial
@@ -53,9 +41,8 @@ from .weyl import CapExceededError
 # nonnegative xi whose coefficients sum beyond this.
 DEFAULT_ORACLE_CAP = 20
 
-# (xi, shortest) -> _solve(xi, shortest), with xi stripped of its leading
-# and trailing zeros.
-_MEMO: dict[tuple[tuple[int, ...], int], QPolynomial] = {}
+# stripped xi -> its q-analog; the empty xi, whose value is 1, seeds it.
+_CACHE: dict[tuple[int, ...], QPolynomial] = {(): ONE}
 
 
 def _root_supports(rank: int) -> tuple[tuple[int, int], ...]:
@@ -64,85 +51,104 @@ def _root_supports(rank: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(rank) for j in range(i, rank))
 
 
-def _solve(xi: tuple[int, ...], shortest: int) -> QPolynomial:
-    """The q-analog at a nonnegative xi, counting only the multisets whose
-    roots starting at slot 0 are at least ``shortest`` slots long.
-
-    Roots are taken in lexicographic order: every copy of the root of
-    length ``shortest`` at slot 0 is placed before the longer ones, and a
-    root at a later slot only once slot 0 is cleared, when the bound starts
-    over at 1.  So the recursion is at most one level deep per root.
-
-    Only calls that can contribute are made: the last root at slot 0 is
-    forced, and a child that needs no stripping is looked up in the memo
-    before it is called.  A sibling (xi - r, shortest) found in the memo
-    stands for every copy but the first: the value is then the child with
-    no copy plus q times the sibling, and no new key is made.
-    """
+def _strip(xi: tuple[int, ...]) -> tuple[int, ...]:
+    """xi without its leading and trailing zeros."""
     lo, hi = 0, len(xi)
     while lo < hi and not xi[lo]:
         lo += 1
-    if lo == hi:
-        return ONE
-    if lo:
-        shortest = 1  # no root starts at slot 0, so none is spent at the first nonzero one
-    while not xi[hi - 1]:
+    while hi > lo and not xi[hi - 1]:
         hi -= 1
-    xi = xi[lo:hi]
-    width = hi - lo
-    if shortest > width:
-        return ZERO  # slot 0 can never be cleared
-    key = (xi, shortest)
-    got = _MEMO.get(key)
-    if got is not None:
-        return got
-    first = xi[0]
-    if shortest == width:
-        # Only the full-width root is left to clear slot 0, so it is used
-        # exactly xi[0] times, which needs xi[0] = min(xi).
-        if first == min(xi):
-            total = _solve(tuple(map(sub, xi, repeat(first))), 1).shift(first)
-        else:
-            total = ZERO
-    else:
-        head, tail = xi[:shortest], xi[shortest:]
-        longer = shortest + 1
-        most = min(head)
-        # The sibling, xi less one copy of the current root, sums copies 1..
-        # of this loop, shifted down by one; xi[0] > 1 keeps it stripped.
-        sibling = (_MEMO.get((tuple(map(sub, head, repeat(1))) + tail, shortest))
-                   if most and first > 1 else None)
-        if sibling is not None:
-            got = _MEMO.get((xi, longer))
-            total = (got if got is not None else _solve(xi, longer)) + sibling.shift(1)
-        else:
-            # Each root adds at least 1 to sum(xi), so no term exceeds q^sum(xi).
-            acc = [0] * (sum(xi) + 1)
-            for copies in range(most + 1):
-                rest = tuple(map(sub, head, repeat(copies))) + tail if copies else xi
-                # While rest[0] > 0, rest is stripped already: its last slot is xi's.
-                got = _MEMO.get((rest, longer)) if copies < first else None
-                child = (got if got is not None else _solve(rest, longer)).coeffs
-                end = copies + len(child)
-                acc[copies:end] = map(add, acc[copies:end], child)
-            total = QPolynomial(acc)
-    _MEMO[key] = total
-    return total
+    return xi[lo:hi]
+
+
+def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The sum of two coefficient tuples, untrimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    return (*map(add, a, b), *a[len(b):])
+
+
+def _add_product(acc: list[int], a: tuple[int, ...], b: tuple[int, ...], shift: int) -> None:
+    """acc += q^shift * a * b, for coefficient sequences; acc grows as needed."""
+    if len(acc) < shift + len(a) + len(b):
+        acc.extend(repeat(0, shift + len(a) + len(b) - len(acc)))
+    for i, x in enumerate(a, shift):
+        if x:
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
+
+
+def kostant_q_sum(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
+    """sum w * P_q(xi) over {xi: w}, all xi >= 0 and of one length, by the
+    division pass of the module docstring; it only reads the answer cache."""
+    total: list[int] = []
+    # xi -> coefficient tuple of its weight, a polynomial in q, times q^shift
+    states = {xi: (w,) for xi, w in weights.items() if w}
+    shift = 0
+    while states:
+        width = len(next(iter(states)))
+        # a cached state (the empty xi always is) leaves with its value
+        held = {}
+        for xi, w in states.items():
+            got = _CACHE.get(_strip(xi))
+            if got is None:
+                held[xi] = w
+            else:
+                _add_product(total, w, got.coeffs, shift)
+        if not held:
+            break
+        # each weight gains q^xi[0]; the power all of them gain joins the shift
+        base = min(xi[0] for xi in held)
+        shift += base
+        states = {xi: (0,) * (xi[0] - base) + w for xi, w in held.items()}
+        after: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for length in range(1, width):
+            # each line along the root on slots 0 .. length-1: lowest point -> {height: weight}
+            lines: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+            for xi, w in states.items():
+                if not xi[0]:  # no root is left to take at slot 0
+                    after[xi[1:]] = _add(after.get(xi[1:], ()), w)
+                    continue
+                h = min(xi[:length])
+                low = tuple(map(sub, xi[:length], repeat(h))) + xi[length:] if h else xi
+                lines.setdefault(low, {})[h] = w
+            states = {}
+            for low, points in lines.items():
+                room = low[length] - low[0]  # the highest point with y[0] <= y[length]
+                acc = ()
+                for c in range(max(points), -1, -1):
+                    w = points.get(c)
+                    if w is not None:
+                        acc = _add(acc, w)
+                        live = any(acc)
+                    if live and c <= room:
+                        states[tuple(map(add, low[:length], repeat(c))) + low[length:]
+                               if c else low] = acc
+        # the full-width root takes what is left at slot 0, xi[0] <= min(xi)
+        for xi, w in states.items():
+            rest = tuple(map(sub, xi[1:], repeat(xi[0]))) if xi[0] else xi[1:]
+            after[rest] = _add(after.get(rest, ()), w)
+        states = {xi: w for xi, w in after.items() if any(w)}
+    return QPolynomial(total)
 
 
 def kostant_q_coeffs(coeffs: Sequence[int]) -> QPolynomial:
     """The q-analog at xi given by its coefficient tuple, of any rank."""
-    cs = tuple(coeffs)
-    return ZERO if min(cs, default=0) < 0 else _solve(cs, 1)
+    if min(coeffs, default=0) < 0:
+        return ZERO
+    key = _strip(tuple(coeffs))
+    if key not in _CACHE:
+        _CACHE[key] = kostant_q_sum({key: 1})
+    return _CACHE[key]
 
 
 def kostant_q(xi: RootVector) -> QPolynomial:
-    """The q-analog partition function, via the shared memo."""
+    """The q-analog partition function, via the answer cache."""
     return kostant_q_coeffs(xi.coeffs)
 
 
 class PartitionTable:
-    """A rank-checking view of the shared memo; it stores nothing itself."""
+    """A rank-checking view of the answer cache; it stores nothing itself."""
 
     def __init__(self, rank: int):
         if rank < 1:

@@ -12,9 +12,18 @@ last root at slot 0, looked children up in the memo before calling them and
 read all copies but the first from a sibling already in the memo: the same
 keys and values, reached by calling ``_solve`` for every copy.  Its
 ``_solve`` is kept unchanged, with its own ``_MEMO``.
+
+``kostant_q_sibling`` is the memo DP as ``qmult.partition`` ran it before the
+division pass: ``kostant_q_shared`` with the last root at slot 0 forced, the
+memo probed before a child is called, and every copy but the first read
+from a sibling already in the memo.  Its ``_sibling_solve`` and
+``_SIBLING_MEMO`` are the library's ``_solve`` and ``_MEMO`` unchanged but
+for their names.
 """
 
 from functools import lru_cache
+from itertools import repeat
+from operator import add, sub
 
 from qmult.poly import ONE, ZERO, QPolynomial
 
@@ -125,3 +134,81 @@ def kostant_q_shared(coeffs) -> QPolynomial:
     """The q-analog at coeffs, from the predecessor of the shared-memo DP."""
     cs = tuple(coeffs)
     return ZERO if min(cs, default=0) < 0 else _solve(cs, 1)
+
+
+# (xi, shortest) -> _sibling_solve(xi, shortest), with xi stripped of its leading
+# and trailing zeros.
+_SIBLING_MEMO: dict[tuple[tuple[int, ...], int], QPolynomial] = {}
+
+
+def _sibling_solve(xi: tuple[int, ...], shortest: int) -> QPolynomial:
+    """The q-analog at a nonnegative xi, counting only the multisets whose
+    roots starting at slot 0 are at least ``shortest`` slots long.
+
+    Roots are taken in lexicographic order: every copy of the root of
+    length ``shortest`` at slot 0 is placed before the longer ones, and a
+    root at a later slot only once slot 0 is cleared, when the bound starts
+    over at 1.  So the recursion is at most one level deep per root.
+
+    Only calls that can contribute are made: the last root at slot 0 is
+    forced, and a child that needs no stripping is looked up in the memo
+    before it is called.  A sibling (xi - r, shortest) found in the memo
+    stands for every copy but the first: the value is then the child with
+    no copy plus q times the sibling, and no new key is made.
+    """
+    lo, hi = 0, len(xi)
+    while lo < hi and not xi[lo]:
+        lo += 1
+    if lo == hi:
+        return ONE
+    if lo:
+        shortest = 1  # no root starts at slot 0, so none is spent at the first nonzero one
+    while not xi[hi - 1]:
+        hi -= 1
+    xi = xi[lo:hi]
+    width = hi - lo
+    if shortest > width:
+        return ZERO  # slot 0 can never be cleared
+    key = (xi, shortest)
+    got = _SIBLING_MEMO.get(key)
+    if got is not None:
+        return got
+    first = xi[0]
+    if shortest == width:
+        # Only the full-width root is left to clear slot 0, so it is used
+        # exactly xi[0] times, which needs xi[0] = min(xi).
+        if first == min(xi):
+            total = _sibling_solve(tuple(map(sub, xi, repeat(first))), 1).shift(first)
+        else:
+            total = ZERO
+    else:
+        head, tail = xi[:shortest], xi[shortest:]
+        longer = shortest + 1
+        most = min(head)
+        # The sibling, xi less one copy of the current root, sums copies 1..
+        # of this loop, shifted down by one; xi[0] > 1 keeps it stripped.
+        sibling = (_SIBLING_MEMO.get((tuple(map(sub, head, repeat(1))) + tail, shortest))
+                   if most and first > 1 else None)
+        if sibling is not None:
+            got = _SIBLING_MEMO.get((xi, longer))
+            total = (got if got is not None else _sibling_solve(xi, longer)) + sibling.shift(1)
+        else:
+            # Each root adds at least 1 to sum(xi), so no term exceeds q^sum(xi).
+            acc = [0] * (sum(xi) + 1)
+            for copies in range(most + 1):
+                rest = tuple(map(sub, head, repeat(copies))) + tail if copies else xi
+                # While rest[0] > 0, rest is stripped already: its last slot is xi's.
+                got = _SIBLING_MEMO.get((rest, longer)) if copies < first else None
+                child = (got if got is not None else _sibling_solve(rest, longer)).coeffs
+                end = copies + len(child)
+                acc[copies:end] = map(add, acc[copies:end], child)
+            total = QPolynomial(acc)
+    _SIBLING_MEMO[key] = total
+    return total
+
+
+def kostant_q_sibling(coeffs) -> QPolynomial:
+    """The q-analog at coeffs, from the sibling-reuse memo DP the division
+    pass replaced."""
+    cs = tuple(coeffs)
+    return ZERO if min(cs, default=0) < 0 else _sibling_solve(cs, 1)

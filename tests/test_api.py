@@ -65,7 +65,8 @@ SUBMODULE_NAMES = {
                      "m_q_closed_general", "m_q_closed_zero", "m_q_rank_reduction",
                      "signed_sum"],
     "partition": ["DEFAULT_ORACLE_CAP", "PartitionTable", "factorize_over_intervals",
-                  "kostant_q", "kostant_q_coeffs", "kostant_q_oracle", "table_for"],
+                  "kostant_q", "kostant_q_coeffs", "kostant_q_oracle", "kostant_q_sum",
+                  "table_for"],
     "poly": ["ONE", "Q", "QPolynomial", "ZERO"],
     "roots": ["RootVector", "embed", "highest_root", "positive_root"],
     "weyl": ["CapExceededError", "DEFAULT_BRUTE_CAP", "WeylElement", "commuting_indices"],

@@ -4,8 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmult.altset import alt_set_cardinality, alt_set_closed, fibonacci
+from qmult import partition
+from qmult.altset import WeylSweep, alt_set_cardinality, alt_set_closed, fibonacci
 from qmult.intervals import IndexSet, interval_partition
 from closed_forms import m_q_closed_positive_root, m_q_closed_two_intervals
 from qmult.multiplicity import (
@@ -14,9 +17,10 @@ from qmult.multiplicity import (
     m_q_closed_general,
     m_q_closed_zero,
     m_q_rank_reduction,
+    signed_sum,
 )
 from qmult.partition import kostant_q
-from qmult.poly import ONE, Q, QPolynomial
+from qmult.poly import ONE, Q, ZERO, QPolynomial
 from qmult.roots import RootVector, embed, highest_root, positive_root
 from qmult.weyl import CapExceededError
 from weyl_helpers import (
@@ -31,6 +35,7 @@ from weyl_helpers import (
     to_root_basis,
     zero_root,
 )
+from weyl_oracle import signed_sum_per_row
 
 
 def _all_index_sets(rank):
@@ -63,6 +68,75 @@ class TestBrute:
             m_q_brute(highest_root(3), zero_root(4))
         with pytest.raises(CapExceededError):
             m_q_brute(highest_root(12), zero_root(12))
+
+
+@st.composite
+def lam_and_mu(draw):
+    """(lam, mu) at rank <= 6: lam the highest root or a random lam >= 0,
+    mu in [-4, 2]^rank."""
+    r = draw(st.integers(min_value=1, max_value=6))
+    lam = draw(st.one_of(
+        st.just(highest_root(r)),
+        st.lists(st.integers(min_value=0, max_value=2), min_size=r, max_size=r)
+        .map(lambda cs: RootVector(r, cs))))
+    mu = draw(st.lists(st.integers(min_value=-4, max_value=2), min_size=r, max_size=r))
+    return lam, RootVector(r, mu)
+
+
+class TestSignedSum:
+    """The rows of a sweep divided together against one query per row."""
+
+    @staticmethod
+    def check_cold_and_warm(lam, mu):
+        rows = list(WeylSweep(lam, mu))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partition, "_CACHE", {(): ONE})
+            cold = signed_sum(rows)
+            assert partition._CACHE.keys() == {()}
+            per_row = signed_sum_per_row(rows)  # caches every row's xi
+            warm = signed_sum(rows)
+        assert cold == per_row == warm
+        return rows
+
+    @settings(max_examples=100)
+    @given(lam_and_mu())
+    def test_agrees_with_per_row_sum_cold_and_warm(self, pair):
+        self.check_cold_and_warm(*pair)
+
+    def test_agrees_with_per_row_sum_on_seeded_draws(self):
+        # Hypothesis favours small draws, whose sweeps are often empty;
+        # these are drawn at ranks 4-6 and kept only with a row
+        rng = random.Random(12)
+        kept = 0
+        while kept < 40:
+            r = rng.randint(4, 6)
+            lam = (highest_root(r) if rng.random() < 0.5
+                   else RootVector(r, [rng.randint(0, 2) for _ in range(r)]))
+            mu = RootVector(r, [rng.randint(-4, 2) for _ in range(r)])
+            kept += bool(self.check_cold_and_warm(lam, mu))
+
+    @pytest.mark.parametrize("mu", [(0, 0), (-1, -1), (-2, 0), (1, -2), (-3, -3)])
+    def test_equal_xi_of_opposite_sign_cancel(self, mu):
+        # lam + rho = (3, 0, 0) repeats a coordinate, so sigma and sigma
+        # followed by swapping the two zeros give one xi with both signs
+        lam = RootVector(2, (1, 0))
+        assert tuple(a + b for a, b in zip(embed(lam), (2, 1, 0))) == (3, 0, 0)
+        rows = list(WeylSweep(lam, RootVector(2, mu)))
+        signs: dict = {}
+        for _, sign, xi in rows:
+            signs.setdefault(xi, []).append(sign)
+        assert rows and all(sorted(s) == [-1, 1] for s in signs.values())
+        assert signed_sum(rows) == signed_sum_per_row(rows) == ZERO
+
+    def test_brute_caches_nothing(self, monkeypatch):
+        monkeypatch.setattr(partition, "_CACHE", {(): ONE})
+        sweep = WeylSweep(highest_root(8), RootVector(8, (-2,) * 8))
+        value = signed_sum(sweep)
+        assert sweep.leaves == 1228
+        assert value == m_q_brute(highest_root(8), RootVector(8, (-2,) * 8)).value
+        assert partition._CACHE.keys() == {()}
+        kostant_q(RootVector(3, (60, 59, 61)))
+        assert len(partition._CACHE) == 2
 
 
 class TestAltsetSum:

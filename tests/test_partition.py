@@ -24,7 +24,7 @@ from qmult.poly import ONE, Q, ZERO, QPolynomial
 from qmult.roots import RootVector, highest_root, positive_root
 from qmult.weyl import CapExceededError
 import partition_oracle
-from partition_oracle import kostant_q_by_rank, kostant_q_shared
+from partition_oracle import kostant_q_by_rank, kostant_q_shared, kostant_q_sibling
 from weyl_helpers import zero_root
 
 # the benchmark's seeded inputs, whose weights pass the oracle's cap
@@ -85,7 +85,9 @@ class TestKostantQ:
 
 
 class TestSharedMemo:
-    """The one memo for every rank against the rank-indexed DP it replaced."""
+    """The answer cache and division pass against the DPs they replaced; the
+    sibling-reuse memo DP's own internals, now an oracle in
+    ``partition_oracle``, against its predecessor."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_agrees_with_rank_dp_on_partition_workload(self, seed):
@@ -103,65 +105,115 @@ class TestSharedMemo:
 
     def test_zero_padding_adds_no_memo_entries(self):
         kostant_q_coeffs((3, 1, 2))
-        size = len(partition._MEMO)
+        size = len(partition._CACHE)
         assert kostant_q_coeffs((0, 0, 3, 1, 2, 0)) == kostant_q_coeffs((3, 1, 2))
-        assert len(partition._MEMO) == size
+        assert len(partition._CACHE) == size
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_agrees_with_predecessor_on_partition_workload(self, seed):
         for xi in workloads.generate("partition", seed)["xis"]:
-            assert kostant_q_coeffs(xi) == kostant_q_shared(xi)
+            assert kostant_q_coeffs(xi) == kostant_q_shared(xi) == kostant_q_sibling(xi)
 
     @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=6))
     @example([5, 1, 5])  # reaches (5, 1, 5) with only the full-width root left: zero
     def test_agrees_with_predecessor(self, xi):
-        assert kostant_q_coeffs(xi) == kostant_q_shared(xi)
+        assert kostant_q_coeffs(xi) == kostant_q_shared(xi) == kostant_q_sibling(xi)
 
     def test_last_root_is_forced(self):
         # only alpha_{1,3} is left at slot 0: it must be used xi[0] times
-        partition._MEMO.clear()
-        assert partition._solve((5, 1, 5), 3) == ZERO
-        assert partition._solve((1, 1, 2), 3) == Q * kostant_q_coeffs((0, 0, 1))
-        assert set(partition._MEMO) == {((5, 1, 5), 3), ((1, 1, 2), 3), ((1,), 1)}
+        partition_oracle._SIBLING_MEMO.clear()
+        assert partition_oracle._sibling_solve((5, 1, 5), 3) == ZERO
+        assert partition_oracle._sibling_solve((1, 1, 2), 3) == Q * kostant_q_coeffs((0, 0, 1))
+        assert set(partition_oracle._SIBLING_MEMO) == {((5, 1, 5), 3), ((1, 1, 2), 3), ((1,), 1)}
 
     def test_sibling_is_reused(self, monkeypatch):
         # (4, 5, 5) is (5, 6, 5) less one alpha_{1,2}: its copies are the
         # parent's copies from the second on, so only the parent's child
         # with no copy, (5, 6, 5) at length 3, is computed
-        partition._MEMO.clear()
-        partition._solve((4, 5, 5), 2)
-        before = set(partition._MEMO)
-        solve, calls = partition._solve, []
-        monkeypatch.setattr(partition, "_solve", lambda *args: calls.append(args) or solve(*args))
+        memo = partition_oracle._SIBLING_MEMO
+        memo.clear()
+        partition_oracle._sibling_solve((4, 5, 5), 2)
+        before = set(memo)
+        solve, calls = partition_oracle._sibling_solve, []
+        monkeypatch.setattr(partition_oracle, "_sibling_solve",
+                            lambda *args: calls.append(args) or solve(*args))
         value = solve((5, 6, 5), 2)
         monkeypatch.undo()
         assert value == partition_oracle._solve((5, 6, 5), 2)
-        assert set(partition._MEMO) - before == {((5, 6, 5), 2), ((5, 6, 5), 3)}
+        assert set(memo) - before == {((5, 6, 5), 2), ((5, 6, 5), 3)}
         assert calls == [((5, 6, 5), 3), ((0, 1, 0), 1)]
 
     def test_stripped_sibling_is_not_probed(self):
         # at xi[0] == 1 the sibling (0, 2, 3) strips to another key, so the
         # unstripped key is never read: a wrong value planted there is unseen
-        partition._MEMO.clear()
-        partition._MEMO[((0, 2, 3), 2)] = ZERO
-        assert partition._solve((1, 3, 3), 2) == partition_oracle._solve((1, 3, 3), 2)
-        partition._MEMO.clear()
+        memo = partition_oracle._SIBLING_MEMO
+        memo.clear()
+        memo[((0, 2, 3), 2)] = ZERO
+        assert (partition_oracle._sibling_solve((1, 3, 3), 2)
+                == partition_oracle._solve((1, 3, 3), 2))
+        memo.clear()
 
     def test_memo_keys_equal_predecessors_on_partition_workload(self):
-        partition._MEMO.clear()
+        partition_oracle._SIBLING_MEMO.clear()
         partition_oracle._MEMO.clear()
         for xi in workloads.generate("partition", 1)["xis"]:
-            kostant_q_coeffs(xi)
+            kostant_q_sibling(xi)
             kostant_q_shared(xi)
-        assert len(partition._MEMO) == 22142
-        assert partition._MEMO == partition_oracle._MEMO
+        assert len(partition_oracle._SIBLING_MEMO) == 22142
+        assert partition_oracle._SIBLING_MEMO == partition_oracle._MEMO
 
     @pytest.mark.parametrize("xi", [(60, 59, 61), (20, 19, 21, 20)])
     def test_memo_keys_equal_predecessors_beyond_the_workload(self, xi):
-        partition._MEMO.clear()
+        partition_oracle._SIBLING_MEMO.clear()
         partition_oracle._MEMO.clear()
-        assert kostant_q_coeffs(xi) == kostant_q_shared(xi)
-        assert partition._MEMO == partition_oracle._MEMO
+        assert kostant_q_sibling(xi) == kostant_q_shared(xi) == kostant_q_coeffs(xi)
+        assert partition_oracle._SIBLING_MEMO == partition_oracle._MEMO
+
+
+class TestDivisionPass:
+    """The pass on single xi, unstripped, and the answer cache's size."""
+
+    @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=6),
+           st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2))
+    @example([5, 1, 5], 0, 0)
+    @example([2, 0, 3], 1, 1)
+    def test_agrees_with_every_other_dp(self, xi, left, right):
+        # padded and interior-zero xi go through the pass as they are, with
+        # only the empty xi cached
+        padded = tuple([0] * left + xi + [0] * right)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partition, "_CACHE", {(): ONE})
+            value = partition.kostant_q_sum({padded: 1})
+        assert value == kostant_q_by_rank(padded) == kostant_q_sibling(padded)
+        if sum(xi) <= partition.DEFAULT_ORACLE_CAP:
+            assert value == kostant_q_oracle(RootVector(len(padded), padded))
+
+    def test_weights_are_signed_and_cancel(self, monkeypatch):
+        monkeypatch.setattr(partition, "_CACHE", {(): ONE})
+        assert partition.kostant_q_sum({(2, 1): 3, (1, 2): -1}) == \
+            3 * kostant_q_by_rank((2, 1)) - kostant_q_by_rank((1, 2))
+        assert partition.kostant_q_sum({(2, 1): 1, (1, 2): -1}) == ZERO
+        # (1, 1, 1) less alpha_1 lands on (0, 1, 1), whose slot 0 is clear
+        assert partition.kostant_q_sum({(1, 1, 1): 2, (0, 1, 1): -1}) == \
+            2 * kostant_q_by_rank((1, 1, 1)) - kostant_q_by_rank((0, 1, 1))
+        assert partition.kostant_q_sum({}) == ZERO
+        assert partition.kostant_q_sum({(): -2}) == QPolynomial([-2])
+        assert partition._CACHE.keys() == {()}
+
+    def test_cached_states_are_read_not_divided(self, monkeypatch):
+        # a wrong value planted in the cache is read for a state that
+        # reaches it, at the start or after a slot is cleared
+        monkeypatch.setattr(partition, "_CACHE", {(): ONE, (1,): 5 * Q})
+        assert partition.kostant_q_sum({(0, 1): 1}) == 5 * Q
+        # alpha_{1,2} once, or alpha_1 and then alpha_2 read as 5q
+        assert partition.kostant_q_sum({(1, 1): 1}) == Q + 5 * Q ** 2
+
+    def test_cache_holds_one_entry_per_query(self, monkeypatch):
+        monkeypatch.setattr(partition, "_CACHE", {(): ONE})
+        assert kostant_q(RootVector(3, (60, 59, 61))) == kostant_q_sibling((60, 59, 61))
+        assert partition._CACHE.keys() == {(), (60, 59, 61)}
+        assert kostant_q_coeffs((0, 0, 0)) == ONE
+        assert len(partition._CACHE) == 2
 
 
 class TestOracle:

@@ -3,6 +3,8 @@
 Walks all (rank+1)! permutations with ``itertools.permutations`` and filters
 afterwards, the way the brute-force routes worked before the sweep learned
 to drop prefixes.  Small ranks only: rank 7 already means 40,320 rows.
+``signed_sum_per_row`` is the brute route's sum before the rows were
+divided together in one pass.
 """
 
 import itertools
@@ -55,3 +57,20 @@ def alt_set_unpruned(lam: RootVector, mu: RootVector) -> frozenset:
         WeylElement(perm) for perm, _, xi in nonnegative_rows(lam, mu)
         if kostant_q_coeffs(xi).coeffs
     )
+
+
+def signed_sum_per_row(rows) -> QPolynomial:
+    """``qmult.multiplicity.signed_sum`` as it was before the division pass:
+    one partition query per (perm, sign, xi) row, added in row order."""
+    acc = [0]
+    for _, sign, xi in rows:
+        cs = kostant_q_coeffs(xi).coeffs
+        if len(cs) > len(acc):
+            acc.extend([0] * (len(cs) - len(acc)))
+        if sign > 0:
+            for k, c in enumerate(cs):
+                acc[k] += c
+        else:
+            for k, c in enumerate(cs):
+                acc[k] -= c
+    return QPolynomial(acc)
