@@ -1,6 +1,6 @@
 """Write a before/after benchmark record for one change.
 
-    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_12.json
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_13.json
 
 DIR is a checkout (source, perfbench/ and BENCHMARK.json) of the parent
 commit and of the change.  For every workload in BENCHMARK.json this runs
@@ -12,11 +12,10 @@ line each run prints (its JSON result).  Every run has
 PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to a new empty
 directory, so no bytecode cache is read or written and both sides'
 ``setup_s`` compile from source.  It also records structural counts.  The
-entries the partition engine retains after the seed-1 ``partition`` inputs
-(the memo ``_MEMO`` of a checkout that has one, else the answer cache
-``_CACHE``), and the number of passes over a ``WeylSweep`` (calls of its
-``__iter__``) that one run of the seed-1 ``verify`` inputs makes, are
-counted in each checkout, each in a fresh process.  The rest are computed
+entries the partition engine's answer cache ``_CACHE`` holds after the
+seed-1 ``partition`` inputs, and the number of passes over a ``WeylSweep``
+(calls of its ``__iter__``) that one run of the seed-1 ``verify`` inputs
+makes, are counted in each checkout, each in a fresh process.  The rest are computed
 with the after checkout's source: the pruned Weyl sweep on the seed-1
 ``brute`` inputs (rows are leaves, each pruned subtree is one dropped
 prefix, and leaves plus pruned elements account for (rank+1)!), and the
@@ -91,18 +90,16 @@ def sweep_counts() -> dict:
             "rows_per_call_before": factorial(rank + 1), "calls": calls}
 
 
-def count_partition() -> dict:
-    """The entries the partition engine retains after the seed-1
-    ``partition`` inputs: its memo ``_MEMO`` where the checkout has one,
-    else its answer cache ``_CACHE``, counted from a fresh process."""
+def count_partition() -> int:
+    """The entries the partition engine's answer cache ``_CACHE`` holds
+    after the seed-1 ``partition`` inputs, counted from a fresh process."""
     import workloads
     from qmult import partition
     from qmult.roots import RootVector
 
     for xi in workloads.generate("partition", SEED)["xis"]:
         partition.kostant_q(RootVector(len(xi), xi))
-    store = "_MEMO" if hasattr(partition, "_MEMO") else "_CACHE"
-    return {"store": store, "entries": len(getattr(partition, store))}
+    return len(partition._CACHE)
 
 
 def count_verify_sweeps() -> int:
@@ -195,9 +192,8 @@ def main(argv=None) -> int:
         "workloads": results,
         "src_lines": {"before": src_lines(args.before), "after": src_lines(args.after)},
         "sweep_counts": sweep_counts(),
-        "partition_entries": {"workload": "partition", "seed": SEED,
-                              "store": {k: c["store"] for k, c in counts.items()},
-                              "entries": {k: c["entries"] for k, c in counts.items()}},
+        "partition_entries": {"workload": "partition", "seed": SEED, "store": "_CACHE",
+                              "entries": counts},
         "verify_sweeps": {"workload": "verify", "seed": SEED, "passes": sweeps},
         "altset_terms": altset_terms(),
     }

@@ -6,9 +6,11 @@ q-multiplicity by one or all routes, ``verify`` cross-checks every route
 against every other up to a rank bound, and ``bench`` emits a CSV of term
 counts and timings.  ``multiplicity`` and ``bench`` reach the routes, in the
 order of ``multiplicity.METHODS``, through ``_route`` alone; ``verify``
-spells out its pairwise checks and sweeps each index set once for the brute
-route: the rows' permutations are the brute alternation set (a row's
-xi >= 0 has partition count >= 1); their ``signed_sum`` is m_q_brute's value.
+builds one table of labelled checks per index set, (label, passed) pairs
+that it counts and whose failures it lists, and sweeps each index set once
+for the brute route: the rows' permutations are the brute alternation set
+(a row's xi >= 0 has partition count >= 1); their ``signed_sum`` is
+m_q_brute's value.
 
 Exit codes: 0 on success, 1 when routes that must agree do not, 2 on usage
 errors, on a request past a brute-force cap, or when memory runs out.  The
@@ -255,43 +257,32 @@ def _sampled_subsets(rank: int, rng: random.Random, samples: int):
                 break
 
 
-def _verify_one(index_set: IndexSet, brute_cap: Optional[int],
-                failures: list[str]) -> int:
-    """Run every applicable cross-check on one index set, the brute-force ones
-    only under a given ``brute_cap``; returns check count."""
+def _verify_one(index_set: IndexSet, brute_cap: Optional[int]) -> list[tuple[str, bool]]:
+    """Every applicable cross-check on one index set, as (label, passed)
+    pairs in the order run; the brute-force ones only under a ``brute_cap``."""
     r = index_set.rank
-    checks = 0
-
-    def expect(ok: bool, label: str) -> None:
-        nonlocal checks
-        checks += 1
-        if not ok:
-            failures.append(f"rank {r}, I={index_set}: {label}")
-
     n = len(interval_partition(index_set))
     has_1, has_r = 1 in index_set, r in index_set
     predicted = n - 1 if (has_1 and has_r) else n + 1 if not (has_1 or has_r) else n
-    expect(n_of_complement(index_set) == predicted, "complement run count")
-
+    checks = [("complement run count", n_of_complement(index_set) == predicted)]
     res_alt = m_q_altset(index_set)
     closed = m_q_closed_general(index_set)
-    expect(res_alt.value == closed, "altset sum vs closed form")
-    expect(m_q_rank_reduction(index_set) == closed, "rank reduction vs closed form")
-    expect(res_alt.terms_evaluated == alt_set_cardinality(index_set),
-           "term count vs Fibonacci product")
-
+    checks += [
+        ("altset sum vs closed form", res_alt.value == closed),
+        ("rank reduction vs closed form", m_q_rank_reduction(index_set) == closed),
+        ("term count vs Fibonacci product",
+         res_alt.terms_evaluated == alt_set_cardinality(index_set)),
+    ]
     if r <= 8:
-        expect(
-            kostant_q(index_set.to_root_vector())
-            == factorize_over_intervals(index_set),
-            "partition factorization over runs",
-        )
+        checks.append(("partition factorization over runs",
+                       kostant_q(index_set.to_root_vector())
+                       == factorize_over_intervals(index_set)))
     if brute_cap is not None:
         rows = list(WeylSweep(highest_root(r), index_set.to_root_vector(), brute_cap))
-        expect({w.perm for w in alt_set_closed(index_set).elements}
-               == {perm for perm, _, _ in rows},
-               "alternation set closed vs brute")
-        expect(signed_sum(rows) == closed, "brute multiplicity vs closed form")
+        checks.append(("alternation set closed vs brute",
+                       {w.perm for w in alt_set_closed(index_set).elements}
+                       == {perm for perm, _, _ in rows}))
+        checks.append(("brute multiplicity vs closed form", signed_sum(rows) == closed))
     return checks
 
 
@@ -312,7 +303,10 @@ def _run_verify(args: argparse.Namespace) -> int:
         if not sets:
             empty.append(r)
         for index_set in sets:
-            total += _verify_one(index_set, brute_cap, failures)
+            checks = _verify_one(index_set, brute_cap)
+            total += len(checks)
+            failures += [f"rank {r}, I={index_set}: {label}"
+                         for label, passed in checks if not passed]
         scope = "closed forms" if brute_cap is None else "all methods"
         print(f"rank {r}: {len(sets)} index sets ({mode}, {scope})")
     for line in failures:

@@ -18,8 +18,7 @@ from .roots import RootVector
 class IndexSet:
     """A subset of {1, ..., rank}, kept sorted and duplicate-free.
 
-    The empty set is allowed (it arises as a complement); operations that
-    need a nonempty set say so.
+    The empty set is allowed; operations that need a nonempty set say so.
     """
 
     rank: int
@@ -45,10 +44,6 @@ class IndexSet:
 
     def is_empty(self) -> bool:
         return not self.members
-
-    def complement(self) -> "IndexSet":
-        picked = set(self.members)
-        return IndexSet(self.rank, (k for k in range(1, self.rank + 1) if k not in picked))
 
     def to_root_vector(self) -> RootVector:
         """The weight alpha_I = sum of alpha_i over the members (nonempty only)."""
@@ -101,4 +96,4 @@ def n_of_complement(index_set: IndexSet) -> int:
     """
     if index_set.is_empty():
         raise ValueError("index set must be nonempty")
-    return len(maximal_runs(index_set.complement().members))
+    return len(maximal_runs(set(range(1, index_set.rank + 1)).difference(index_set)))

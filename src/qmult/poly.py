@@ -101,14 +101,6 @@ class QPolynomial:
             e >>= 1
         return result
 
-    def shift(self, power: int) -> "QPolynomial":
-        """Multiply by q**power without a full convolution."""
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        if not self.coeffs:
-            return ZERO
-        return QPolynomial((0,) * power + self.coeffs)
-
     def eval_at_one(self) -> int:
         """Value at q = 1, i.e. the sum of the coefficients.
 
@@ -118,13 +110,13 @@ class QPolynomial:
         return sum(self.coeffs)
 
     def __str__(self) -> str:
-        return self._format(braces=False, tight=False)
+        return self._format(latex=False)
 
     def latex(self) -> str:
         """LaTeX form with terms in descending powers, e.g. ``q^{3}-q^{2}``."""
-        return self._format(braces=True, tight=True)
+        return self._format(latex=True)
 
-    def _format(self, braces: bool, tight: bool) -> str:
+    def _format(self, latex: bool) -> str:
         if not self.coeffs:
             return "0"
         parts: list[str] = []
@@ -136,11 +128,11 @@ class QPolynomial:
             if k == 0:
                 body = str(mag)
             else:
-                var = "q" if k == 1 else (f"q^{{{k}}}" if braces else f"q^{k}")
+                var = "q" if k == 1 else (f"q^{{{k}}}" if latex else f"q^{k}")
                 body = var if mag == 1 else f"{mag}{var}"
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
-            elif tight:
+            elif latex:
                 parts.append(("+" if c > 0 else "-") + body)
             else:
                 parts.append((" + " if c > 0 else " - ") + body)

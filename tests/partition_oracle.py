@@ -28,6 +28,15 @@ from operator import add, sub
 from qmult.poly import ONE, ZERO, QPolynomial
 
 
+def shift(p: QPolynomial, power: int) -> QPolynomial:
+    """Multiply by q**power without a full convolution."""
+    if power < 0:
+        raise ValueError("power must be nonnegative")
+    if not p.coeffs:
+        return ZERO
+    return QPolynomial((0,) * power + p.coeffs)
+
+
 class RankTable:
     """The q-analog partition function at one rank, with its own memo."""
 
@@ -75,7 +84,7 @@ class RankTable:
             copies += 1
             sub = self._solve(tuple(cur), idx + 1)
             if sub.coeffs:
-                total = total + sub.shift(copies)
+                total = total + shift(sub, copies)
         self._memo[key] = total
         return total
 
@@ -178,7 +187,7 @@ def _sibling_solve(xi: tuple[int, ...], shortest: int) -> QPolynomial:
         # Only the full-width root is left to clear slot 0, so it is used
         # exactly xi[0] times, which needs xi[0] = min(xi).
         if first == min(xi):
-            total = _sibling_solve(tuple(map(sub, xi, repeat(first))), 1).shift(first)
+            total = shift(_sibling_solve(tuple(map(sub, xi, repeat(first))), 1), first)
         else:
             total = ZERO
     else:
@@ -191,7 +200,7 @@ def _sibling_solve(xi: tuple[int, ...], shortest: int) -> QPolynomial:
                    if most and first > 1 else None)
         if sibling is not None:
             got = _SIBLING_MEMO.get((xi, longer))
-            total = (got if got is not None else _sibling_solve(xi, longer)) + sibling.shift(1)
+            total = (got if got is not None else _sibling_solve(xi, longer)) + shift(sibling, 1)
         else:
             # Each root adds at least 1 to sum(xi), so no term exceeds q^sum(xi).
             acc = [0] * (sum(xi) + 1)

@@ -1,7 +1,8 @@
 """The public API: the README's library example runs as written, the
 names exported from ``qmult`` are exactly the listed ones, and so are the
-fields of ``MultiplicityResult`` and ``AltSet`` and the public names that
-each submodule defines, so that test-only helpers stay in ``tests/``."""
+fields of ``MultiplicityResult`` and ``AltSet``, the public names that
+each submodule defines and the public methods of the exported classes, so
+that test-only helpers stay in ``tests/``."""
 
 import ast
 import dataclasses
@@ -11,6 +12,8 @@ import re
 from pathlib import Path
 
 import qmult
+from qmult.partition import PartitionTable
+from qmult.weyl import WeylElement
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -109,6 +112,25 @@ def test_altset_does_not_import_the_partition_dp():
     assert imported
     assert not any(name in (".partition", "qmult.partition")
                    or name.startswith("qmult.partition.") for name in imported), imported
+
+
+# The public methods and properties of each exported class; as with the
+# module names above, one that only the tests call belongs in tests/.
+CLASS_METHODS = {
+    qmult.QPolynomial: ["degree", "eval_at_one", "latex", "monomial"],
+    qmult.IndexSet: ["is_empty", "to_root_vector"],
+    qmult.RootVector: ["is_zero"],
+    WeylElement: ["length"],
+    qmult.AltSet: ["cardinality"],
+    qmult.MultiplicityResult: [],
+    PartitionTable: ["kostant_q"],
+}
+
+
+def test_class_public_methods():
+    for cls, expected in CLASS_METHODS.items():
+        got = sorted(name for name in vars(cls) if not name.startswith("_"))
+        assert got == expected, cls.__name__
 
 
 def test_multiplicity_result_fields():

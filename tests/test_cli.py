@@ -17,8 +17,9 @@ from qmult.altset import WeylSweep
 from qmult.cli import main, parse_index_set, parse_mu
 from qmult.intervals import IndexSet
 from qmult.multiplicity import m_q_closed_general
-from qmult.poly import QPolynomial
+from qmult.poly import ZERO, QPolynomial
 from qmult.roots import RootVector
+from qmult.weyl import DEFAULT_BRUTE_CAP
 
 
 def run_cli(capsys, *argv):
@@ -325,6 +326,42 @@ class TestVerifyCommand:
         assert "rank 2: 0 index sets (sampled, all methods)" in out
         assert out.splitlines()[-1] == (
             "VERIFY FAIL (0 of 7 checks failed, no index set checked at rank 2)")
+
+
+class TestVerifyTable:
+    """``_verify_one`` returns one index set's checks as (label, passed)
+    pairs, in the order they run; ``verify`` counts them and lists the
+    failed ones."""
+
+    CLOSED = ["complement run count", "altset sum vs closed form",
+              "rank reduction vs closed form", "term count vs Fibonacci product"]
+    FACTORIZATION = ["partition factorization over runs"]
+    BRUTE = ["alternation set closed vs brute", "brute multiplicity vs closed form"]
+
+    def test_all_seven_checks_at_low_rank(self):
+        checks = cli._verify_one(IndexSet(3, [2]), 9)
+        assert checks == [(label, True)
+                          for label in self.CLOSED + self.FACTORIZATION + self.BRUTE]
+
+    def test_no_factorization_past_rank_8(self):
+        checks = cli._verify_one(IndexSet(9, [1, 5, 9]), DEFAULT_BRUTE_CAP)
+        assert checks == [(label, True) for label in self.CLOSED + self.BRUTE]
+
+    def test_closed_forms_only_past_the_brute_range(self):
+        checks = cli._verify_one(IndexSet(11, [4, 7, 8]), None)
+        assert checks == [(label, True) for label in self.CLOSED]
+
+    def test_failed_checks_are_listed_and_counted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "m_q_rank_reduction", lambda index_set: ZERO)
+        code, out, _ = run_cli(capsys, "verify", "--max-rank", "3")
+        assert code == 1
+        lines = out.splitlines()
+        mismatches = [line for line in lines if line.startswith("MISMATCH")]
+        assert len(mismatches) == 11
+        assert all(line.startswith("MISMATCH rank ")
+                   and line.endswith(": rank reduction vs closed form") for line in mismatches)
+        assert mismatches[0] == "MISMATCH rank 1, I={1}: rank reduction vs closed form"
+        assert lines[-1] == "VERIFY FAIL (11 of 77 checks failed)"
 
 
 class TestBenchCommand:
