@@ -1,6 +1,6 @@
 """Write a before/after benchmark record for one change.
 
-    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_13.json
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_14.json
 
 DIR is a checkout (source, perfbench/ and BENCHMARK.json) of the parent
 commit and of the change.  For every workload in BENCHMARK.json this runs
@@ -13,16 +13,16 @@ PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to a new empty
 directory, so no bytecode cache is read or written and both sides'
 ``setup_s`` compile from source.  It also records structural counts.  The
 entries the partition engine's answer cache ``_CACHE`` holds after the
-seed-1 ``partition`` inputs, and the number of passes over a ``WeylSweep``
+seed-1 ``partition`` inputs, the number of passes over a ``WeylSweep``
 (calls of its ``__iter__``) that one run of the seed-1 ``verify`` inputs
-makes, are counted in each checkout, each in a fresh process.  The rest are computed
-with the after checkout's source: the pruned Weyl sweep on the seed-1
-``brute`` inputs (rows are leaves, each pruned subtree is one dropped
-prefix, and leaves plus pruned elements account for (rank+1)!), and the
-alternation-set elements visited on the seed-1 ``altset`` inputs
-(``terms_evaluated`` of each ``m_q_altset`` call and the element count of
-the ``alt_set_closed`` call), each of which must equal perfbench's
-independent ``alt_set_size``.  ``src_lines`` is the line count of
+makes, and the alternation-set elements visited on the seed-1 ``altset``
+inputs (``terms_evaluated`` of each ``m_q_altset`` call and the element
+count of the ``alt_set_closed`` call, each of which must equal perfbench's
+independent ``alt_set_size``) are counted in each checkout, each in a
+fresh process.  The pruned Weyl sweep on the seed-1 ``brute`` inputs is
+computed with the after checkout's source (rows are leaves, each pruned
+subtree is one dropped prefix, and leaves plus pruned elements account
+for (rank+1)!).  ``src_lines`` is the line count of
 ``src/qmult/*.py`` in each checkout, as ``wc -l`` gives it, so a change's
 size is read from the record.  Timings depend on the host, which the
 record names; the counts do not.
@@ -142,7 +142,9 @@ def fresh_count(checkout: Path, count: str):
     return json.loads(proc.stdout)
 
 
-def altset_terms() -> dict:
+def altset_terms() -> list:
+    """The alternation-set elements each seed-1 ``altset`` operation visits,
+    checked against perfbench's ``alt_set_size``."""
     import workloads
     from qmult.altset import alt_set_closed
     from qmult.intervals import IndexSet
@@ -163,7 +165,7 @@ def altset_terms() -> dict:
     for call in calls:
         if call["terms"] != call["alt_set_size"]:
             raise RuntimeError(f"alternation set miscounted: {call}")
-    return {"workload": "altset", "seed": SEED, "calls": calls}
+    return calls
 
 
 def main(argv=None) -> int:
@@ -182,6 +184,7 @@ def main(argv=None) -> int:
     sides = {"before": args.before, "after": args.after}
     counts = {k: fresh_count(d, "count_partition") for k, d in sides.items()}
     sweeps = {k: fresh_count(d, "count_verify_sweeps") for k, d in sides.items()}
+    terms = {k: fresh_count(d, "altset_terms") for k, d in sides.items()}
     sys.path[:0] = [str(args.after / "src"), str(args.after / "perfbench")]
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
@@ -195,7 +198,7 @@ def main(argv=None) -> int:
         "partition_entries": {"workload": "partition", "seed": SEED, "store": "_CACHE",
                               "entries": counts},
         "verify_sweeps": {"workload": "verify", "seed": SEED, "passes": sweeps},
-        "altset_terms": altset_terms(),
+        "altset_terms": {"workload": "altset", "seed": SEED, "calls": terms},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -5,21 +5,33 @@ in the multiplicity sum is nonzero, i.e. those with a positive partition
 value at sigma(lam + rho) - rho - mu.  For lam the highest root and
 mu = alpha_I, the set consists exactly of the products of simple
 reflections over nonconsecutive indices drawn from the complement of I with
-the endpoints 1 and rank removed.  One walk over those free indices,
-:func:`alternation_walk`, lists the elements; counting nonconsecutive
-subsets stretch by stretch makes the cardinality a product of Fibonacci
-numbers.
+the endpoints 1 and rank removed.  J may be chosen independently in each
+maximal run of those free indices (:func:`free_runs`), so the set is a
+product over the runs of their nonconsecutive subsets (:func:`run_sums`)
+and its cardinality a product of Fibonacci numbers, one per run.
+
+Both consumers, :func:`alt_set_closed` and ``m_q_altset``, walk the widest
+run lazily and list only the product of the others: a single run of 29
+free indices has 1.3 million subsets, which a list would hold at once, and
+a product of narrower runs is small.  Every element is still visited once.
+``m_q_altset`` walks the same runs summing integer weights instead of
+tuples: free index j weighs 2 rank + 2 + #({j-1, j+1} & I^c), and the sum
+over J holds both |J| and the number of runs of I^c minus J.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 from math import factorial, prod
-from typing import Iterator
+from typing import Iterator, Sequence, TypeVar
 
 from .intervals import IndexSet, interval_partition
 from .roots import RootVector, embed
 from .weyl import DEFAULT_BRUTE_CAP, CapExceededError, WeylElement
+
+_T = TypeVar("_T")
+
 
 def fibonacci(n: int) -> int:
     """The n-th Fibonacci number with F_1 = F_2 = 1.
@@ -83,51 +95,76 @@ def alt_set_cardinality(index_set: IndexSet) -> int:
     return prod(fibonacci(k) for k in fib_profile(index_set))
 
 
-def alternation_walk(index_set: IndexSet) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(J, n) for each alternation-set element, the identity (J empty) first.
+def free_runs(index_set: IndexSet) -> list[tuple[int, int]]:
+    """The maximal runs [lo, hi] of the free region, [2, rank - 1] minus I,
+    narrowest first, so the widest is last; one empty run (2, 1) when the
+    free region is empty.
 
-    J is a nonconsecutive subset of the free indices, [2, rank - 1] minus I,
-    sorted ascending; the element is the product of s_j over J.  The walk
-    passes the free indices in order and at each one either skips it or
-    takes it, and taking an index also skips its right free neighbour, so
-    every J is one leaf and there are alt_set_cardinality(I) of them.
+    Each run lies strictly between two neighbours of the sorted bounds
+    1, i_1, ..., i_n, rank.  A run [lo, hi] has fibonacci(hi - lo + 3)
+    nonconsecutive subsets, one factor of :func:`alt_set_cardinality`.
 
-    n counts the maximal runs of I^c minus J.  Removing j from I^c splits,
-    shortens or deletes its run as #{j-1, j+1} & I^c is 2, 1 or 0, and no
-    two members of J are adjacent, so n = runs(I^c) + sum over j in J of
-    split[j] with split[j] = #{j-1, j+1} & I^c - 1.  The walk carries n
-    down with J.
+    >>> free_runs(IndexSet(9, [3]))
+    [(2, 2), (4, 8)]
     """
     if index_set.is_empty():
         raise ValueError("index set must be nonempty")
-    comp = set(range(1, index_set.rank + 1)).difference(index_set)
-    free = [k for k in range(2, index_set.rank) if k in comp]
-    size = len(free)
-    split = [(k - 1 in comp) + (k + 1 in comp) - 1 for k in free]
-    # the position the walk resumes at after taking free[i]
-    after = [i + 1 + (i + 1 < size and free[i + 1] == k + 1) for i, k in enumerate(free)]
-    runs = sum(k - 1 not in comp for k in comp)  # members starting a run
-    # Each entry is a node (position, J, n); popping it follows the skip
-    # branch to the end, pushing the take branch at every position passed.
-    stack = [(0, (), runs)]
+    gaps = []
+    a = 1
+    for b in (*index_set.members, index_set.rank):
+        if b - a > 1:
+            gaps.append((b - a, a + 1, b - 1))
+        a = b
+    gaps.sort()
+    return [(lo, hi) for _, lo, hi in gaps] or [(2, 1)]
+
+
+def run_sums(items: Sequence[_T], empty: _T) -> Iterator[_T]:
+    """empty + items[i_1] + items[i_2] + ... for each set of pairwise
+    nonconsecutive positions i_1 < i_2 < ... of items, the empty set first.
+
+    With the items (lo,), (lo + 1,), ..., (hi,) and empty = () these are the
+    nonconsecutive subsets of [lo, hi] as ascending tuples; with numbers
+    and 0 they are the subsets' weights.  n items give fibonacci(n + 2)
+    sums.  Each stack entry is a node (next position, partial sum); popping
+    it follows the skip branch to the end, pushing the take branch at every
+    position passed, and taking i resumes at i + 2.  Every set is one leaf.
+    """
+    stack = [(0, empty)]
+    size = len(items)
     while stack:
-        i, chosen, n = stack.pop()
+        i, acc = stack.pop()
         while i < size:
-            stack.append((after[i], chosen + (free[i],), n + split[i]))
+            stack.append((i + 2, acc + items[i]))
             i += 1
-        yield chosen, n
+        yield acc
 
 
 def alt_set_closed(index_set: IndexSet) -> AltSet:
-    """The alternation set built from the closed-form description: the
-    products of simple reflections over the J of :func:`alternation_walk`,
-    each built from J directly by swapping j and j+1 in the identity for
-    every j in J (J is nonconsecutive, so the swaps commute)."""
+    """The alternation set built from the closed-form description.
+
+    Each element is the product of s_j over J, J a nonconsecutive subset of
+    the free region chosen independently in each of its runs
+    (:func:`free_runs`, :func:`run_sums`).  The widest run is walked lazily
+    and the product of the others' subsets is listed once; each element is
+    built from J directly by swapping j and j+1 in the identity for every j
+    in J (J is nonconsecutive, so the swaps commute).
+    """
+    *narrower, (lo, hi) = free_runs(index_set)
+
+    def subsets(a: int, b: int) -> Iterator[tuple[int, ...]]:
+        return run_sums(tuple(zip(range(a, b + 1))), ())  # items (a,), ..., (b,)
+
+    chosen = subsets(lo, hi)
+    if narrower:
+        rest = [tuple(chain.from_iterable(js))
+                for js in product(*(subsets(a, b) for a, b in narrower))]
+        chosen = (head + tail for head in chosen for tail in rest)
     identity = list(range(1, index_set.rank + 2))
     elements = []
-    for chosen, _ in alternation_walk(index_set):
+    for js in chosen:
         p = identity.copy()
-        for j in chosen:
+        for j in js:
             p[j - 1], p[j] = j + 1, j
         elements.append(WeylElement(p))
     return AltSet(mu=index_set, elements=frozenset(elements))

@@ -19,11 +19,14 @@ Their agreement is the package's central cross-check.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, cycle, product, repeat
 from math import comb
+from operator import add
 from typing import Iterable
 
-from .altset import WeylSweep, alternation_walk
+from .altset import WeylSweep, free_runs, run_sums
 from .intervals import IndexSet, interval_partition
 from .partition import kostant_q_sum
 from .poly import Q, QPolynomial
@@ -72,30 +75,72 @@ def m_q_brute(
     return MultiplicityResult(signed_sum(sweep), "brute", sweep.accounted)
 
 
+def _term_tally(index_set: IndexSet) -> dict[tuple[int, int], int]:
+    """How many alternation-set elements have each (|J|, n), n the number of
+    maximal runs of I^c minus J; every element is visited and counted once.
+
+    Removing j from I^c splits, shortens or deletes its run as
+    g_j = #({j-1, j+1} & I^c) is 2, 1 or 0, and no two members of J are
+    adjacent, so n = runs(I^c) + sum over j in J of (g_j - 1).  Each free
+    index j weighs B + g_j with B = 2 rank + 2, larger than any sum of the
+    g_j, so the code of J, the sum of its weights, holds |J| = code // B and
+    sum g_j = code % B.  J is chosen independently in each free run, so
+    codes add across runs: the codes of the narrower runs' subsets are
+    listed and their product summed at C speed, and the widest run, whose
+    subsets alone may number millions, is walked lazily and each of its
+    codes added to every entry of that list.  Memory stays at the product
+    of the narrower runs, and equal codes are never merged before counting.
+    """
+    *narrower, (lo, hi) = free_runs(index_set)
+    r = index_set.rank
+    base = 2 * r + 2
+    # g_j = 2 - #({j-1, j+1} & I) for j in [2, r - 1]; one pass over I
+    # also counts the gaps between 0, the members and r + 1 that hold a
+    # run of I^c.
+    weight = [base + 2] * (r + 2)
+    runs = prev = 0
+    for m in index_set.members:
+        weight[m - 1] -= 1
+        weight[m + 1] -= 1
+        runs += m - prev > 1
+        prev = m
+    runs += prev < r
+    codes = run_sums(weight[lo:hi + 1], 0)
+    if narrower:
+        rest = list(map(sum, product(*[run_sums(weight[a:b + 1], 0) for a, b in narrower])))
+        # each code of the widest run, repeated once per entry of rest and
+        # added to the entries in turn
+        codes = map(add, chain.from_iterable(map(repeat, codes, repeat(len(rest)))), cycle(rest))
+    tally = Counter(codes)
+    return {(code // base, runs + code % base - code // base): count
+            for code, count in tally.items()}
+
+
 def m_q_altset(index_set: IndexSet) -> MultiplicityResult:
     """The signed sum over the alternation set only.
 
     Each element is the product of s_j over a nonconsecutive subset J of the
-    free region (:func:`~qmult.altset.alternation_walk`); its term has
-    sign (-1)^|J| and shifted image alpha_{I^c} - alpha_J, an indicator
-    vector whose partition value factors over its maximal runs as
-    q(q+1)^(len-1).  With n runs of total length N = |I^c| - |J|, which the
-    walk yields with J, the term is q^n (q+1)^(N-n).  Every J is still
-    enumerated and counted, but terms are tallied by (|J|, n) and expanded
-    once per pair by the binomial theorem.  The number of terms is exactly
-    the alternation-set cardinality, so ranks far beyond brute-force reach
-    stay cheap.
+    free region, chosen run by run (:func:`~qmult.altset.free_runs`); its
+    term has sign (-1)^|J| and shifted image alpha_{I^c} - alpha_J, an
+    indicator vector whose partition value factors over its maximal runs as
+    q(q+1)^(len-1).  With n runs of total length N = |I^c| - |J| the term is
+    q^n (q+1)^(N-n).  Every J is still enumerated and counted, but terms are
+    tallied by (|J|, n) and expanded once per pair by the binomial theorem.
+    The tally keys each J by the sum of its weights B + g_j, B = 2 rank + 2
+    and g_j = #({j-1, j+1} & I^c); the product of the narrower free runs is
+    summed at C speed and the widest run is walked lazily, so memory does
+    not grow with its Fibonacci count (:func:`_term_tally`).  The number of
+    terms is exactly the alternation-set cardinality, so ranks far beyond
+    brute-force reach stay cheap.
     """
     r = index_set.rank
-    tally: dict[tuple[int, int], int] = {}
-    for chosen, n in alternation_walk(index_set):
-        key = len(chosen), n
-        tally[key] = tally.get(key, 0) + 1
+    free = r - len(index_set)
+    tally = _term_tally(index_set)
     acc = [0] * (r + 1)
     for (size, n), count in tally.items():
         if size & 1:
             count = -count
-        m = r - len(index_set) - size - n
+        m = free - size - n
         for k in range(m + 1):
             acc[n + k] += count * comb(m, k)
     return MultiplicityResult(QPolynomial(acc), "altset", sum(tally.values()))

@@ -1,10 +1,12 @@
-"""The run-by-run alternation-set enumerator, kept as an oracle for the walk.
+"""Two earlier alternation-set enumerators, kept as oracles.
 
-This is how ``qmult.altset`` listed the index sets J before it had one
-walk over the free indices: the nonconsecutive subsets of each maximal run
-of the free region are enumerated recursively and then combined with
-``itertools.product``.  It yields J only; the walk's run counts are checked
-against ``maximal_runs`` directly.
+``reflection_index_sets`` is the first: the nonconsecutive subsets of each
+maximal run of the free region are enumerated recursively and then combined
+with ``itertools.product``.  It yields J only.  ``alternation_walk`` is the
+one walk over all free indices that followed it, carrying the run count n
+of I^c minus J down with J; its run counts are checked against
+``maximal_runs`` directly, and it is the oracle for the per-run walks and
+the (|J|, n) tally of ``qmult.altset`` and ``qmult.multiplicity``.
 """
 
 import itertools
@@ -49,3 +51,38 @@ def reflection_index_sets(index_set: IndexSet) -> Iterator[tuple[int, ...]]:
     per_run = [tuple(nonconsecutive_subsets(lo, hi)) for lo, hi in free]
     for combo in itertools.product(*per_run):
         yield tuple(itertools.chain.from_iterable(combo))
+
+
+def alternation_walk(index_set: IndexSet) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(J, n) for each alternation-set element, the identity (J empty) first.
+
+    J is a nonconsecutive subset of the free indices, [2, rank - 1] minus I,
+    sorted ascending; the element is the product of s_j over J.  The walk
+    passes the free indices in order and at each one either skips it or
+    takes it, and taking an index also skips its right free neighbour, so
+    every J is one leaf and there are alt_set_cardinality(I) of them.
+
+    n counts the maximal runs of I^c minus J.  Removing j from I^c splits,
+    shortens or deletes its run as #{j-1, j+1} & I^c is 2, 1 or 0, and no
+    two members of J are adjacent, so n = runs(I^c) + sum over j in J of
+    split[j] with split[j] = #{j-1, j+1} & I^c - 1.  The walk carries n
+    down with J.
+    """
+    if index_set.is_empty():
+        raise ValueError("index set must be nonempty")
+    comp = set(range(1, index_set.rank + 1)).difference(index_set)
+    free = [k for k in range(2, index_set.rank) if k in comp]
+    size = len(free)
+    split = [(k - 1 in comp) + (k + 1 in comp) - 1 for k in free]
+    # the position the walk resumes at after taking free[i]
+    after = [i + 1 + (i + 1 < size and free[i + 1] == k + 1) for i, k in enumerate(free)]
+    runs = sum(k - 1 not in comp for k in comp)  # members starting a run
+    # Each entry is a node (position, J, n); popping it follows the skip
+    # branch to the end, pushing the take branch at every position passed.
+    stack = [(0, (), runs)]
+    while stack:
+        i, chosen, n = stack.pop()
+        while i < size:
+            stack.append((after[i], chosen + (free[i],), n + split[i]))
+            i += 1
+        yield chosen, n

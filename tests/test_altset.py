@@ -1,16 +1,19 @@
 """Tests for index sets, interval partitions, and alternation sets."""
 
+from itertools import chain, product
+
 import pytest
 
-from altset_oracle import nonconsecutive_subsets, reflection_index_sets
+from altset_oracle import alternation_walk, nonconsecutive_subsets, reflection_index_sets
 from qmult.altset import (
     AltSet,
     alt_set_brute,
     alt_set_cardinality,
     alt_set_closed,
-    alternation_walk,
     fib_profile,
     fibonacci,
+    free_runs,
+    run_sums,
 )
 from qmult.cli import element_words
 from qmult.intervals import (
@@ -190,6 +193,47 @@ class TestAlternationWalk:
             comp = set(range(1, index_set.rank + 1)) - set(index_set)
             for chosen, n in walk:
                 assert n == len(maximal_runs(comp - set(chosen))), (index_set, chosen)
+
+
+class TestRunProduct:
+    def test_free_runs_examples(self):
+        assert free_runs(IndexSet(7, [4])) == [(2, 3), (5, 6)]
+        assert free_runs(IndexSet(9, [3])) == [(2, 2), (4, 8)]
+        assert free_runs(IndexSet(9, [6])) == [(7, 8), (2, 5)]
+        assert free_runs(IndexSet(6, [1, 6])) == [(2, 5)]
+        assert free_runs(IndexSet(5, range(1, 6))) == [(2, 1)]
+        assert free_runs(IndexSet(1, [1])) == [(2, 1)]
+        assert free_runs(IndexSet(2, [2])) == [(2, 1)]
+        with pytest.raises(ValueError):
+            free_runs(IndexSet(4, []))
+
+    def test_free_runs_widest_last(self):
+        for r in range(1, 10):
+            for index_set in _all_index_sets(r):
+                runs = free_runs(index_set)
+                free = [k for k in range(2, r) if k not in index_set]
+                assert sorted(runs) == sorted(maximal_runs(free) or [(2, 1)])
+                widths = [hi - lo for lo, hi in runs]
+                assert widths[-1] == max(widths), index_set
+
+    def test_run_sums_are_the_oracle_subsets(self):
+        for lo in (1, 2, 5):
+            for width in range(16):
+                hi = lo + width - 1
+                got = list(run_sums([(j,) for j in range(lo, hi + 1)], ()))
+                assert got[0] == ()
+                assert len(set(got)) == len(got) == fibonacci(hi - lo + 3)
+                assert got == list(nonconsecutive_subsets(lo, hi)), (lo, hi)
+
+    def test_product_matches_the_walk_oracle(self):
+        # the product over the runs of their subsets is the walk's J set,
+        # each J once
+        for index_set, walk in _walks_up_to_rank(12):
+            per_run = [run_sums([(j,) for j in range(lo, hi + 1)], ())
+                       for lo, hi in free_runs(index_set)]
+            got = [tuple(sorted(chain.from_iterable(js))) for js in product(*per_run)]
+            assert len(set(got)) == len(got) == alt_set_cardinality(index_set)
+            assert set(got) == {chosen for chosen, _ in walk}, index_set
 
 
 class TestAltSetClosed:

@@ -2,16 +2,20 @@
 
 import math
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from altset_oracle import alternation_walk
 from qmult import partition
 from qmult.altset import WeylSweep, alt_set_cardinality, alt_set_closed, fibonacci
 from qmult.intervals import IndexSet, interval_partition
 from closed_forms import m_q_closed_positive_root, m_q_closed_two_intervals
 from qmult.multiplicity import (
+    _term_tally,
     m_q_altset,
     m_q_brute,
     m_q_closed_general,
@@ -164,6 +168,26 @@ class TestAltsetSum:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             m_q_altset(IndexSet(4, []))
+
+    def test_tally_matches_the_walk_oracle(self):
+        # pins the weight encoding: each code decodes to the (|J|, n) that
+        # the walk carries, and every element is counted once
+        for r in range(1, 13):
+            for index_set in _all_index_sets(r):
+                walk = Counter((len(chosen), n) for chosen, n in alternation_walk(index_set))
+                assert _term_tally(index_set) == walk, index_set
+
+    def test_widest_run_is_streamed(self):
+        # one free run of 22 indices, 46,368 elements; listing its subsets
+        # would take several MB
+        tracemalloc.start()
+        try:
+            res = m_q_altset(IndexSet(24, [1]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.terms_evaluated == fibonacci(24) == 46368
+        assert peak < 1_000_000, peak
 
     def test_terms_match_the_weyl_sum_over_the_alternation_set(self):
         # the tallied sum equals the honest sigma-by-sigma sum
