@@ -1,14 +1,18 @@
 """Write a before/after benchmark record for one change.
 
-    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_14.json
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_15.json
 
 DIR is a checkout (source, perfbench/ and BENCHMARK.json) of the parent
 commit and of the change.  For every workload in BENCHMARK.json this runs
 
     python3 perfbench/run.py --workload W --seed 1 --seconds 20 --trace 0
 
-in the before checkout and then in the after checkout, and keeps the last
-line each run prints (its JSON result).  Every run has
+in the before and the after checkout, PAIRS times each, interleaved: the
+pairs alternate which side runs first, so a drift of the host's speed
+falls on both sides alike.  It keeps the last line each run prints (its
+JSON result) for every pair, and for each end-to-end metric of
+BENCHMARK.json the median and quartiles of each side and the number of
+pairs in which the after side was better.  Every run has
 PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to a new empty
 directory, so no bytecode cache is read or written and both sides'
 ``setup_s`` compile from source.  It also records structural counts.  The
@@ -38,10 +42,14 @@ import subprocess
 import sys
 import tempfile
 from math import factorial
+from statistics import quantiles
 from pathlib import Path
 
 SEED = 1
 SECONDS = 20
+# interleaved before/after pairs per workload: one pair cannot resolve a
+# change of a few percent in an operation of a few milliseconds
+PAIRS = 10
 
 
 def cpu_model() -> str:
@@ -64,6 +72,35 @@ def run_workload(checkout: Path, workload: str) -> dict:
     if not lines:
         raise RuntimeError(f"{workload} in {checkout} printed nothing:\n{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def run_pairs(sides: dict, workload: str) -> list:
+    """PAIRS before/after runs of the workload, the first side alternating."""
+    pairs = []
+    for i in range(PAIRS):
+        order = ("before", "after") if i % 2 == 0 else ("after", "before")
+        runs = {side: run_workload(sides[side], workload) for side in order}
+        pairs.append({"first": order[0], "before": runs["before"], "after": runs["after"]})
+    return pairs
+
+
+def summarize(pairs: list, end_to_end: list) -> dict:
+    """Each metric's median and quartiles on each side, and the pairs the
+    after side won; failed operations are summed over the runs."""
+    out = {}
+    for metric in end_to_end:
+        name, lower = metric["name"], metric["better"] == "lower"
+        values = {side: [p[side]["metrics"][name]["value"] for p in pairs]
+                  for side in ("before", "after")}
+        out[name] = {}
+        for side, v in values.items():
+            q1, mid, q3 = quantiles(v, n=4)
+            out[name][side] = {"q1": q1, "median": mid, "q3": q3}
+        out[name]["after_won"] = sum((a < b) if lower else (a > b)
+                                     for b, a in zip(values["before"], values["after"]))
+    out["failed"] = {side: sum(p[side]["failed"] for p in pairs) for side in ("before", "after")}
+    out["pairs"] = len(pairs)
+    return out
 
 
 def src_lines(checkout: Path) -> int:
@@ -176,12 +213,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((args.after / "BENCHMARK.json").read_text())
+    sides = {"before": args.before, "after": args.after}
     results = {}
     for w in spec["workloads"]:
-        name = w["name"]
-        results[name] = {"before": run_workload(args.before, name),
-                         "after": run_workload(args.after, name)}
-    sides = {"before": args.before, "after": args.after}
+        pairs = run_pairs(sides, w["name"])
+        results[w["name"]] = {"summary": summarize(pairs, spec["end_to_end"]), "pairs": pairs}
     counts = {k: fresh_count(d, "count_partition") for k, d in sides.items()}
     sweeps = {k: fresh_count(d, "count_verify_sweeps") for k, d in sides.items()}
     terms = {k: fresh_count(d, "altset_terms") for k, d in sides.items()}
@@ -189,6 +225,7 @@ def main(argv=None) -> int:
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
                    f"--seconds {SECONDS} --trace 0",
+        "pairs_per_workload": PAIRS,
         "host": {"cpu": cpu_model(), "cpus": os.cpu_count(),
                  "platform": platform.platform(),
                  "python": platform.python_version()},

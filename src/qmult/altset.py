@@ -10,20 +10,18 @@ maximal run of those free indices (:func:`free_runs`), so the set is a
 product over the runs of their nonconsecutive subsets (:func:`run_sums`)
 and its cardinality a product of Fibonacci numbers, one per run.
 
-Both consumers, :func:`alt_set_closed` and ``m_q_altset``, walk the widest
-run lazily and list only the product of the others: a single run of 29
-free indices has 1.3 million subsets, which a list would hold at once, and
-a product of narrower runs is small.  Every element is still visited once.
-``m_q_altset`` walks the same runs summing integer weights instead of
-tuples: free index j weighs 2 rank + 2 + #({j-1, j+1} & I^c), and the sum
-over J holds both |J| and the number of runs of I^c minus J.
+:func:`run_product` walks that product for both consumers: with 1-tuple
+items it gives the J sets of :func:`alt_set_closed`, and with integer
+weights the codes that ``m_q_altset`` tallies.  Its docstring says how the
+widest run is streamed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, cycle, repeat
 from math import factorial, prod
+from operator import add
 from typing import Iterator, Sequence, TypeVar
 
 from .intervals import IndexSet, interval_partition
@@ -140,29 +138,47 @@ def run_sums(items: Sequence[_T], empty: _T) -> Iterator[_T]:
         yield acc
 
 
+def _spread(heads: Iterator[_T], tails: list[_T]) -> Iterator[_T]:
+    """head + tail for each head in turn and each tail of the list, at C
+    speed: each head is repeated once per tail and added to them in turn."""
+    return map(add, chain.from_iterable(map(repeat, heads, repeat(len(tails)))), cycle(tails))
+
+
+def run_product(index_set: IndexSet, items: Sequence[_T], empty: _T) -> Iterator[_T]:
+    """empty + the items[j] over j in J, for each J of the alternation set:
+    the product over :func:`free_runs` of each run's :func:`run_sums`.
+
+    ``items`` is indexed by free index.  The widest run is walked lazily and
+    only the product of the others is listed, once: a single run of 29
+    free indices has 1.3 million subsets, which a list would hold at once,
+    while a product of narrower runs is small.  Every J is visited once,
+    and no two equal sums are merged.
+
+    >>> sorted(map(sorted, run_product(IndexSet(5, [3]), [(j,) for j in range(5)], ())))
+    [[], [2], [2, 4], [4]]
+    """
+    *narrower, (lo, hi) = free_runs(index_set)
+    sums = run_sums(items[lo:hi + 1], empty)
+    if narrower:
+        rest = [empty]
+        for a, b in narrower:
+            rest = list(_spread(run_sums(items[a:b + 1], empty), rest))
+        sums = _spread(sums, rest)
+    return sums
+
+
 def alt_set_closed(index_set: IndexSet) -> AltSet:
     """The alternation set built from the closed-form description.
 
     Each element is the product of s_j over J, J a nonconsecutive subset of
-    the free region chosen independently in each of its runs
-    (:func:`free_runs`, :func:`run_sums`).  The widest run is walked lazily
-    and the product of the others' subsets is listed once; each element is
+    the free region chosen independently in each of its runs, as
+    :func:`run_product` walks them with the items (j,).  Each element is
     built from J directly by swapping j and j+1 in the identity for every j
     in J (J is nonconsecutive, so the swaps commute).
     """
-    *narrower, (lo, hi) = free_runs(index_set)
-
-    def subsets(a: int, b: int) -> Iterator[tuple[int, ...]]:
-        return run_sums(tuple(zip(range(a, b + 1))), ())  # items (a,), ..., (b,)
-
-    chosen = subsets(lo, hi)
-    if narrower:
-        rest = [tuple(chain.from_iterable(js))
-                for js in product(*(subsets(a, b) for a, b in narrower))]
-        chosen = (head + tail for head in chosen for tail in rest)
     identity = list(range(1, index_set.rank + 2))
     elements = []
-    for js in chosen:
+    for js in run_product(index_set, tuple(zip(range(index_set.rank))), ()):
         p = identity.copy()
         for j in js:
             p[j - 1], p[j] = j + 1, j

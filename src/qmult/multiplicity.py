@@ -21,13 +21,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, cycle, product, repeat
 from math import comb
-from operator import add
 from typing import Iterable
 
-from .altset import WeylSweep, free_runs, run_sums
-from .intervals import IndexSet, interval_partition
+from .altset import WeylSweep, run_product
+from .intervals import IndexSet, interval_partition, n_of_complement
 from .partition import kostant_q_sum
 from .poly import Q, QPolynomial
 from .roots import RootVector
@@ -84,34 +82,19 @@ def _term_tally(index_set: IndexSet) -> dict[tuple[int, int], int]:
     adjacent, so n = runs(I^c) + sum over j in J of (g_j - 1).  Each free
     index j weighs B + g_j with B = 2 rank + 2, larger than any sum of the
     g_j, so the code of J, the sum of its weights, holds |J| = code // B and
-    sum g_j = code % B.  J is chosen independently in each free run, so
-    codes add across runs: the codes of the narrower runs' subsets are
-    listed and their product summed at C speed, and the widest run, whose
-    subsets alone may number millions, is walked lazily and each of its
-    codes added to every entry of that list.  Memory stays at the product
-    of the narrower runs, and equal codes are never merged before counting.
+    sum g_j = code % B.  :func:`~qmult.altset.run_product` walks the codes,
+    streaming the widest run as its docstring says, and ``Counter`` counts
+    them at C speed.
     """
-    *narrower, (lo, hi) = free_runs(index_set)
     r = index_set.rank
     base = 2 * r + 2
-    # g_j = 2 - #({j-1, j+1} & I) for j in [2, r - 1]; one pass over I
-    # also counts the gaps between 0, the members and r + 1 that hold a
-    # run of I^c.
+    # g_j = 2 - #({j-1, j+1} & I) for j in [2, r - 1]
     weight = [base + 2] * (r + 2)
-    runs = prev = 0
     for m in index_set.members:
         weight[m - 1] -= 1
         weight[m + 1] -= 1
-        runs += m - prev > 1
-        prev = m
-    runs += prev < r
-    codes = run_sums(weight[lo:hi + 1], 0)
-    if narrower:
-        rest = list(map(sum, product(*[run_sums(weight[a:b + 1], 0) for a, b in narrower])))
-        # each code of the widest run, repeated once per entry of rest and
-        # added to the entries in turn
-        codes = map(add, chain.from_iterable(map(repeat, codes, repeat(len(rest)))), cycle(rest))
-    tally = Counter(codes)
+    runs = n_of_complement(index_set)
+    tally = Counter(run_product(index_set, weight, 0))
     return {(code // base, runs + code % base - code // base): count
             for code, count in tally.items()}
 
@@ -127,11 +110,10 @@ def m_q_altset(index_set: IndexSet) -> MultiplicityResult:
     q^n (q+1)^(N-n).  Every J is still enumerated and counted, but terms are
     tallied by (|J|, n) and expanded once per pair by the binomial theorem.
     The tally keys each J by the sum of its weights B + g_j, B = 2 rank + 2
-    and g_j = #({j-1, j+1} & I^c); the product of the narrower free runs is
-    summed at C speed and the widest run is walked lazily, so memory does
-    not grow with its Fibonacci count (:func:`_term_tally`).  The number of
-    terms is exactly the alternation-set cardinality, so ranks far beyond
-    brute-force reach stay cheap.
+    and g_j = #({j-1, j+1} & I^c) (:func:`_term_tally`), over the product
+    :func:`~qmult.altset.run_product` walks.  The number of terms is exactly
+    the alternation-set cardinality, so ranks far beyond brute-force reach
+    stay cheap.
     """
     r = index_set.rank
     free = r - len(index_set)

@@ -18,6 +18,8 @@ w'(y) = w(y) + w'(y + r), summed down each line xi, xi - r, ... from its top.
 Later roots cover slots 0 and l alike, so a point with y[0] > y[l] is
 dropped at once: the full-width root, which takes what is left at slot 0,
 needs y[0] <= min(y).  Equal states merge and zero weights are dropped.
+Weights are bare coefficient tuples, summed by ``poly.add_coeffs``; a state
+that leaves adds weight times value to the total by ``poly.add_product``.
 
 ``kostant_q_coeffs`` keeps one answer cache for every rank, one entry per
 query, keyed by xi less the zeros at its ends, which no root covers: (1, 1, 0)
@@ -33,7 +35,7 @@ from operator import add, sub
 from typing import Mapping, Sequence
 
 from .intervals import IndexSet, interval_partition
-from .poly import ONE, ZERO, QPolynomial
+from .poly import ONE, ZERO, QPolynomial, add_coeffs, add_product
 from .roots import RootVector, positive_root
 from .weyl import CapExceededError
 
@@ -61,23 +63,6 @@ def _strip(xi: tuple[int, ...]) -> tuple[int, ...]:
     return xi[lo:hi]
 
 
-def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The sum of two coefficient tuples, untrimmed."""
-    if len(a) < len(b):
-        a, b = b, a
-    return (*map(add, a, b), *a[len(b):])
-
-
-def _add_product(acc: list[int], a: tuple[int, ...], b: tuple[int, ...], shift: int) -> None:
-    """acc += q^shift * a * b, for coefficient sequences; acc grows as needed."""
-    if len(acc) < shift + len(a) + len(b):
-        acc.extend(repeat(0, shift + len(a) + len(b) - len(acc)))
-    for i, x in enumerate(a, shift):
-        if x:
-            for j, y in enumerate(b, i):
-                acc[j] += x * y
-
-
 def kostant_q_sum(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
     """sum w * P_q(xi) over {xi: w}, all xi >= 0 and of one length, by the
     division pass of the module docstring; it only reads the answer cache."""
@@ -94,7 +79,7 @@ def kostant_q_sum(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
             if got is None:
                 held[xi] = w
             else:
-                _add_product(total, w, got.coeffs, shift)
+                add_product(total, w, got.coeffs, shift)
         if not held:
             break
         # each weight gains q^xi[0]; the power all of them gain joins the shift
@@ -107,7 +92,7 @@ def kostant_q_sum(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
             lines: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
             for xi, w in states.items():
                 if not xi[0]:  # no root is left to take at slot 0
-                    after[xi[1:]] = _add(after.get(xi[1:], ()), w)
+                    after[xi[1:]] = add_coeffs(after.get(xi[1:], ()), w)
                     continue
                 h = min(xi[:length])
                 low = tuple(map(sub, xi[:length], repeat(h))) + xi[length:] if h else xi
@@ -119,7 +104,7 @@ def kostant_q_sum(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
                 for c in range(max(points), -1, -1):
                     w = points.get(c)
                     if w is not None:
-                        acc = _add(acc, w)
+                        acc = add_coeffs(acc, w)
                         live = any(acc)
                     if live and c <= room:
                         states[tuple(map(add, low[:length], repeat(c))) + low[length:]
@@ -127,7 +112,7 @@ def kostant_q_sum(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
         # the full-width root takes what is left at slot 0, xi[0] <= min(xi)
         for xi, w in states.items():
             rest = tuple(map(sub, xi[1:], repeat(xi[0]))) if xi[0] else xi[1:]
-            after[rest] = _add(after.get(rest, ()), w)
+            after[rest] = add_coeffs(after.get(rest, ()), w)
         states = {xi: w for xi, w in after.items() if any(w)}
     return QPolynomial(total)
 

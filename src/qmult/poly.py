@@ -2,13 +2,34 @@
 
 Every partition-function and multiplicity value in this package is such a
 polynomial; evaluating at q = 1 recovers the plain (unweighted) count.
-Coefficients are Python ints, so no overflow is possible.
+Coefficients are Python ints, so no overflow is possible.  The kernels
+:func:`add_coeffs` and :func:`add_product` do the arithmetic on bare
+coefficient sequences, for ``QPolynomial`` and the partition pass alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import repeat
+from operator import add
+from typing import Iterable, Sequence
+
+
+def add_coeffs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The sum of two coefficient tuples, untrimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    return (*map(add, a, b), *a[len(b):])
+
+
+def add_product(acc: list[int], a: Sequence[int], b: Sequence[int], shift: int) -> None:
+    """acc += q^shift * a * b, for coefficient sequences; acc grows as needed."""
+    if len(acc) < shift + len(a) + len(b) - 1:
+        acc.extend(repeat(0, shift + len(a) + len(b) - 1 - len(acc)))
+    for i, x in enumerate(a, shift):
+        if x:
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
 
 
 @dataclass(frozen=True, init=False)
@@ -55,13 +76,7 @@ class QPolynomial:
         return bool(self.coeffs)
 
     def __add__(self, other: "QPolynomial | int") -> "QPolynomial":
-        other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return QPolynomial(
-            [x + y for x, y in zip(a, b)] + list(a[len(b):])
-        )
+        return QPolynomial(add_coeffs(self.coeffs, _coerce(other).coeffs))
 
     __radd__ = __add__
 
@@ -75,15 +90,8 @@ class QPolynomial:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "QPolynomial | int") -> "QPolynomial":
-        other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
+        out: list[int] = []
+        add_product(out, self.coeffs, _coerce(other).coeffs, 0)
         return QPolynomial(out)
 
     __rmul__ = __mul__

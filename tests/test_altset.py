@@ -1,5 +1,8 @@
 """Tests for index sets, interval partitions, and alternation sets."""
 
+import random
+import tracemalloc
+from collections import Counter
 from itertools import chain, product
 
 import pytest
@@ -13,6 +16,7 @@ from qmult.altset import (
     fib_profile,
     fibonacci,
     free_runs,
+    run_product,
     run_sums,
 )
 from qmult.cli import element_words
@@ -226,14 +230,47 @@ class TestRunProduct:
                 assert got == list(nonconsecutive_subsets(lo, hi)), (lo, hi)
 
     def test_product_matches_the_walk_oracle(self):
-        # the product over the runs of their subsets is the walk's J set,
-        # each J once
+        # the product over the runs of their subsets, taken by hand and by
+        # run_product, is the walk's J set, each J once
         for index_set, walk in _walks_up_to_rank(12):
             per_run = [run_sums([(j,) for j in range(lo, hi + 1)], ())
                        for lo, hi in free_runs(index_set)]
-            got = [tuple(sorted(chain.from_iterable(js))) for js in product(*per_run)]
-            assert len(set(got)) == len(got) == alt_set_cardinality(index_set)
-            assert set(got) == {chosen for chosen, _ in walk}, index_set
+            by_hand = [tuple(sorted(chain.from_iterable(js))) for js in product(*per_run)]
+            items = [(j,) for j in range(index_set.rank)]
+            streamed = [tuple(sorted(js)) for js in run_product(index_set, items, ())]
+            expected = {chosen for chosen, _ in walk}
+            for got in (by_hand, streamed):
+                assert len(set(got)) == len(got) == alt_set_cardinality(index_set)
+                assert set(got) == expected, index_set
+
+    def test_weight_sums_match_an_itertools_product(self):
+        # integer items: the multiset of sums is that of the weights of each
+        # J of the itertools.product oracle; small weights make sums collide
+        rng = random.Random(15)
+        for r in range(1, 11):
+            for index_set in _all_index_sets(r):
+                weights = [rng.randint(-3, 3) for _ in range(r)]
+                expected = Counter(sum(weights[j] for j in js)
+                                   for js in reflection_index_sets(index_set))
+                assert Counter(run_product(index_set, weights, 0)) == expected, index_set
+
+    @pytest.mark.parametrize("items, empty", [
+        ([(j,) for j in range(26)], ()),
+        ([1000 + j for j in range(26)], 0),
+    ])
+    def test_widest_run_is_streamed_beside_another(self, items, empty):
+        # runs [2, 2] and [4, 25]: 2 * 46,368 sums, which a list of the
+        # widest run's sums or of the whole product would hold at once (the
+        # weights are large so that no sum is a cached small int)
+        index_set = IndexSet(26, [3])
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in run_product(index_set, items, empty))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == alt_set_cardinality(index_set) == 2 * fibonacci(24)
+        assert peak < 1_000_000, peak
 
 
 class TestAltSetClosed:

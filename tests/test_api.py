@@ -61,7 +61,7 @@ def test_public_names():
 SUBMODULE_NAMES = {
     "altset": ["AltSet", "WeylSweep", "alt_set_brute", "alt_set_cardinality",
                "alt_set_closed", "fib_profile", "fibonacci", "free_runs",
-               "run_sums"],
+               "run_product", "run_sums"],
     "cli": ["ENV_BRUTE_CAP", "build_parser", "element_words", "main",
             "parse_index_set", "parse_mu"],
     "intervals": ["IndexSet", "interval_partition", "maximal_runs", "n_of_complement"],
@@ -71,7 +71,7 @@ SUBMODULE_NAMES = {
     "partition": ["DEFAULT_ORACLE_CAP", "PartitionTable", "factorize_over_intervals",
                   "kostant_q", "kostant_q_coeffs", "kostant_q_oracle", "kostant_q_sum",
                   "table_for"],
-    "poly": ["ONE", "Q", "QPolynomial", "ZERO"],
+    "poly": ["ONE", "Q", "QPolynomial", "ZERO", "add_coeffs", "add_product"],
     "roots": ["RootVector", "embed", "highest_root", "positive_root"],
     "weyl": ["CapExceededError", "DEFAULT_BRUTE_CAP", "WeylElement", "commuting_indices"],
 }

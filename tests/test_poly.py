@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from partition_oracle import shift
-from qmult.poly import ONE, Q, ZERO, QPolynomial
+from qmult.poly import ONE, Q, ZERO, QPolynomial, add_coeffs, add_product
 
 coeff_lists = st.lists(st.integers(min_value=-100, max_value=100), max_size=9)
 polys = coeff_lists.map(QPolynomial)
@@ -95,6 +95,53 @@ class TestArithmetic:
         for _ in range(e):
             expected = expected * a
         assert a ** e == expected
+
+
+def _naive_add_coeffs(a, b):
+    width = max(len(a), len(b))
+    return tuple((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
+                 for k in range(width))
+
+
+def _naive_add_product(acc, a, b, shift):
+    out = list(acc) + [0] * max(0, shift + len(a) + len(b) - 1 - len(acc))
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[shift + i + j] += a[i] * b[j]
+    return out
+
+
+class TestKernels:
+    """The coefficient kernels that QPolynomial and the partition pass share."""
+
+    def test_add_coeffs_is_untrimmed(self):
+        assert add_coeffs((1, 2), (-1, -2)) == (0, 0)
+        assert add_coeffs((), (0, 3, 0)) == (0, 3, 0)
+        assert add_coeffs((5,), (1, -1, 2)) == (6, -1, 2)
+
+    def test_add_product_examples(self):
+        acc = [1]  # shorter than needed: grows
+        add_product(acc, (1, 1), (0, 2), 1)
+        assert acc == [1, 0, 2, 2]
+        acc = [7, 0, 0, 0, 0, 0, 4]  # longer than needed: keeps its length
+        add_product(acc, (-1, 0, 2), (3, -1), 2)
+        assert acc == [7, 0, -3, 1, 6, -2, 4]
+        acc = []
+        add_product(acc, (0, 0, 5), (0, -2), 0)  # zero entries are skipped
+        assert acc == [0, 0, 0, -10]
+
+    @given(st.lists(st.integers(-9, 9), max_size=7), st.lists(st.integers(-9, 9), max_size=7))
+    def test_add_coeffs_matches_a_naive_loop(self, a, b):
+        assert add_coeffs(tuple(a), tuple(b)) == _naive_add_coeffs(a, b)
+
+    @given(st.lists(st.integers(-9, 9), max_size=12),
+           st.lists(st.integers(-9, 9), max_size=6),
+           st.lists(st.integers(-9, 9), max_size=6),
+           st.integers(min_value=0, max_value=5))
+    def test_add_product_matches_a_naive_double_loop(self, acc, a, b, shift):
+        expected = _naive_add_product(acc, a, b, shift)
+        add_product(acc, tuple(a), tuple(b), shift)
+        assert acc == expected
 
 
 class TestFormats:
