@@ -1,6 +1,6 @@
 """Write a before/after benchmark record for one change.
 
-    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_15.json
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_16.json
 
 DIR is a checkout (source, perfbench/ and BENCHMARK.json) of the parent
 commit and of the change.  For every workload in BENCHMARK.json this runs
@@ -15,18 +15,17 @@ BENCHMARK.json the median and quartiles of each side and the number of
 pairs in which the after side was better.  Every run has
 PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to a new empty
 directory, so no bytecode cache is read or written and both sides'
-``setup_s`` compile from source.  It also records structural counts.  The
-entries the partition engine's answer cache ``_CACHE`` holds after the
+``setup_s`` compile from source.  It also records structural counts, each
+counted in each checkout in a fresh process: the pruned Weyl sweep on the
+seed-1 ``brute`` inputs (rows are leaves, each pruned subtree is one
+dropped prefix, and leaves plus pruned elements account for (rank+1)!),
+the entries the partition engine's answer cache ``_CACHE`` holds after the
 seed-1 ``partition`` inputs, the number of passes over a ``WeylSweep``
 (calls of its ``__iter__``) that one run of the seed-1 ``verify`` inputs
 makes, and the alternation-set elements visited on the seed-1 ``altset``
 inputs (``terms_evaluated`` of each ``m_q_altset`` call and the element
 count of the ``alt_set_closed`` call, each of which must equal perfbench's
-independent ``alt_set_size``) are counted in each checkout, each in a
-fresh process.  The pruned Weyl sweep on the seed-1 ``brute`` inputs is
-computed with the after checkout's source (rows are leaves, each pruned
-subtree is one dropped prefix, and leaves plus pruned elements account
-for (rank+1)!).  ``src_lines`` is the line count of
+independent ``alt_set_size``).  ``src_lines`` is the line count of
 ``src/qmult/*.py`` in each checkout, as ``wc -l`` gives it, so a change's
 size is read from the record.  Timings depend on the host, which the
 record names; the counts do not.
@@ -109,6 +108,8 @@ def src_lines(checkout: Path) -> int:
 
 
 def sweep_counts() -> dict:
+    """The pruned sweep's leaves, pruned subtrees and accounted elements for
+    each seed-1 ``brute`` input."""
     import workloads
     from qmult.altset import WeylSweep
     from qmult.roots import RootVector, highest_root
@@ -218,10 +219,10 @@ def main(argv=None) -> int:
     for w in spec["workloads"]:
         pairs = run_pairs(sides, w["name"])
         results[w["name"]] = {"summary": summarize(pairs, spec["end_to_end"]), "pairs": pairs}
+    swept = {k: fresh_count(d, "sweep_counts") for k, d in sides.items()}
     counts = {k: fresh_count(d, "count_partition") for k, d in sides.items()}
     sweeps = {k: fresh_count(d, "count_verify_sweeps") for k, d in sides.items()}
     terms = {k: fresh_count(d, "altset_terms") for k, d in sides.items()}
-    sys.path[:0] = [str(args.after / "src"), str(args.after / "perfbench")]
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
                    f"--seconds {SECONDS} --trace 0",
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
                  "python": platform.python_version()},
         "workloads": results,
         "src_lines": {"before": src_lines(args.before), "after": src_lines(args.after)},
-        "sweep_counts": sweep_counts(),
+        "sweep_counts": swept,
         "partition_entries": {"workload": "partition", "seed": SEED, "store": "_CACHE",
                               "entries": counts},
         "verify_sweeps": {"workload": "verify", "seed": SEED, "passes": sweeps},

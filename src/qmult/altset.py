@@ -26,7 +26,7 @@ from typing import Iterator, Sequence, TypeVar
 
 from .intervals import IndexSet, interval_partition
 from .roots import RootVector, embed
-from .weyl import DEFAULT_BRUTE_CAP, CapExceededError, WeylElement
+from .weyl import DEFAULT_BRUTE_CAP, CapExceededError
 
 _T = TypeVar("_T")
 
@@ -49,13 +49,13 @@ def fibonacci(n: int) -> int:
 class AltSet:
     """An alternation set for the highest root against mu = alpha_I.
 
-    The number of elements must equal the Fibonacci product
-    :func:`alt_set_cardinality` gives for mu, the certificate of the
-    closed-form description.
+    Each element is a Weyl element as its one-line tuple.  The number of
+    elements must equal the Fibonacci product :func:`alt_set_cardinality`
+    gives for mu, the certificate of the closed-form description.
     """
 
     mu: IndexSet
-    elements: frozenset[WeylElement]
+    elements: frozenset[tuple[int, ...]]
 
     def __post_init__(self) -> None:
         expected = alt_set_cardinality(self.mu)
@@ -173,8 +173,8 @@ def alt_set_closed(index_set: IndexSet) -> AltSet:
     Each element is the product of s_j over J, J a nonconsecutive subset of
     the free region chosen independently in each of its runs, as
     :func:`run_product` walks them with the items (j,).  Each element is
-    built from J directly by swapping j and j+1 in the identity for every j
-    in J (J is nonconsecutive, so the swaps commute).
+    built from J directly, as the one-line tuple of the identity with j and
+    j+1 swapped for every j in J (J is nonconsecutive, so the swaps commute).
     """
     identity = list(range(1, index_set.rank + 2))
     elements = []
@@ -182,7 +182,7 @@ def alt_set_closed(index_set: IndexSet) -> AltSet:
         p = identity.copy()
         for j in js:
             p[j - 1], p[j] = j + 1, j
-        elements.append(WeylElement(p))
+        elements.append(tuple(p))
     return AltSet(mu=index_set, elements=frozenset(elements))
 
 
@@ -196,7 +196,8 @@ class WeylSweep:
     a prefix with xi_p < 0 is dropped with its subtree: Kostant's convention
     P(xi) = 0 makes all those terms zero, for any lam and mu.  ``leaves`` and
     ``pruned`` count rows and dropped subtrees; ``accounted``, the elements
-    both cover, ends at (rank+1)!.  The cap is checked before any work.
+    both cover, must end at (rank+1)!, and a sweep that ends short or over
+    raises RuntimeError.  The cap is checked before any work.
     """
 
     def __init__(self, lam: RootVector, mu: RootVector, cap: int = DEFAULT_BRUTE_CAP):
@@ -241,18 +242,19 @@ class WeylSweep:
                 free.insert(j, k)
 
         yield from extend(0, 0, 0)
-        assert self.accounted == factorial(n), (self.accounted, n)
+        if self.accounted != factorial(n):
+            raise RuntimeError(f"sweep accounted for {self.accounted} of {n}! elements")
 
 
 def alt_set_brute(
     lam: RootVector, mu: RootVector, cap: int = DEFAULT_BRUTE_CAP
-) -> frozenset[WeylElement]:
+) -> frozenset[tuple[int, ...]]:
     """The alternation set for arbitrary lam and mu, by a pruned Weyl sweep.
 
-    The set is the elements of the rows of :class:`WeylSweep`.  In type A
-    every xi >= 0 is sum xi_i alpha_i, a sum of positive roots, so its
-    partition count is at least 1: the sweep keeps exactly the terms with a
-    positive count.  This is the ground-truth oracle the closed-form
+    The set is the one-line perms of the rows of :class:`WeylSweep`.  In
+    type A every xi >= 0 is sum xi_i alpha_i, a sum of positive roots, so
+    its partition count is at least 1: the sweep keeps exactly the terms
+    with a positive count.  This is the ground-truth oracle the closed-form
     construction is checked against.
     """
-    return frozenset(WeylElement(perm) for perm, _, _ in WeylSweep(lam, mu, cap))
+    return frozenset(perm for perm, _, _ in WeylSweep(lam, mu, cap))

@@ -52,7 +52,7 @@ from .multiplicity import (
 from .partition import factorize_over_intervals, kostant_q, kostant_q_oracle
 from .poly import QPolynomial
 from .roots import RootVector, highest_root
-from .weyl import DEFAULT_BRUTE_CAP, WeylElement, commuting_indices
+from .weyl import DEFAULT_BRUTE_CAP, commuting_indices, length
 
 ENV_BRUTE_CAP = "QMULT_BRUTE_CAP"
 
@@ -124,7 +124,7 @@ def _as_index_set(mu: Union[IndexSet, RootVector]) -> Optional[IndexSet]:
     return IndexSet(mu.rank, (k + 1 for k, c in enumerate(mu.coeffs) if c))
 
 
-def element_words(elements: Iterable[WeylElement]) -> list[str]:
+def element_words(elements: Iterable[tuple[int, ...]]) -> list[str]:
     """The words of an alternation set, by length and then reflection indices:
     ``s2*s5`` (``1`` for the identity) for the product over J of commuting
     simple reflections, whose length is len(J); else the one-line ``[2,3,1]``,
@@ -133,7 +133,7 @@ def element_words(elements: Iterable[WeylElement]) -> list[str]:
     for w in elements:
         j = commuting_indices(w)
         if j is None:
-            keyed.append((w.length(), w.perm, str(w)))
+            keyed.append((length(w), w, "[" + ",".join(map(str, w)) + "]"))
         else:
             keyed.append((len(j), j, "*".join(f"s{i}" for i in j) or "1"))
     return [word for *_, word in sorted(keyed)]
@@ -280,7 +280,7 @@ def _verify_one(index_set: IndexSet, brute_cap: Optional[int]) -> list[tuple[str
     if brute_cap is not None:
         rows = list(WeylSweep(highest_root(r), index_set.to_root_vector(), brute_cap))
         checks.append(("alternation set closed vs brute",
-                       {w.perm for w in alt_set_closed(index_set).elements}
+                       alt_set_closed(index_set).elements
                        == {perm for perm, _, _ in rows}))
         checks.append(("brute multiplicity vs closed form", signed_sum(rows) == closed))
     return checks

@@ -27,7 +27,7 @@ from qmult.intervals import (
     n_of_complement,
 )
 from qmult.roots import highest_root, positive_root
-from qmult.weyl import CapExceededError, commuting_indices
+from qmult.weyl import CapExceededError, commuting_indices, length
 from weyl_helpers import identity, product_of_commuting, simple_reflection, zero_root
 
 
@@ -298,13 +298,13 @@ class TestAltSetClosed:
             assert alt_set_closed(index_set).elements == expected, index_set
 
     def test_length_is_the_number_of_reflections(self):
-        # element_words sorts a commuting product by len(J), not by length()
+        # element_words sorts a commuting product by len(J), not by length
         for index_set, walk in _walks_up_to_rank(10):
             by_indices = {commuting_indices(w): w
                           for w in alt_set_closed(index_set).elements}
             assert sorted(by_indices) == sorted(j for j, _ in walk), index_set
             for j, w in by_indices.items():
-                assert w.length() == len(j), (index_set, j)
+                assert length(w) == len(j), (index_set, j)
 
     def test_elements_draw_only_on_free_indices(self):
         for r, members in ((6, [2, 5]), (7, [4]), (8, [3, 6]), (5, [1, 5])):

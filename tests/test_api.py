@@ -13,7 +13,6 @@ from pathlib import Path
 
 import qmult
 from qmult.partition import PartitionTable
-from qmult.weyl import WeylElement
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -73,7 +72,7 @@ SUBMODULE_NAMES = {
                   "table_for"],
     "poly": ["ONE", "Q", "QPolynomial", "ZERO", "add_coeffs", "add_product"],
     "roots": ["RootVector", "embed", "highest_root", "positive_root"],
-    "weyl": ["CapExceededError", "DEFAULT_BRUTE_CAP", "WeylElement", "commuting_indices"],
+    "weyl": ["CapExceededError", "DEFAULT_BRUTE_CAP", "commuting_indices", "length"],
 }
 
 
@@ -121,7 +120,6 @@ CLASS_METHODS = {
     qmult.QPolynomial: ["degree", "eval_at_one", "latex", "monomial"],
     qmult.IndexSet: ["is_empty", "to_root_vector"],
     qmult.RootVector: ["is_zero"],
-    WeylElement: ["length"],
     qmult.AltSet: ["cardinality"],
     qmult.MultiplicityResult: [],
     PartitionTable: ["kostant_q"],

@@ -248,6 +248,19 @@ class TestMultiplicityCommand:
         assert code == 0
         assert out == "q^16 - q^15\n"
 
+    def test_all_methods_stop_at_the_brute_cap(self, capsys):
+        # the default --method all includes brute, so past the cap it exits 2
+        # before any route prints; one scalable method or a higher cap runs
+        code, out, err = run_cli(capsys, "multiplicity", "--rank", "12", "--mu", "3")
+        assert (code, out, err) == (2, "", "error: rank 12 exceeds brute-force cap 9\n")
+        code, out, _ = run_cli(capsys, "multiplicity", "--rank", "12", "--mu", "3",
+                               "--method", "altset")
+        assert (code, out) == (0, "q^11\n")
+        code, out, _ = run_cli(capsys, "multiplicity", "--rank", "12", "--mu", "3",
+                               "--brute-cap", "12")
+        assert code == 0
+        assert out.endswith("verdict: AGREE\n")
+
 
 class TestVerifyCommand:
     def test_small_sweep_passes(self, capsys):

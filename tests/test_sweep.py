@@ -2,18 +2,23 @@
 
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmult.altset import WeylSweep, alt_set_brute
+from qmult import altset
+from qmult.altset import WeylSweep, alt_set_brute, alt_set_closed
+from qmult.intervals import IndexSet
 from qmult.multiplicity import m_q_brute
 from qmult.partition import kostant_q_coeffs, kostant_q_oracle
 from qmult.poly import ZERO
 from qmult.roots import RootVector, highest_root
 from qmult.weyl import CapExceededError
-from weyl_helpers import zero_root
+from weyl_helpers import permutation, zero_root
 from weyl_oracle import alt_set_unpruned, m_q_unpruned, nonnegative_rows
 
 
@@ -117,3 +122,54 @@ class TestRefusals:
             WeylSweep(highest_root(4), zero_root(4), cap=3)
         with pytest.raises(ValueError):
             WeylSweep(highest_root(3), zero_root(4))
+
+
+class TestPermutations:
+    """A Weyl element is a bare one-line tuple that nothing validates on the
+    way out, so each producer is checked to build permutations of 1..r+1;
+    ``permutation`` raises on anything else and returns a tuple unchanged."""
+
+    def test_every_index_set_up_to_rank7(self):
+        for r in range(1, 8):
+            theta = highest_root(r)
+            for mu in _indicator_weights(r):
+                if not any(mu.coeffs):
+                    continue
+                index_set = IndexSet(r, (k + 1 for k, c in enumerate(mu.coeffs) if c))
+                rows = list(WeylSweep(theta, mu))
+                assert rows, index_set
+                for perm, _, _ in rows:
+                    assert permutation(perm) == perm and len(perm) == r + 1, index_set
+                for w in alt_set_closed(index_set).elements:
+                    assert permutation(w) == w and len(w) == r + 1, index_set
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 5).flatmap(lambda r: st.tuples(
+        st.lists(st.integers(-2, 3), min_size=r, max_size=r),
+        st.lists(st.integers(-3, 2), min_size=r, max_size=r),
+    )))
+    def test_sweep_at_arbitrary_lam_and_mu(self, pair):
+        lam_c, mu_c = pair
+        r = len(lam_c)
+        for perm, _, _ in WeylSweep(RootVector(r, lam_c), RootVector(r, mu_c)):
+            assert permutation(perm) == perm and len(perm) == r + 1
+
+
+class TestCoverageCheck:
+    def test_a_miscount_raises_under_python_O(self):
+        # Only the total (r+1)! is off by one, not the subtree sizes the sweep
+        # adds up, so the sweep must notice that its count falls short, and
+        # with asserts stripped too: it is what backs brute's term count.
+        script = (
+            "import math\n"
+            "from qmult import altset\n"
+            "from qmult.roots import highest_root\n"
+            "altset.factorial = lambda k: math.factorial(k) + (k == 5)\n"
+            "list(altset.WeylSweep(highest_root(4), highest_root(4)))\n"
+        )
+        src = str(Path(altset.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env={"PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert "RuntimeError: sweep accounted for 120 of 5! elements" in proc.stderr

@@ -1,8 +1,11 @@
 """Ambient-coordinate helpers for the tests: the Weyl group acting on
 weights by permuting coordinates, written out plainly so that the library's
 sweep and closed forms can be checked against them.  Small ranks only.
-``product_of_commuting`` is the oracle for ``alt_set_closed``.  Arithmetic
-on root-basis vectors, which the library never needs, is here too.
+A Weyl element is its one-line tuple, as in the library; ``permutation``
+checks that a tuple is one, which the library's producers skip because they
+build permutations by construction.  ``product_of_commuting`` is the oracle
+for ``alt_set_closed``.  Arithmetic on root-basis vectors, which the library
+never needs, is here too.
 """
 
 import itertools
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from qmult.roots import RootVector
-from qmult.weyl import DEFAULT_BRUTE_CAP, CapExceededError, WeylElement
+from qmult.weyl import DEFAULT_BRUTE_CAP, CapExceededError, length
 
 
 @dataclass(frozen=True, init=False)
@@ -30,28 +33,38 @@ class WeightVector:
         object.__setattr__(self, "coords", cs)
 
 
-def identity(rank: int) -> WeylElement:
-    return WeylElement(range(1, rank + 2))
+def permutation(values: Iterable[int]) -> tuple[int, ...]:
+    """values as a one-line tuple, checked to be a permutation of 1..n, n >= 2."""
+    p = tuple(map(int, values))
+    if sorted(p) != list(range(1, len(p) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
+    if len(p) < 2:
+        raise ValueError("need at least 2 points (rank >= 1)")
+    return p
 
 
-def is_identity(w: WeylElement) -> bool:
-    return all(w.perm[k] == k + 1 for k in range(len(w.perm)))
+def identity(rank: int) -> tuple[int, ...]:
+    return permutation(range(1, rank + 2))
 
 
-def sign(w: WeylElement) -> int:
-    return -1 if w.length() & 1 else 1
+def is_identity(w: tuple[int, ...]) -> bool:
+    return all(w[k] == k + 1 for k in range(len(w)))
 
 
-def simple_reflection(i: int, rank: int) -> WeylElement:
+def sign(w: tuple[int, ...]) -> int:
+    return -1 if length(w) & 1 else 1
+
+
+def simple_reflection(i: int, rank: int) -> tuple[int, ...]:
     """The transposition s_i = (i, i+1) in S_{rank+1}."""
     if not 1 <= i <= rank:
         raise ValueError(f"reflection index {i} outside [1, {rank}]")
     p = list(range(1, rank + 2))
     p[i - 1], p[i] = p[i], p[i - 1]
-    return WeylElement(p)
+    return permutation(p)
 
 
-def product_of_commuting(indices: Iterable[int], rank: int) -> WeylElement:
+def product_of_commuting(indices: Iterable[int], rank: int) -> tuple[int, ...]:
     """The product of s_i over a set of pairwise nonconsecutive indices.
 
     The factors commute, so the product is well defined without an ordering.
@@ -68,7 +81,7 @@ def product_of_commuting(indices: Iterable[int], rank: int) -> WeylElement:
     p = list(range(1, rank + 2))
     for i in ms:
         p[i - 1], p[i] = p[i], p[i - 1]
-    return WeylElement(p)
+    return permutation(p)
 
 
 def all_elements(rank: int, cap: int = DEFAULT_BRUTE_CAP):
@@ -77,22 +90,22 @@ def all_elements(rank: int, cap: int = DEFAULT_BRUTE_CAP):
         raise ValueError("rank must be at least 1")
     if rank > cap:
         raise CapExceededError(f"rank {rank} exceeds brute-force cap {cap}")
-    return (WeylElement(p) for p in itertools.permutations(range(1, rank + 2)))
+    return itertools.permutations(range(1, rank + 2))
 
 
-def compose(a: WeylElement, b: WeylElement) -> WeylElement:
+def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The product a∘b, i.e. apply b first: (a∘b)(k) = a(b(k))."""
-    if len(a.perm) != len(b.perm):
+    if len(a) != len(b):
         raise ValueError("rank mismatch")
-    return WeylElement(a.perm[b.perm[k] - 1] for k in range(len(a.perm)))
+    return permutation(a[b[k] - 1] for k in range(len(a)))
 
 
-def apply(w: WeylElement, v: WeightVector) -> WeightVector:
-    """Permute ambient coordinates: coordinate k of v moves to position perm[k]."""
-    if len(v.coords) != len(w.perm):
+def apply(w: tuple[int, ...], v: WeightVector) -> WeightVector:
+    """Permute ambient coordinates: coordinate k of v moves to position w[k]."""
+    if len(v.coords) != len(w):
         raise ValueError("rank mismatch")
-    out = [0] * len(w.perm)
-    for k, image in enumerate(w.perm):
+    out = [0] * len(w)
+    for k, image in enumerate(w):
         out[image - 1] = v.coords[k]
     return WeightVector(v.rank, out)
 

@@ -12,7 +12,6 @@ import itertools
 from qmult.partition import kostant_q_coeffs
 from qmult.poly import QPolynomial
 from qmult.roots import RootVector, embed
-from qmult.weyl import WeylElement
 
 
 def all_rows(lam: RootVector, mu: RootVector):
@@ -52,9 +51,10 @@ def m_q_unpruned(lam: RootVector, mu: RootVector) -> QPolynomial:
 
 
 def alt_set_unpruned(lam: RootVector, mu: RootVector) -> frozenset:
-    """The Weyl elements with a positive partition count at xi."""
+    """The Weyl elements, as one-line tuples, with a positive partition
+    count at xi."""
     return frozenset(
-        WeylElement(perm) for perm, _, xi in nonnegative_rows(lam, mu)
+        perm for perm, _, xi in nonnegative_rows(lam, mu)
         if kostant_q_coeffs(xi).coeffs
     )
 
