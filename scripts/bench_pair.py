@@ -1,9 +1,12 @@
 """Write a before/after benchmark record for one change.
 
-    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_16.json
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_17.json
 
 DIR is a checkout (source, perfbench/ and BENCHMARK.json) of the parent
-commit and of the change.  For every workload in BENCHMARK.json this runs
+commit and of the change.  Each checkout's ``src/``, ``perfbench/`` (without
+``runs/`` and every ``__pycache__/``) and ``BENCHMARK.json`` are copied once
+into a temporary directory, and everything below runs in the copies.  For
+every workload in BENCHMARK.json this runs
 
     python3 perfbench/run.py --workload W --seed 1 --seconds 20 --trace 0
 
@@ -13,9 +16,11 @@ falls on both sides alike.  It keeps the last line each run prints (its
 JSON result) for every pair, and for each end-to-end metric of
 BENCHMARK.json the median and quartiles of each side and the number of
 pairs in which the after side was better.  Every run has
-PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to a new empty
-directory, so no bytecode cache is read or written and both sides'
-``setup_s`` compile from source.  It also records structural counts, each
+PYTHONDONTWRITEBYTECODE=1 and no PYTHONPYCACHEPREFIX, so both sides' qmult
+and perfbench compile from source while the standard library reads its
+installed bytecode cache, as in a run from a fresh checkout; a prefix would
+compile the standard library too and dilute ``setup_s`` and
+``peak_rss_mb``.  It also records structural counts, each
 counted in each checkout in a fresh process: the pruned Weyl sweep on the
 seed-1 ``brute`` inputs (rows are leaves, each pruned subtree is one
 dropped prefix, and leaves plus pruned elements account for (rank+1)!),
@@ -37,6 +42,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -61,12 +67,26 @@ def cpu_model() -> str:
     return platform.processor()
 
 
+def copy_checkout(checkout: Path, dest: Path) -> Path:
+    """What a benchmark run reads of a checkout, copied to dest without
+    bytecode caches or earlier run records."""
+    skip = shutil.ignore_patterns("runs", "__pycache__")
+    for part in ("src", "perfbench"):
+        shutil.copytree(checkout / part, dest / part, ignore=skip)
+    shutil.copy(checkout / "BENCHMARK.json", dest)
+    return dest
+
+
+def run_env() -> dict:
+    """The environment of a run: no bytecode written and no cache prefix."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    return {**env, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def run_workload(checkout: Path, workload: str) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
-    with tempfile.TemporaryDirectory() as pycache:
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
-        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=run_env())
     lines = proc.stdout.splitlines()
     if not lines:
         raise RuntimeError(f"{workload} in {checkout} printed nothing:\n{proc.stderr}")
@@ -212,9 +232,10 @@ def main(argv=None) -> int:
     parser.add_argument("--after", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-
-    spec = json.loads((args.after / "BENCHMARK.json").read_text())
-    sides = {"before": args.before, "after": args.after}
+    tmp = tempfile.TemporaryDirectory()
+    sides = {k: copy_checkout(d, Path(tmp.name) / k)
+             for k, d in (("before", args.before), ("after", args.after))}
+    spec = json.loads((sides["after"] / "BENCHMARK.json").read_text())
     results = {}
     for w in spec["workloads"]:
         pairs = run_pairs(sides, w["name"])
@@ -231,13 +252,14 @@ def main(argv=None) -> int:
                  "platform": platform.platform(),
                  "python": platform.python_version()},
         "workloads": results,
-        "src_lines": {"before": src_lines(args.before), "after": src_lines(args.after)},
+        "src_lines": {k: src_lines(d) for k, d in sides.items()},
         "sweep_counts": swept,
         "partition_entries": {"workload": "partition", "seed": SEED, "store": "_CACHE",
                               "entries": counts},
         "verify_sweeps": {"workload": "verify", "seed": SEED, "passes": sweeps},
         "altset_terms": {"workload": "altset", "seed": SEED, "calls": terms},
     }
+    tmp.cleanup()
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

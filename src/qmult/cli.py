@@ -15,22 +15,24 @@ m_q_brute's value.
 Exit codes: 0 on success, 1 when routes that must agree do not, 2 on usage
 errors, on a request past a brute-force cap, or when memory runs out.  The
 subcommands with a brute-force route (``altset``, ``multiplicity``,
-``verify``, ``bench``) take the cap from --brute-cap, else from the
-environment variable QMULT_BRUTE_CAP, else the default; ``partition`` reads
-neither.  All output except bench timings is byte-identical across runs for
-a fixed configuration and seed.
+``verify``, ``bench``) read the cap on every call, from --brute-cap, else
+the environment variable QMULT_BRUTE_CAP, else the default; ``partition``
+reads neither.  The grammar is built once per process, on the first
+``main()`` call.  All output except bench timings is byte-identical across
+runs for a fixed configuration and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
 import sys
 import time
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .altset import (
     WeylSweep,
@@ -108,17 +110,15 @@ def _parse_coeff_list(body: str, rank: int, what: str) -> tuple[int, ...]:
     return tuple(cs)
 
 
-def parse_mu(spec: str, rank: int) -> Union[IndexSet, RootVector]:
-    """Parse --mu: an index-set spec, or ``coeffs:c1,...,cr`` for arbitrary mu."""
+def parse_mu(spec: str, rank: int) -> RootVector:
+    """Parse --mu: an index-set spec I gives alpha_I, ``coeffs:c1,...,cr`` any mu."""
     if spec.startswith("coeffs:"):
         return RootVector(rank, _parse_coeff_list(spec[len("coeffs:"):], rank, "mu"))
-    return parse_index_set(spec, rank)
+    return parse_index_set(spec, rank).to_root_vector()
 
 
-def _as_index_set(mu: Union[IndexSet, RootVector]) -> Optional[IndexSet]:
+def _as_index_set(mu: RootVector) -> Optional[IndexSet]:
     """The index set behind mu when mu is a nonzero 0/1 vector, else None."""
-    if isinstance(mu, IndexSet):
-        return mu
     if any(c not in (0, 1) for c in mu.coeffs) or mu.is_zero():
         return None
     return IndexSet(mu.rank, (k + 1 for k, c in enumerate(mu.coeffs) if c))
@@ -183,19 +183,17 @@ def _run_altset(args: argparse.Namespace) -> int:
     return 0
 
 
-def _route(method: str, mu: Union[IndexSet, RootVector],
+def _route(method: str, mu: RootVector,
            cap: int) -> Optional[tuple[QPolynomial, Optional[int]]]:
     """One route's value at mu and its term count (None for the formula
     routes), or None when the route does not apply to mu."""
-    rank = mu.rank
-    index_set = _as_index_set(mu)
     if method == "brute":
-        mu_vec = mu.to_root_vector() if isinstance(mu, IndexSet) else mu
-        res = m_q_brute(highest_root(rank), mu_vec, cap)
+        res = m_q_brute(highest_root(mu.rank), mu, cap)
         return res.value, res.terms_evaluated
+    index_set = _as_index_set(mu)
     if index_set is None:
         if method == "closed" and mu.is_zero():
-            return m_q_closed_zero(rank), None
+            return m_q_closed_zero(mu.rank), None
         return None
     if method == "altset":
         res = m_q_altset(index_set)
@@ -322,17 +320,16 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 def _run_bench(args: argparse.Namespace) -> int:
     cap = _brute_cap(args)
-    probe = parse_index_set(args.mu, args.max_rank)
-    min_rank = max(probe.members)
+    members = parse_index_set(args.mu, args.max_rank).members
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["rank", "mu", "method", "terms", "micros"])
-    for r in range(min_rank, args.max_rank + 1):
-        index_set = parse_index_set(args.mu, r)
+    for r in range(members[-1], args.max_rank + 1):
+        mu = IndexSet(r, members).to_root_vector()
         for name in METHODS:
             if name == "brute" and r > cap:
                 continue
             start = time.perf_counter()
-            _, terms = _route(name, index_set, cap)
+            _, terms = _route(name, mu, cap)
             micros = int((time.perf_counter() - start) * 1_000_000)
             writer.writerow([r, args.mu, name, terms or 0, micros])
     return 0
@@ -362,6 +359,7 @@ def _brute_cap(args: argparse.Namespace) -> int:
         raise ValueError(f"{ENV_BRUTE_CAP} {exc}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmult",

@@ -1,0 +1,31 @@
+"""Tests for ``scripts/bench_pair.py``: what each benchmark run sees."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+
+import bench_pair  # noqa: E402
+
+
+def test_copy_leaves_out_bytecode_and_run_records(tmp_path):
+    checkout = tmp_path / "checkout"
+    for rel in ("BENCHMARK.json", "perfbench/run.py", "src/qmult/__init__.py",
+                "perfbench/__pycache__/run.cpython-311.pyc",
+                "perfbench/runs/verify-seed1.json",
+                "src/qmult/__pycache__/cli.cpython-311.pyc"):
+        path = checkout / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(rel)
+    copy = bench_pair.copy_checkout(checkout, tmp_path / "copy")
+    copied = sorted(p.relative_to(copy).as_posix() for p in copy.rglob("*"))
+    assert copied == ["BENCHMARK.json", "perfbench", "perfbench/run.py",
+                      "src", "src/qmult", "src/qmult/__init__.py"]
+    assert (copy / "src/qmult/__init__.py").read_text() == "src/qmult/__init__.py"
+
+
+def test_runs_write_no_bytecode_and_use_no_prefix(monkeypatch):
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/nowhere")
+    env = bench_pair.run_env()
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert "PYTHONPYCACHEPREFIX" not in env

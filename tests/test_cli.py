@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmult import cli
-from qmult.altset import WeylSweep
+from qmult.altset import WeylSweep, alt_set_brute
 from qmult.cli import main, parse_index_set, parse_mu
 from qmult.intervals import IndexSet
 from qmult.multiplicity import m_q_closed_general
@@ -41,11 +42,84 @@ class TestParsing:
 
     def test_mu_coeff_form(self):
         assert parse_mu("coeffs:1,0,2", 3) == RootVector(3, (1, 0, 2))
-        assert parse_mu("1,3", 5) == IndexSet(5, [1, 3])
+        assert parse_mu("1,3", 5) == RootVector(5, (1, 0, 1, 0, 0))
         with pytest.raises(ValueError):
             parse_mu("coeffs:1,0", 3)
         with pytest.raises(ValueError):
             parse_mu("coeffs:a,b,c", 3)
+
+
+class TestGrammarOnce:
+    """The grammar is built on the first ``main()`` call of a process and
+    shared by every later call; what one call parsed does not reach the next."""
+
+    def test_later_calls_build_no_parser(self, capsys, monkeypatch):
+        built = 0
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        argv = ("partition", "--rank", "3", "--xi", "1,1,1")
+        run_cli(capsys, *argv)
+        built = 0
+        assert run_cli(capsys, *argv) == (0, "q^3 + 2q^2 + q\n", "")
+        assert built == 0
+
+    def test_import_builds_no_parser(self):
+        # a fresh process, so no earlier call has built the grammar; the
+        # second count shows the wrapper sees the parsers once they are built
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import qmult.cli\n"
+            "print(len(built))\n"
+            "qmult.cli.build_parser()\n"
+            "print(len(built))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, env={"PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        at_import, after_build = map(int, proc.stdout.split())
+        assert at_import == 0 and after_build > 0
+
+    def test_brute_cap_does_not_outlive_its_call(self, capsys, monkeypatch):
+        monkeypatch.delenv("QMULT_BRUTE_CAP", raising=False)
+        argv = ("multiplicity", "--rank", "10", "--mu", "3,7")
+        code, out, _ = run_cli(capsys, *argv, "--brute-cap", "10")
+        assert code == 0 and out.endswith("verdict: AGREE\n")
+        assert run_cli(capsys, *argv) == (2, "", "error: rank 10 exceeds brute-force cap 9\n")
+
+    def test_method_and_format_do_not_outlive_their_call(self, capsys, monkeypatch):
+        calls = []
+
+        def brute(*args):
+            calls.append(args)
+            return alt_set_brute(*args)
+
+        monkeypatch.setattr(cli, "alt_set_brute", brute)
+        argv = ("altset", "--rank", "6", "--mu", "2,5")
+        code, out, _ = run_cli(capsys, *argv, "--method", "brute", "--format", "json")
+        assert code == 0 and json.loads(out)["method"] == "brute"
+        assert run_cli(capsys, *argv) == (
+            0, "cardinality: 3\nfib_profile: 2,4,2\nelements: 1 s3 s4\n", "")
+        assert len(calls) == 1
+
+    def test_cap_variable_is_read_on_every_call(self, capsys, monkeypatch):
+        monkeypatch.delenv("QMULT_BRUTE_CAP", raising=False)
+        argv = ("multiplicity", "--rank", "4", "--mu", "1", "--method", "brute")
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setenv("QMULT_BRUTE_CAP", "3")
+        assert run_cli(capsys, *argv) == (2, "", "error: rank 4 exceeds brute-force cap 3\n")
 
 
 class TestPartitionCommand:

@@ -1,5 +1,6 @@
 """Tests for the four q-multiplicity routes and their agreement."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -327,6 +328,26 @@ class TestClassical:
                 brute = m_q_brute(theta, index_set.to_root_vector())
                 classical = m_q_closed_general(index_set).eval_at_one()
                 assert brute.value.eval_at_one() == classical
+
+    def test_brute_off_alpha_i_at_q_one(self):
+        # At q = 1, m_q(theta, mu) is the multiplicity of the weight mu in the
+        # adjoint representation: r at mu = 0, 1 at each of the r(r+1) roots
+        # and 0 elsewhere.  Every mu in the box [-2, 2]^r is checked, most of
+        # them with negative or non-0/1 coefficients, where brute is the only
+        # route.  A q = 1 value cannot see a lost power of q.
+        mismatches = []
+        for r in range(1, 5):
+            theta = highest_root(r)
+            positive = [positive_root(i, j, r).coeffs
+                        for i in range(1, r + 1) for j in range(i, r + 1)]
+            roots = set(positive) | {tuple(-c for c in root) for root in positive}
+            assert len(roots) == r * (r + 1)
+            for coeffs in itertools.product(range(-2, 3), repeat=r):
+                expected = r if not any(coeffs) else int(coeffs in roots)
+                got = m_q_brute(theta, RootVector(r, coeffs)).value.eval_at_one()
+                if got != expected:
+                    mismatches.append((coeffs, got, expected))
+        assert mismatches == []
 
 
 class TestFourWayAgreement:
