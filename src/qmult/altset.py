@@ -5,10 +5,11 @@ in the multiplicity sum is nonzero, i.e. those with a positive partition
 value at sigma(lam + rho) - rho - mu.  For lam the highest root and
 mu = alpha_I, the set consists exactly of the products of simple
 reflections over nonconsecutive indices drawn from the complement of I with
-the endpoints 1 and rank removed.  J may be chosen independently in each
-maximal run of those free indices (:func:`free_runs`), so the set is a
-product over the runs of their nonconsecutive subsets (:func:`run_sums`)
-and its cardinality a product of Fibonacci numbers, one per run.
+the endpoints 1 and rank removed.  The free indices between two neighbours
+a < b of 1, i_1, ..., i_k, rank form one run, maybe empty, and J is chosen
+independently in each (:func:`free_runs`), so the set is a product over the
+runs of their nonconsecutive subsets (:func:`run_sums`) and its cardinality
+the product of the fibonacci(b - a + 1) (:func:`fib_profile`).
 
 :func:`run_product` walks that product for both consumers: with 1-tuple
 items it gives the J sets of :func:`alt_set_closed`, and with integer
@@ -19,12 +20,12 @@ widest run is streamed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, cycle, repeat
+from itertools import chain, cycle, pairwise, repeat
 from math import factorial, prod
 from operator import add
 from typing import Iterator, Sequence, TypeVar
 
-from .intervals import IndexSet, interval_partition
+from .intervals import IndexSet
 from .roots import RootVector, embed
 from .weyl import DEFAULT_BRUTE_CAP, CapExceededError
 
@@ -69,23 +70,27 @@ class AltSet:
         return len(self.elements)
 
 
+def _neighbours(index_set: IndexSet) -> Iterator[tuple[int, int]]:
+    """The pairs (a, b) of neighbours in the sequence 1, i_1, ..., i_k, rank
+    of a nonempty index set: the free indices are the a < j < b of each pair,
+    and a pair contributes the factor fibonacci(b - a + 1) to the size of
+    the alternation set."""
+    if index_set.is_empty():
+        raise ValueError("index set must be nonempty")
+    return pairwise((1, *index_set.members, index_set.rank))
+
+
 def fib_profile(index_set: IndexSet) -> tuple[int, ...]:
     """Fibonacci indices for the runs of I: (i_1, i_{x+1} - j_x + 1, rank - j_n + 1).
 
-    With runs [i_1, j_1], ..., [i_n, j_n], the free indices left of i_1 form
-    the interval [2, i_1 - 1], each gap contributes [j_x + 1, i_{x+1} - 1],
-    and the right stretch is [j_n + 1, rank - 1]; an interval of n integers
-    has fibonacci(n + 2) nonconsecutive subsets, giving these indices.  So
-    an interior entry is the gap's width plus 2: I = {1, 6} at rank 6 has a
-    gap of width 4 and the profile (1, 6, 1).
+    These are the b - a + 1 over the neighbours a < b of 1, i_1, ..., i_k,
+    rank without the interior 2s, which come from two members inside one run
+    and have the factor fibonacci(2) = 1.  The free indices between a and b
+    are an interval of b - a - 1 integers, with fibonacci(b - a + 1)
+    nonconsecutive subsets.  I = {1, 6} at rank 6 has the profile (1, 6, 1).
     """
-    runs = interval_partition(index_set)
-    r = index_set.rank
-    profile = [runs[0][0]]
-    for (_, j_x), (i_next, _) in zip(runs, runs[1:]):
-        profile.append(i_next - j_x + 1)
-    profile.append(r - runs[-1][1] + 1)
-    return tuple(profile)
+    first, *interior, last = (b - a + 1 for a, b in _neighbours(index_set))
+    return (first, *(k for k in interior if k != 2), last)
 
 
 def alt_set_cardinality(index_set: IndexSet) -> int:
@@ -105,14 +110,7 @@ def free_runs(index_set: IndexSet) -> list[tuple[int, int]]:
     >>> free_runs(IndexSet(9, [3]))
     [(2, 2), (4, 8)]
     """
-    if index_set.is_empty():
-        raise ValueError("index set must be nonempty")
-    gaps = []
-    a = 1
-    for b in (*index_set.members, index_set.rank):
-        if b - a > 1:
-            gaps.append((b - a, a + 1, b - 1))
-        a = b
+    gaps = [(b - a, a + 1, b - 1) for a, b in _neighbours(index_set) if b - a > 1]
     gaps.sort()
     return [(lo, hi) for _, lo, hi in gaps] or [(2, 1)]
 

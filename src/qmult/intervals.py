@@ -2,8 +2,9 @@
 
 A nonempty index set splits uniquely into maximal runs of consecutive
 integers [i_1, j_1], ..., [i_n, j_n] with i_{x+1} >= j_x + 2.  These runs,
-a plain tuple of (lo, hi) pairs, drive both the closed-form multiplicities
-and the Fibonacci counts of alternation sets.
+a plain tuple of (lo, hi) pairs, drive the closed-form multiplicities; the
+Fibonacci counts of alternation sets read the neighbours of I in
+``qmult.altset`` instead.
 """
 
 from __future__ import annotations
@@ -58,24 +59,6 @@ class IndexSet:
         return "{" + ",".join(str(m) for m in self.members) + "}"
 
 
-def maximal_runs(members: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    """Decompose a set of integers into maximal runs of consecutive values.
-
-    Returns (lo, hi) pairs in increasing order; empty input gives ().
-
-    >>> maximal_runs([1, 2, 4, 7, 8])
-    ((1, 2), (4, 4), (7, 8))
-    """
-    ms = sorted(set(members))
-    runs: list[tuple[int, int]] = []
-    for m in ms:
-        if runs and m == runs[-1][1] + 1:
-            runs[-1] = (runs[-1][0], m)
-        else:
-            runs.append((m, m))
-    return tuple(runs)
-
-
 def interval_partition(index_set: IndexSet) -> tuple[tuple[int, int], ...]:
     """The maximal runs of a nonempty index set, as inclusive (lo, hi) pairs.
 
@@ -84,7 +67,13 @@ def interval_partition(index_set: IndexSet) -> tuple[tuple[int, int], ...]:
     """
     if index_set.is_empty():
         raise ValueError("interval partition of the empty set is undefined")
-    return maximal_runs(index_set.members)
+    runs: list[tuple[int, int]] = []
+    for m in index_set.members:  # sorted and unique
+        if runs and m == runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], m)
+        else:
+            runs.append((m, m))
+    return tuple(runs)
 
 
 def n_of_complement(index_set: IndexSet) -> int:
@@ -92,8 +81,12 @@ def n_of_complement(index_set: IndexSet) -> int:
 
     In terms of n = n(I): the value is n - 1 when both endpoints 1 and rank
     lie in I, n + 1 when neither does, and n when exactly one does.  The
-    complement may be empty, in which case the count is 0.
+    complement may be empty, in which case the count is 0.  It is counted
+    directly, as the k of the complement with k = 1 or k - 1 in I, so that
+    ``verify`` checks the relation above against an independent count.
     """
     if index_set.is_empty():
         raise ValueError("index set must be nonempty")
-    return len(maximal_runs(set(range(1, index_set.rank + 1)).difference(index_set)))
+    members = set(index_set.members)
+    return sum(k not in members and (k == 1 or k - 1 in members)
+               for k in range(1, index_set.rank + 1))

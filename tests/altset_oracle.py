@@ -1,4 +1,4 @@
-"""Two earlier alternation-set enumerators, kept as oracles.
+"""Earlier alternation-set enumerators and run derivations, kept as oracles.
 
 ``reflection_index_sets`` is the first: the nonconsecutive subsets of each
 maximal run of the free region are enumerated recursively and then combined
@@ -7,12 +7,35 @@ one walk over all free indices that followed it, carrying the run count n
 of I^c minus J down with J; its run counts are checked against
 ``maximal_runs`` directly, and it is the oracle for the per-run walks and
 the (|J|, n) tally of ``qmult.altset`` and ``qmult.multiplicity``.
+
+``maximal_runs`` is the general run splitter that ``interval_partition``,
+``fib_profile``, ``free_runs`` and ``n_of_complement`` were once derived
+from; those derivations are the oracle for the walk over the neighbours of
+I that replaced them.
 """
 
 import itertools
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from qmult.intervals import IndexSet, maximal_runs
+from qmult.intervals import IndexSet
+
+
+def maximal_runs(members: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """Decompose a set of integers into maximal runs of consecutive values.
+
+    Returns (lo, hi) pairs in increasing order; empty input gives ().
+
+    >>> maximal_runs([1, 2, 4, 7, 8])
+    ((1, 2), (4, 4), (7, 8))
+    """
+    ms = sorted(set(members))
+    runs: list[tuple[int, int]] = []
+    for m in ms:
+        if runs and m == runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], m)
+        else:
+            runs.append((m, m))
+    return tuple(runs)
 
 
 def nonconsecutive_subsets(lo: int, hi: int) -> Iterator[tuple[int, ...]]:

@@ -7,7 +7,12 @@ from itertools import chain, product
 
 import pytest
 
-from altset_oracle import alternation_walk, nonconsecutive_subsets, reflection_index_sets
+from altset_oracle import (
+    alternation_walk,
+    maximal_runs,
+    nonconsecutive_subsets,
+    reflection_index_sets,
+)
 from qmult.altset import (
     AltSet,
     alt_set_brute,
@@ -20,12 +25,7 @@ from qmult.altset import (
     run_sums,
 )
 from qmult.cli import element_words
-from qmult.intervals import (
-    IndexSet,
-    interval_partition,
-    maximal_runs,
-    n_of_complement,
-)
+from qmult.intervals import IndexSet, interval_partition, n_of_complement
 from qmult.roots import highest_root, positive_root
 from qmult.weyl import CapExceededError, commuting_indices, length
 from weyl_helpers import identity, product_of_commuting, simple_reflection, zero_root
@@ -65,9 +65,28 @@ class TestIndexSet:
 
 class TestIntervalPartition:
     def test_maximal_runs(self):
-        assert maximal_runs([1, 2, 4, 7, 8]) == ((1, 2), (4, 4), (7, 8))
-        assert maximal_runs([]) == ()
-        assert maximal_runs([3]) == ((3, 3),)
+        assert interval_partition(IndexSet(8, [1, 2, 4, 7, 8])) == ((1, 2), (4, 4), (7, 8))
+        with pytest.raises(ValueError):
+            interval_partition(IndexSet(8, []))
+        assert interval_partition(IndexSet(3, [3])) == ((3, 3),)
+
+    def test_neighbour_walk_matches_the_run_derivations(self):
+        # fib_profile and free_runs read the neighbours of 1, I, rank, and
+        # interval_partition and n_of_complement split I themselves; each
+        # must equal its earlier derivation from maximal_runs
+        for r in range(1, 13):
+            for index_set in _all_index_sets(r):
+                members = set(index_set)
+                runs = maximal_runs(members)
+                assert interval_partition(index_set) == runs
+                gaps = [i_next - j_x + 1 for (_, j_x), (i_next, _) in zip(runs, runs[1:])]
+                profile = (runs[0][0], *gaps, r - runs[-1][1] + 1)
+                assert fib_profile(index_set) == profile, index_set
+                free = maximal_runs(k for k in range(2, r) if k not in members)
+                by_width = sorted(free, key=lambda run: (run[1] - run[0], run[0]))
+                assert free_runs(index_set) == (by_width or [(2, 1)]), index_set
+                comp = set(range(1, r + 1)) - members
+                assert n_of_complement(index_set) == len(maximal_runs(comp)), index_set
 
     def test_interval_partition(self):
         runs = interval_partition(IndexSet(8, [1, 2, 4, 7]))

@@ -63,7 +63,7 @@ SUBMODULE_NAMES = {
                "run_product", "run_sums"],
     "cli": ["ENV_BRUTE_CAP", "build_parser", "element_words", "main",
             "parse_index_set", "parse_mu"],
-    "intervals": ["IndexSet", "interval_partition", "maximal_runs", "n_of_complement"],
+    "intervals": ["IndexSet", "interval_partition", "n_of_complement"],
     "multiplicity": ["METHODS", "MultiplicityResult", "m_q_altset", "m_q_brute",
                      "m_q_closed_general", "m_q_closed_zero", "m_q_rank_reduction",
                      "signed_sum"],

@@ -5,8 +5,10 @@ import contextlib
 import csv
 import io
 import json
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmult import cli
-from qmult.altset import WeylSweep, alt_set_brute
+from qmult.altset import WeylSweep, alt_set_brute, alt_set_cardinality
 from qmult.cli import main, parse_index_set, parse_mu
 from qmult.intervals import IndexSet
 from qmult.multiplicity import m_q_closed_general
@@ -413,6 +415,44 @@ class TestVerifyCommand:
         assert "rank 2: 0 index sets (sampled, all methods)" in out
         assert out.splitlines()[-1] == (
             "VERIFY FAIL (0 of 7 checks failed, no index set checked at rank 2)")
+
+
+class TestVerifySampler:
+    """Past the exhaustive ranks, ``verify`` draws each index set uniformly
+    among the admissible ones, those whose alternation set has at most
+    ``_VERIFY_TERMS_CAP`` elements, by counting them first."""
+
+    @staticmethod
+    def admissible_by_mask(rank, cap):
+        sets = (cli._from_mask(rank, mask) for mask in range(1, 1 << rank))
+        return {s.members for s in sets if alt_set_cardinality(s) <= cap}
+
+    def test_count_matches_a_count_over_all_masks(self):
+        admissible = cli._AdmissibleSets(cli._VERIFY_TERMS_CAP)
+        for r in range(1, 17):
+            assert admissible.count(r) == len(self.admissible_by_mask(r, cli._VERIFY_TERMS_CAP)), r
+
+    @pytest.mark.parametrize("cap", [4, 13, 50])
+    def test_draws_hit_every_admissible_set_and_no_other(self, cap):
+        # 200 draws per admissible set: each set is hit about 200 times
+        rng = random.Random(cap)
+        for r in range(1, 9):
+            admissible = cli._AdmissibleSets(cap)
+            expected = self.admissible_by_mask(r, cap)
+            hits = Counter(s.members for s in admissible.sample(r, rng, 200 * len(expected)))
+            assert set(hits) == expected, (cap, r)
+            assert 120 <= min(hits.values()) and max(hits.values()) <= 280, (cap, r)
+
+    def test_rank_70_passes(self):
+        # rejection from all 2^r - 1 masks found no admissible set at 13 of
+        # these ranks, and verify failed without any route disagreeing
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmult.cli", "verify", "--max-rank", "70", "--samples", "2"],
+            capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stdout[-500:]
+        assert proc.stdout.splitlines()[-1].startswith("VERIFY PASS")
+        assert "rank 70: 2 index sets (sampled, closed forms)" in proc.stdout
 
 
 class TestVerifyTable:
