@@ -1,6 +1,6 @@
 """Write a before/after benchmark record for one change.
 
-    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_18.json
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_19.json
 
 DIR is a checkout (source, perfbench/ and BENCHMARK.json) of the parent
 commit and of the change.  Each checkout's ``src/``, ``perfbench/`` (without

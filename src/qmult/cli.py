@@ -28,7 +28,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import os
 import random
 import sys
@@ -264,10 +263,21 @@ class _AdmissibleSets:
     def __init__(self, cap: int):
         self.cap = cap
         self.fib = [0, 1]  # F(n), or cap + 1 when F(n) is past cap
-        # every cap // k with k > isqrt(cap) is at most isqrt(cap)
-        root = math.isqrt(cap)
-        self.budgets = {cap // k for k in range(1, root + 1)} | set(range(1, root + 1))
         self.rows: list[dict[int, int]] = []
+
+    @functools.cached_property
+    def budgets(self) -> set[int]:
+        """The budgets the walk reads: the cap, and c // f for each budget c
+        and each Fibonacci number 1 < f <= c; worked out on the first count."""
+        factors = [2, 3]
+        while factors[-1] <= self.cap:
+            factors.append(factors[-1] + factors[-2])
+        budgets: set[int] = set()
+        todo = {self.cap}
+        while todo:
+            budgets |= todo
+            todo = {c // f for c in todo for f in factors if f <= c} - budgets
+        return budgets
 
     def _choices(self, d: int, c: int, first: int) -> Iterator[tuple[int, Optional[int]]]:
         """(ways, s) for each choice at d places before the rank with the

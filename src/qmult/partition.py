@@ -18,8 +18,9 @@ w'(y) = w(y) + w'(y + r), summed down each line xi, xi - r, ... from its top.
 Later roots cover slots 0 and l alike, so a point with y[0] > y[l] is
 dropped at once: the full-width root, which takes what is left at slot 0,
 needs y[0] <= min(y).  Equal states merge and zero weights are dropped.
-Weights are bare coefficient tuples, summed by ``poly.add_coeffs``; a state
-that leaves adds weight times value to the total by ``poly.add_product``.
+Weights are packed at q = 2^K (``poly.pack``), so two add as ints and a
+factor q^c is ``<< c * K``; K comes from the bound sum |w| * C(m + N, N) on
+every coefficient the pass holds, which ``kostant_q_sum`` proves.
 
 ``kostant_q_coeffs`` keeps one answer cache for every rank, one entry per
 query, keyed by xi less the zeros at its ends, which no root covers: (1, 1, 0)
@@ -31,11 +32,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
+from math import comb
 from operator import add, sub
 from typing import Mapping, Sequence
 
 from .intervals import IndexSet, interval_partition
-from .poly import ONE, ZERO, QPolynomial, add_coeffs, add_product
+from .poly import ONE, ZERO, QPolynomial, pack, unpack
 from .roots import RootVector, positive_root
 from .weyl import CapExceededError
 
@@ -65,34 +67,65 @@ def _strip(xi: tuple[int, ...]) -> tuple[int, ...]:
 
 def kostant_q_sum(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
     """sum w * P_q(xi) over {xi: w}, all xi >= 0 and of one length, by the
-    division pass of the module docstring; it only reads the answer cache."""
-    total: list[int] = []
-    # xi -> coefficient tuple of its weight, a polynomial in q, times q^shift
-    states = {xi: (w,) for xi, w in weights.items() if w}
+    division pass of the module docstring; it only reads the answer cache.
+
+    Weights are packed at q = 2^K (``poly.pack``); a state that leaves adds
+    weight times its packed value to one packed total, unpacked at the end.
+    K must keep every coefficient strictly inside +-2^(K-1):
+    - With one input xi of weight 1, each coefficient of a state's weight
+      counts distinct multisets of the roots taken so far: each root's
+      copies are chosen once, in a fixed order, and the q^xi[0] a round's
+      weights gain only sets their degree.  A line sum is a state's weight;
+      a weight times a cached value, a round's hits and the total count
+      multisets of all the roots with sum xi.
+    - Each root adds at least 1 to the coordinate sum, so such a multiset
+      has at most m roots, m the largest coordinate sum of an input xi, out
+      of the N = r(r+1)/2 positive roots at r = len(xi): C(m + N, N) of them.
+    - The pass is linear in the weights, so no coefficient exceeds
+      sum |w| * C(m + N, N) in absolute value.  K is that bound's bit length
+      plus a sign bit, so a packed weight is 0 exactly when the polynomial
+      is, and the total unpacks exactly.
+    """
+    states = {xi: w for xi, w in weights.items() if w}
+    if not states:
+        return ZERO
+    width = len(next(iter(states)))
+    roots = width * (width + 1) // 2
+    bound = sum(map(abs, states.values())) * comb(max(map(sum, states)) + roots, roots)
+    K = bound.bit_length() + 1
+    packed = {(): 1}  # stripped xi -> its cached value packed at K
+    total = 0  # packed; each round's hits join it times q^shift
     shift = 0
     while states:
         width = len(next(iter(states)))
         # a cached state (the empty xi always is) leaves with its value
         held = {}
+        hits = 0
         for xi, w in states.items():
-            got = _CACHE.get(_strip(xi))
+            key = _strip(xi)
+            got = _CACHE.get(key)
             if got is None:
                 held[xi] = w
-            else:
-                add_product(total, w, got.coeffs, shift)
+                continue
+            value = packed.get(key)
+            if value is None:
+                value = packed[key] = pack(got.coeffs, K)
+            hits += w * value
+        if hits:
+            total += hits << (shift * K)
         if not held:
             break
         # each weight gains q^xi[0]; the power all of them gain joins the shift
         base = min(xi[0] for xi in held)
         shift += base
-        states = {xi: (0,) * (xi[0] - base) + w for xi, w in held.items()}
-        after: dict[tuple[int, ...], tuple[int, ...]] = {}
+        states = {xi: w << ((xi[0] - base) * K) for xi, w in held.items()}
+        after: dict[tuple[int, ...], int] = {}
         for length in range(1, width):
             # each line along the root on slots 0 .. length-1: lowest point -> {height: weight}
-            lines: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+            lines: dict[tuple[int, ...], dict[int, int]] = {}
             for xi, w in states.items():
                 if not xi[0]:  # no root is left to take at slot 0
-                    after[xi[1:]] = add_coeffs(after.get(xi[1:], ()), w)
+                    after[xi[1:]] = after.get(xi[1:], 0) + w
                     continue
                 h = min(xi[:length])
                 low = tuple(map(sub, xi[:length], repeat(h))) + xi[length:] if h else xi
@@ -100,21 +133,20 @@ def kostant_q_sum(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
             states = {}
             for low, points in lines.items():
                 room = low[length] - low[0]  # the highest point with y[0] <= y[length]
-                acc = ()
+                acc = 0
                 for c in range(max(points), -1, -1):
                     w = points.get(c)
                     if w is not None:
-                        acc = add_coeffs(acc, w)
-                        live = any(acc)
-                    if live and c <= room:
+                        acc += w
+                    if acc and c <= room:
                         states[tuple(map(add, low[:length], repeat(c))) + low[length:]
                                if c else low] = acc
         # the full-width root takes what is left at slot 0, xi[0] <= min(xi)
         for xi, w in states.items():
             rest = tuple(map(sub, xi[1:], repeat(xi[0]))) if xi[0] else xi[1:]
-            after[rest] = add_coeffs(after.get(rest, ()), w)
-        states = {xi: w for xi, w in after.items() if any(w)}
-    return QPolynomial(total)
+            after[rest] = after.get(rest, 0) + w
+        states = {xi: w for xi, w in after.items() if w}
+    return QPolynomial(unpack(total, K))
 
 
 def kostant_q_coeffs(coeffs: Sequence[int]) -> QPolynomial:

@@ -2,9 +2,10 @@
 
 Every partition-function and multiplicity value in this package is such a
 polynomial; evaluating at q = 1 recovers the plain (unweighted) count.
-Coefficients are Python ints, so no overflow is possible.  The kernels
-:func:`add_coeffs` and :func:`add_product` do the arithmetic on bare
-coefficient sequences, for ``QPolynomial`` and the partition pass alike.
+Coefficients are Python ints, so no overflow is possible.  :func:`add_coeffs`
+and :func:`add_product` do ``QPolynomial``'s arithmetic on coefficient
+sequences; :func:`pack` and :func:`unpack` turn one into an int at q = 2^K
+and back, for the partition pass.
 """
 
 from __future__ import annotations
@@ -30,6 +31,31 @@ def add_product(acc: list[int], a: Sequence[int], b: Sequence[int], shift: int) 
         if x:
             for j, y in enumerate(b, i):
                 acc[j] += x * y
+
+
+def pack(coeffs: Sequence[int], K: int) -> int:
+    """The polynomial's value at q = 2^K: sum coeffs[k] * 2^(K*k)."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << K) + c
+    return value
+
+
+def unpack(value: int, K: int) -> tuple[int, ...]:
+    """The coefficients that :func:`pack` packed at K, read as balanced
+    base-2^K digits in [-2^(K-1), 2^(K-1)); exact when every coefficient lies
+    strictly inside +-2^(K-1).  Trailing zeros are trimmed, so 0 gives ()."""
+    coeffs = []
+    mask = (1 << K) - 1
+    half = 1 << (K - 1)
+    while value:
+        digit = value & mask
+        value >>= K
+        if digit >= half:  # a negative digit borrows one from the next
+            digit -= mask + 1
+            value += 1
+        coeffs.append(digit)
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True, init=False)

@@ -19,13 +19,23 @@ memo probed before a child is called, and every copy but the first read
 from a sibling already in the memo.  Its ``_sibling_solve`` and
 ``_SIBLING_MEMO`` are the library's ``_solve`` and ``_MEMO`` unchanged but
 for their names.
+
+``kostant_q_sum_tuples`` is the division pass as ``qmult.partition`` ran it
+before its weights were packed at q = 2^K: each weight is a bare coefficient
+tuple, summed by ``poly.add_coeffs``, and a state that leaves adds weight
+times value to the total by ``poly.add_product``.  It is the library's
+``kostant_q_sum`` unchanged but for its name and for reading the answer
+cache and ``_strip`` through the ``qmult.partition`` module, so that a cache
+a test patches there is the one both passes read.
 """
 
 from functools import lru_cache
 from itertools import repeat
 from operator import add, sub
+from typing import Mapping
 
-from qmult.poly import ONE, ZERO, QPolynomial
+from qmult import partition
+from qmult.poly import ONE, ZERO, QPolynomial, add_coeffs, add_product
 
 
 def shift(p: QPolynomial, power: int) -> QPolynomial:
@@ -221,3 +231,57 @@ def kostant_q_sibling(coeffs) -> QPolynomial:
     pass replaced."""
     cs = tuple(coeffs)
     return ZERO if min(cs, default=0) < 0 else _sibling_solve(cs, 1)
+
+
+def kostant_q_sum_tuples(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
+    """sum w * P_q(xi) over {xi: w}, all xi >= 0 and of one length, by the
+    division pass of the module docstring; it only reads the answer cache."""
+    total: list[int] = []
+    # xi -> coefficient tuple of its weight, a polynomial in q, times q^shift
+    states = {xi: (w,) for xi, w in weights.items() if w}
+    shift = 0
+    while states:
+        width = len(next(iter(states)))
+        # a cached state (the empty xi always is) leaves with its value
+        held = {}
+        for xi, w in states.items():
+            got = partition._CACHE.get(partition._strip(xi))
+            if got is None:
+                held[xi] = w
+            else:
+                add_product(total, w, got.coeffs, shift)
+        if not held:
+            break
+        # each weight gains q^xi[0]; the power all of them gain joins the shift
+        base = min(xi[0] for xi in held)
+        shift += base
+        states = {xi: (0,) * (xi[0] - base) + w for xi, w in held.items()}
+        after: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for length in range(1, width):
+            # each line along the root on slots 0 .. length-1: lowest point -> {height: weight}
+            lines: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+            for xi, w in states.items():
+                if not xi[0]:  # no root is left to take at slot 0
+                    after[xi[1:]] = add_coeffs(after.get(xi[1:], ()), w)
+                    continue
+                h = min(xi[:length])
+                low = tuple(map(sub, xi[:length], repeat(h))) + xi[length:] if h else xi
+                lines.setdefault(low, {})[h] = w
+            states = {}
+            for low, points in lines.items():
+                room = low[length] - low[0]  # the highest point with y[0] <= y[length]
+                acc = ()
+                for c in range(max(points), -1, -1):
+                    w = points.get(c)
+                    if w is not None:
+                        acc = add_coeffs(acc, w)
+                        live = any(acc)
+                    if live and c <= room:
+                        states[tuple(map(add, low[:length], repeat(c))) + low[length:]
+                               if c else low] = acc
+        # the full-width root takes what is left at slot 0, xi[0] <= min(xi)
+        for xi, w in states.items():
+            rest = tuple(map(sub, xi[1:], repeat(xi[0]))) if xi[0] else xi[1:]
+            after[rest] = add_coeffs(after.get(rest, ()), w)
+        states = {xi: w for xi, w in after.items() if any(w)}
+    return QPolynomial(total)

@@ -70,7 +70,8 @@ SUBMODULE_NAMES = {
     "partition": ["DEFAULT_ORACLE_CAP", "PartitionTable", "factorize_over_intervals",
                   "kostant_q", "kostant_q_coeffs", "kostant_q_oracle", "kostant_q_sum",
                   "table_for"],
-    "poly": ["ONE", "Q", "QPolynomial", "ZERO", "add_coeffs", "add_product"],
+    "poly": ["ONE", "Q", "QPolynomial", "ZERO", "add_coeffs", "add_product", "pack",
+             "unpack"],
     "roots": ["RootVector", "embed", "highest_root", "positive_root"],
     "weyl": ["CapExceededError", "DEFAULT_BRUTE_CAP", "commuting_indices", "length"],
 }

@@ -432,6 +432,21 @@ class TestVerifySampler:
         for r in range(1, 17):
             assert admissible.count(r) == len(self.admissible_by_mask(r, cli._VERIFY_TERMS_CAP)), r
 
+    @pytest.mark.parametrize("cap, size", [(1, 1), (4, 3), (50, 12), (50_000, 218)])
+    def test_budgets_are_the_cap_over_products_of_fibonacci_factors(self, cap, size):
+        # c // f // g = c // (f * g), so the budgets the walk reaches from
+        # the cap are cap // P over the products P <= cap of factors F(k) > 1
+        def products(p, smallest):
+            yield p
+            a, b = 1, 2
+            while p * b <= cap:
+                if b >= smallest:
+                    yield from products(p * b, b)
+                a, b = b, a + b
+        budgets = cli._AdmissibleSets(cap).budgets
+        assert budgets == {cap // p for p in products(1, 2)}
+        assert len(budgets) == size
+
     @pytest.mark.parametrize("cap", [4, 13, 50])
     def test_draws_hit_every_admissible_set_and_no_other(self, cap):
         # 200 draws per admissible set: each set is hit about 200 times

@@ -6,11 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from closed_forms import kostant_q_interval_closed_form
 from qmult import partition
+from qmult.altset import WeylSweep
 from qmult.intervals import IndexSet
 from qmult.partition import (
     PartitionTable,
@@ -24,7 +25,12 @@ from qmult.poly import ONE, Q, ZERO, QPolynomial
 from qmult.roots import RootVector, highest_root, positive_root
 from qmult.weyl import CapExceededError
 import partition_oracle
-from partition_oracle import kostant_q_by_rank, kostant_q_shared, kostant_q_sibling
+from partition_oracle import (
+    kostant_q_by_rank,
+    kostant_q_shared,
+    kostant_q_sibling,
+    kostant_q_sum_tuples,
+)
 from weyl_helpers import zero_root
 
 # the benchmark's seeded inputs, whose weights pass the oracle's cap
@@ -214,6 +220,75 @@ class TestDivisionPass:
         assert partition._CACHE.keys() == {(), (60, 59, 61)}
         assert kostant_q_coeffs((0, 0, 0)) == ONE
         assert len(partition._CACHE) == 2
+
+
+@st.composite
+def weighted_xis(draw):
+    """{xi: w} at rank <= 5: one to eight xi in [0, 4]^rank with signed
+    weights, small or far beyond 2^64."""
+    r = draw(st.integers(min_value=1, max_value=5))
+    xi = st.lists(st.integers(min_value=0, max_value=4), min_size=r, max_size=r).map(tuple)
+    weight = st.one_of(st.integers(min_value=-3, max_value=3),
+                       st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+                       st.sampled_from([10 ** 20 + 1, -(10 ** 25), 2 ** 64, -(2 ** 64) + 1]))
+    return draw(st.dictionaries(xi, weight, min_size=1, max_size=8))
+
+
+def _sweep_weights(mu):
+    """The {xi: signed weight} that ``signed_sum`` divides for the pruned
+    sweep of the highest root at mu."""
+    r = len(mu)
+    weights: dict = {}
+    for _, sign, xi in WeylSweep(highest_root(r), RootVector(r, mu)):
+        weights[xi] = weights.get(xi, 0) + sign
+    return weights
+
+
+class TestPackedPass:
+    """The pass on weights packed at q = 2^K against the coefficient-tuple
+    pass it replaced, which reads the same answer cache."""
+
+    @staticmethod
+    def check(weights, cache):
+        keys = set(cache)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partition, "_CACHE", cache)
+            assert partition.kostant_q_sum(weights) == kostant_q_sum_tuples(weights)
+        assert cache.keys() == keys  # both passes only read the cache
+
+    @given(weighted_xis())
+    @example({(4, 4, 4, 4, 4): 10 ** 30, (4, 3, 4, 4, 4): -(10 ** 30) + 1})
+    @example({(1, 0, 2): 2 ** 64, (0, 0, 0): -1, (2, 2, 2): -(2 ** 64)})
+    def test_agrees_with_tuple_pass_on_signed_weights(self, weights):
+        # cold, then with the cache holding the values of every other xi
+        self.check(weights, {(): ONE})
+        cache = {partition._strip(xi): kostant_q_by_rank(xi) for xi in list(weights)[::2]}
+        self.check(weights, {(): ONE, **cache})
+
+    @settings(max_examples=40)
+    @given(st.integers(min_value=5, max_value=7).flatmap(
+        lambda r: st.lists(st.integers(min_value=-2, max_value=1), min_size=r, max_size=r)))
+    @example([-2] * 7)
+    @example([-2, 1, -2, 0, -1, 1, -2])
+    @example([0, -1, 0, 0, -1])
+    def test_agrees_with_tuple_pass_on_sweep_inputs(self, mu):
+        # mu in [-2, 2]^r, less the mu with a coordinate 2: theta - mu, the
+        # identity's xi, tops every row's xi, so their sweeps are empty
+        weights = _sweep_weights(mu)
+        assert weights
+        self.check(weights, {(): ONE})
+        # warm: the first rows' values cached, as the rank <= 8 kostant_q
+        # check in verify leaves them before its brute sum
+        warm = {partition._strip(xi): kostant_q_by_rank(xi) for xi in list(weights)[:6]}
+        self.check(weights, {(): ONE, **warm})
+
+    def test_width_grows_with_the_weights(self):
+        # sum |w| * C(m + N, N) = (10^40 + 1) * C(3 + 3, 3), so K = 139
+        weights = {(1, 2): 10 ** 40, (2, 1): 1}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partition, "_CACHE", {(): ONE})
+            assert partition.kostant_q_sum(weights) == (
+                10 ** 40 * kostant_q_by_rank((1, 2)) + kostant_q_by_rank((2, 1)))
 
 
 class TestOracle:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from partition_oracle import shift
-from qmult.poly import ONE, Q, ZERO, QPolynomial, add_coeffs, add_product
+from qmult.poly import ONE, Q, ZERO, QPolynomial, add_coeffs, add_product, pack, unpack
 
 coeff_lists = st.lists(st.integers(min_value=-100, max_value=100), max_size=9)
 polys = coeff_lists.map(QPolynomial)
@@ -112,7 +112,8 @@ def _naive_add_product(acc, a, b, shift):
 
 
 class TestKernels:
-    """The coefficient kernels that QPolynomial and the partition pass share."""
+    """The coefficient kernels of QPolynomial, which the tuple-weight division
+    pass in partition_oracle also runs on."""
 
     def test_add_coeffs_is_untrimmed(self):
         assert add_coeffs((1, 2), (-1, -2)) == (0, 0)
@@ -142,6 +143,64 @@ class TestKernels:
         expected = _naive_add_product(acc, a, b, shift)
         add_product(acc, tuple(a), tuple(b), shift)
         assert acc == expected
+
+
+@st.composite
+def packable(draw):
+    """(coeffs, K): K in [2, 200] and every coefficient strictly inside
+    +-2^(K-1), drawn often at the two ends of that range and at 0."""
+    K = draw(st.integers(min_value=2, max_value=200))
+    top = (1 << (K - 1)) - 1
+    coeff = st.one_of(st.integers(-top, top), st.sampled_from([0, top, -top]))
+    return draw(st.lists(coeff, max_size=12)), K
+
+
+def _trimmed(coeffs):
+    return QPolynomial(coeffs).coeffs
+
+
+class TestPack:
+    """q = 2^K: balanced base-2^K digits give back every coefficient
+    strictly inside +-2^(K-1), negative ones too."""
+
+    @pytest.mark.parametrize("coeffs", [
+        (1,), (-1,), (0, 1), (3, -1, 0, 2), (-5, 0, 0, -7),  # negative and interior zeros
+        (0, 0, 4), (-1, 1, -1, 1), (2, 0, 0), (-3, 5, 0, 0, 0),  # trailing zeros are trimmed
+    ])
+    @pytest.mark.parametrize("K", [4, 8, 63, 64, 65, 130])
+    def test_round_trip(self, coeffs, K):
+        assert unpack(pack(coeffs, K), K) == _trimmed(coeffs)
+
+    @pytest.mark.parametrize("K", [2, 3, 8, 31, 32, 64, 100])
+    def test_round_trip_one_bit_inside_the_range(self, K):
+        top = (1 << (K - 1)) - 1
+        for coeffs in [(top,), (-top,), (top, -top), (-top, top), (-top, 0, -top),
+                       (top, top, top), (-top, -top, -top), (0, -top, 0, top, 0)]:
+            assert unpack(pack(coeffs, K), K) == _trimmed(coeffs), (K, coeffs)
+
+    def test_zero_and_empty(self):
+        for K in (2, 8, 64):
+            assert unpack(0, K) == ()
+            assert pack((), K) == 0
+            assert pack((0, 0, 0), K) == 0
+            assert pack((1,), K) == 1  # the constant 1 packs to 1 at any K
+
+    def test_pack_is_the_value_at_two_to_the_k(self):
+        assert pack((3, -1, 0, 2), 5) == 3 - 2 ** 5 + 2 * 2 ** 15
+        assert pack((0, -1), 10) == -(2 ** 10)
+
+    def test_sum_and_shift_of_packed_values(self):
+        # what the partition pass relies on: + adds and << c * K multiplies by q^c
+        a, b, K = (4, -2, 0, 1), (-4, 7), 9
+        assert unpack(pack(a, K) + pack(b, K), K) == (QPolynomial(a) + QPolynomial(b)).coeffs
+        assert unpack(pack(a, K) << (3 * K), K) == (0, 0, 0) + a
+        assert unpack(pack(a, K) * pack(b, K), K) == (QPolynomial(a) * QPolynomial(b)).coeffs
+
+    @given(packable())
+    def test_round_trip_at_random(self, case):
+        coeffs, K = case
+        assert unpack(pack(coeffs, K), K) == _trimmed(coeffs)
+        assert QPolynomial(unpack(pack(coeffs, K), K)) == QPolynomial(coeffs)
 
 
 class TestFormats:
