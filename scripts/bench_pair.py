@@ -1,6 +1,6 @@
 """Write a before/after benchmark record for one change.
 
-    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_19.json
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_20.json
 
 DIR is a checkout (source, perfbench/ and BENCHMARK.json) of the parent
 commit and of the change.  Each checkout's ``src/``, ``perfbench/`` (without
@@ -27,10 +27,11 @@ dropped prefix, and leaves plus pruned elements account for (rank+1)!),
 the entries the partition engine's answer cache ``_CACHE`` holds after the
 seed-1 ``partition`` inputs, the number of passes over a ``WeylSweep``
 (calls of its ``__iter__``) that one run of the seed-1 ``verify`` inputs
-makes, and the alternation-set elements visited on the seed-1 ``altset``
-inputs (``terms_evaluated`` of each ``m_q_altset`` call and the element
-count of the ``alt_set_closed`` call, each of which must equal perfbench's
-independent ``alt_set_size``).  ``src_lines`` is the line count of
+makes, and the alternation-set elements accounted for on the seed-1
+``altset`` inputs (``terms_evaluated`` of each ``m_q_altset`` call and the
+element count of the ``alt_set_closed`` call, each of which must equal
+perfbench's independent ``alt_set_size``), beside the codes or J sets each
+call walked to account for them.  ``src_lines`` is the line count of
 ``src/qmult/*.py`` in each checkout, as ``wc -l`` gives it, so a change's
 size is read from the record.  Timings depend on the host, which the
 record names; the counts do not.
@@ -200,25 +201,52 @@ def fresh_count(checkout: Path, count: str):
     return json.loads(proc.stdout)
 
 
-def altset_terms() -> list:
-    """The alternation-set elements each seed-1 ``altset`` operation visits,
-    checked against perfbench's ``alt_set_size``."""
-    import workloads
-    from qmult.altset import alt_set_closed
-    from qmult.intervals import IndexSet
-    from qmult.multiplicity import m_q_altset
+class Yields:
+    """Counts the items the generator function ``module.name`` yields while
+    the context is open, to every caller that reads it through that name."""
 
+    def __init__(self, module, name: str):
+        self.module, self.name, self.count = module, name, 0
+
+    def __enter__(self):
+        self.walk = walk = getattr(self.module, self.name)
+
+        def counted(*args):
+            for item in walk(*args):
+                self.count += 1
+                yield item
+
+        setattr(self.module, self.name, counted)
+        return self
+
+    def __exit__(self, *exc):
+        setattr(self.module, self.name, self.walk)
+
+
+def altset_terms() -> list:
+    """The alternation-set elements each seed-1 ``altset`` operation accounts
+    for, checked against perfbench's ``alt_set_size``, and the codes or J
+    sets it walked to do so."""
+    import workloads
+    from qmult import altset, multiplicity
+    from qmult.intervals import IndexSet
+
+    # m_q_altset walks each free run with run_sums; a checkout whose
+    # m_q_altset walks the whole product reads run_product instead
+    walk = "run_sums" if hasattr(multiplicity, "run_sums") else "run_product"
     inputs = workloads.generate("altset", SEED)
     calls = []
     for members in inputs["index_sets"]:
-        res = m_q_altset(IndexSet(inputs["rank"], members))
+        with Yields(multiplicity, walk) as walked:
+            res = multiplicity.m_q_altset(IndexSet(inputs["rank"], members))
         calls.append({"call": "m_q_altset", "rank": inputs["rank"], "members": members,
-                      "terms": res.terms_evaluated,
+                      "terms": res.terms_evaluated, "walked": walked.count,
                       "alt_set_size": workloads.alt_set_size(inputs["rank"], members)})
     c = inputs["closed"]
-    elements = alt_set_closed(IndexSet(c["rank"], c["members"])).cardinality
+    with Yields(altset, "run_product") as walked:
+        elements = altset.alt_set_closed(IndexSet(c["rank"], c["members"])).cardinality
     calls.append({"call": "alt_set_closed", "rank": c["rank"], "members": c["members"],
-                  "terms": elements,
+                  "terms": elements, "walked": walked.count,
                   "alt_set_size": workloads.alt_set_size(c["rank"], c["members"])})
     for call in calls:
         if call["terms"] != call["alt_set_size"]:

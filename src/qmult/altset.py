@@ -11,10 +11,10 @@ independently in each (:func:`free_runs`), so the set is a product over the
 runs of their nonconsecutive subsets (:func:`run_sums`) and its cardinality
 the product of the fibonacci(b - a + 1) (:func:`fib_profile`).
 
-:func:`run_product` walks that product for both consumers: with 1-tuple
-items it gives the J sets of :func:`alt_set_closed`, and with integer
-weights the codes that ``m_q_altset`` tallies.  Its docstring says how the
-widest run is streamed.
+:func:`run_product` walks that product for the J sets of
+:func:`alt_set_closed`; its docstring says how the widest run is streamed.
+``m_q_altset`` walks each run's :func:`run_sums` alone, with integer
+weights, and multiplies the runs' tallies of them.
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ def run_product(index_set: IndexSet, items: Sequence[_T], empty: _T) -> Iterator
     ``items`` is indexed by free index.  The widest run is walked lazily and
     only the product of the others is listed, once: a single run of 29
     free indices has 1.3 million subsets, which a list would hold at once,
-    while a product of narrower runs is small.  Every J is visited once,
-    and no two equal sums are merged.
+    while a product of narrower runs is small.  Each J of the product is
+    visited once, and no two equal sums are merged.
 
     >>> sorted(map(sorted, run_product(IndexSet(5, [3]), [(j,) for j in range(5)], ())))
     [[], [2], [2, 4], [4]]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
-from .altset import WeylSweep, run_product
+from .altset import WeylSweep, free_runs, run_sums
 from .intervals import IndexSet, interval_partition, n_of_complement
 from .partition import kostant_q_sum
 from .poly import Q, QPolynomial
@@ -75,16 +75,17 @@ def m_q_brute(
 
 def _term_tally(index_set: IndexSet) -> dict[tuple[int, int], int]:
     """How many alternation-set elements have each (|J|, n), n the number of
-    maximal runs of I^c minus J; every element is visited and counted once.
+    maximal runs of I^c minus J.
 
     Removing j from I^c splits, shortens or deletes its run as
     g_j = #({j-1, j+1} & I^c) is 2, 1 or 0, and no two members of J are
     adjacent, so n = runs(I^c) + sum over j in J of (g_j - 1).  Each free
     index j weighs B + g_j with B = 2 rank + 2, larger than any sum of the
     g_j, so the code of J, the sum of its weights, holds |J| = code // B and
-    sum g_j = code % B.  :func:`~qmult.altset.run_product` walks the codes,
-    streaming the widest run as its docstring says, and ``Counter`` counts
-    them at C speed.
+    sum g_j = code % B.  J is chosen independently in each free run and
+    codes add over the runs, so the tally is the product of the runs'
+    tallies (codes add, counts multiply): :func:`~qmult.altset.run_sums`
+    walks each run's codes once and ``Counter`` counts them at C speed.
     """
     r = index_set.rank
     base = 2 * r + 2
@@ -94,7 +95,14 @@ def _term_tally(index_set: IndexSet) -> dict[tuple[int, int], int]:
         weight[m - 1] -= 1
         weight[m + 1] -= 1
     runs = n_of_complement(index_set)
-    tally = Counter(run_product(index_set, weight, 0))
+    *narrower, (lo, hi) = free_runs(index_set)
+    tally = Counter(run_sums(weight[lo:hi + 1], 0))
+    for a, b in narrower:
+        product = Counter()
+        for code, count in Counter(run_sums(weight[a:b + 1], 0)).items():
+            for other, times in tally.items():
+                product[code + other] += count * times
+        tally = product
     return {(code // base, runs + code % base - code // base): count
             for code, count in tally.items()}
 
@@ -107,13 +115,12 @@ def m_q_altset(index_set: IndexSet) -> MultiplicityResult:
     term has sign (-1)^|J| and shifted image alpha_{I^c} - alpha_J, an
     indicator vector whose partition value factors over its maximal runs as
     q(q+1)^(len-1).  With n runs of total length N = |I^c| - |J| the term is
-    q^n (q+1)^(N-n).  Every J is still enumerated and counted, but terms are
-    tallied by (|J|, n) and expanded once per pair by the binomial theorem.
-    The tally keys each J by the sum of its weights B + g_j, B = 2 rank + 2
-    and g_j = #({j-1, j+1} & I^c) (:func:`_term_tally`), over the product
-    :func:`~qmult.altset.run_product` walks.  The number of terms is exactly
-    the alternation-set cardinality, so ranks far beyond brute-force reach
-    stay cheap.
+    q^n (q+1)^(N-n).  Terms are tallied by (|J|, n) and expanded once per
+    pair by the binomial theorem.  The tally keys each J by the sum of its
+    weights B + g_j, B = 2 rank + 2 and g_j = #({j-1, j+1} & I^c); it walks
+    each run's J once and multiplies the runs' tallies (:func:`_term_tally`),
+    so the terms accounted for, exactly the alternation-set cardinality,
+    cost a sum of Fibonacci numbers and ranks far beyond brute force stay cheap.
     """
     r = index_set.rank
     free = r - len(index_set)

@@ -7,6 +7,9 @@ one walk over all free indices that followed it, carrying the run count n
 of I^c minus J down with J; its run counts are checked against
 ``maximal_runs`` directly, and it is the oracle for the per-run walks and
 the (|J|, n) tally of ``qmult.altset`` and ``qmult.multiplicity``.
+``term_tally_streamed`` is the tally that followed the walk: it counts the
+code of every J of the whole product, as ``run_product`` streams it, where
+``qmult.multiplicity`` now multiplies the tallies of the runs.
 
 ``maximal_runs`` is the general run splitter that ``interval_partition``,
 ``fib_profile``, ``free_runs`` and ``n_of_complement`` were once derived
@@ -15,9 +18,11 @@ I that replaced them.
 """
 
 import itertools
+from collections import Counter
 from typing import Iterable, Iterator
 
-from qmult.intervals import IndexSet
+from qmult.altset import run_product
+from qmult.intervals import IndexSet, n_of_complement
 
 
 def maximal_runs(members: Iterable[int]) -> tuple[tuple[int, int], ...]:
@@ -109,3 +114,23 @@ def alternation_walk(index_set: IndexSet) -> Iterator[tuple[tuple[int, ...], int
             stack.append((after[i], chosen + (free[i],), n + split[i]))
             i += 1
         yield chosen, n
+
+
+def term_tally_streamed(index_set: IndexSet) -> dict[tuple[int, int], int]:
+    """The (|J|, n) tally of ``multiplicity._term_tally``, counted over every
+    code of the alternation set's product.
+
+    Each free index j weighs B + g_j with B = 2 rank + 2 and
+    g_j = #({j-1, j+1} & I^c); the code of J, the sum of its weights, holds
+    |J| = code // B and n = runs(I^c) + code % B - |J|.
+    """
+    r = index_set.rank
+    base = 2 * r + 2
+    weight = [base + 2] * (r + 2)
+    for m in index_set.members:
+        weight[m - 1] -= 1
+        weight[m + 1] -= 1
+    runs = n_of_complement(index_set)
+    tally = Counter(run_product(index_set, weight, 0))
+    return {(code // base, runs + code % base - code // base): count
+            for code, count in tally.items()}

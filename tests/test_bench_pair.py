@@ -4,8 +4,12 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import bench_pair  # noqa: E402
+
+from qmult.altset import fibonacci, free_runs  # noqa: E402
+from qmult.intervals import IndexSet  # noqa: E402
 
 
 def test_copy_leaves_out_bytecode_and_run_records(tmp_path):
@@ -29,3 +33,18 @@ def test_runs_write_no_bytecode_and_use_no_prefix(monkeypatch):
     env = bench_pair.run_env()
     assert env["PYTHONDONTWRITEBYTECODE"] == "1"
     assert "PYTHONPYCACHEPREFIX" not in env
+
+
+def test_altset_counts_what_each_call_walks():
+    # m_q_altset walks each free run's codes once and accounts for their
+    # product; alt_set_closed walks every J of the product
+    calls = bench_pair.altset_terms()
+    assert [c["call"] for c in calls] == ["m_q_altset"] * 3 + ["alt_set_closed"]
+    for c in calls:
+        assert c["terms"] == c["alt_set_size"], c
+        runs = free_runs(IndexSet(c["rank"], c["members"]))
+        if c["call"] == "m_q_altset":
+            assert c["walked"] == sum(fibonacci(hi - lo + 3) for lo, hi in runs), c
+            assert c["walked"] < c["terms"], c
+        else:
+            assert c["walked"] == c["terms"], c

@@ -3,16 +3,18 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altset_oracle import alternation_walk
-from qmult import partition
-from qmult.altset import WeylSweep, alt_set_cardinality, alt_set_closed, fibonacci
+from altset_oracle import alternation_walk, term_tally_streamed
+from qmult import multiplicity, partition
+from qmult.altset import WeylSweep, alt_set_cardinality, alt_set_closed, fibonacci, free_runs
 from qmult.intervals import IndexSet, interval_partition
 from closed_forms import m_q_closed_positive_root, m_q_closed_two_intervals
 from qmult.multiplicity import (
@@ -41,6 +43,10 @@ from weyl_helpers import (
     zero_root,
 )
 from weyl_oracle import signed_sum_per_row
+
+# the benchmark's seeded rank-28 index sets
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def _all_index_sets(rank):
@@ -189,6 +195,41 @@ class TestAltsetSum:
             tracemalloc.stop()
         assert res.terms_evaluated == fibonacci(24) == 46368
         assert peak < 1_000_000, peak
+
+    def test_tally_matches_the_streamed_product(self):
+        # the product of the runs' tallies against the tally of every code
+        # of the product set, on small ranks and the benchmark's rank-28 sets
+        sets = [index_set for r in range(1, 13) for index_set in _all_index_sets(r)]
+        for seed in range(1, 9):
+            inputs = workloads.generate("altset", seed)
+            sets += [IndexSet(inputs["rank"], members) for members in inputs["index_sets"]]
+        assert len(sets) == sum(2 ** r - 1 for r in range(1, 13)) + 24
+        for index_set in sets:
+            assert _term_tally(index_set) == term_tally_streamed(index_set), index_set
+
+    @pytest.mark.parametrize("index_set, walked, terms", [
+        # runs of width 1, 3, 6 and 13
+        (IndexSet(28, [5, 19, 26]), 2 + 5 + 21 + 610, 128_100),
+        # runs of width 3, then 23 of width 4; a walk of the product set
+        # could never finish
+        (IndexSet(120, range(5, 120, 5)), 5 + 23 * 8, 2_951_479_051_793_528_258_560),
+    ])
+    def test_runs_are_walked_and_their_product_accounted(self, monkeypatch, index_set,
+                                                         walked, terms):
+        codes = 0
+        walk = multiplicity.run_sums
+
+        def counted(items, empty):
+            nonlocal codes
+            for code in walk(items, empty):
+                codes += 1
+                yield code
+
+        monkeypatch.setattr(multiplicity, "run_sums", counted)
+        res = m_q_altset(index_set)
+        assert codes == walked == sum(fibonacci(hi - lo + 3) for lo, hi in free_runs(index_set))
+        assert res.terms_evaluated == alt_set_cardinality(index_set) == terms
+        assert res.value == m_q_closed_general(index_set)
 
     def test_terms_match_the_weyl_sum_over_the_alternation_set(self):
         # the tallied sum equals the honest sigma-by-sigma sum
