@@ -1,6 +1,6 @@
 """Write a before/after benchmark record for one change.
 
-    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_20.json
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_21.json
 
 DIR is a checkout (source, perfbench/ and BENCHMARK.json) of the parent
 commit and of the change.  Each checkout's ``src/``, ``perfbench/`` (without
@@ -30,8 +30,8 @@ seed-1 ``partition`` inputs, the number of passes over a ``WeylSweep``
 makes, and the alternation-set elements accounted for on the seed-1
 ``altset`` inputs (``terms_evaluated`` of each ``m_q_altset`` call and the
 element count of the ``alt_set_closed`` call, each of which must equal
-perfbench's independent ``alt_set_size``), beside the codes or J sets each
-call walked to account for them.  ``src_lines`` is the line count of
+perfbench's independent ``alt_set_size``), beside the ``run_sums`` yields
+each call walked to account for them.  ``src_lines`` is the line count of
 ``src/qmult/*.py`` in each checkout, as ``wc -l`` gives it, so a change's
 size is read from the record.  Timings depend on the host, which the
 record names; the counts do not.
@@ -225,26 +225,24 @@ class Yields:
 
 def altset_terms() -> list:
     """The alternation-set elements each seed-1 ``altset`` operation accounts
-    for, checked against perfbench's ``alt_set_size``, and the codes or J
-    sets it walked to do so."""
+    for, checked against perfbench's ``alt_set_size``, and the ``run_sums``
+    yields, codes or J sets of one free run, it walked to do so."""
     import workloads
     from qmult import altset, multiplicity
     from qmult.intervals import IndexSet
 
-    # m_q_altset walks each free run with run_sums; a checkout whose
-    # m_q_altset walks the whole product reads run_product instead
-    walk = "run_sums" if hasattr(multiplicity, "run_sums") else "run_product"
+    # each call walks every free run with run_sums, read through its module
     inputs = workloads.generate("altset", SEED)
     calls = []
     for members in inputs["index_sets"]:
-        with Yields(multiplicity, walk) as walked:
+        with Yields(multiplicity, "run_sums") as walked:
             res = multiplicity.m_q_altset(IndexSet(inputs["rank"], members))
         calls.append({"call": "m_q_altset", "rank": inputs["rank"], "members": members,
                       "terms": res.terms_evaluated, "walked": walked.count,
                       "alt_set_size": workloads.alt_set_size(inputs["rank"], members)})
     c = inputs["closed"]
-    with Yields(altset, "run_product") as walked:
-        elements = altset.alt_set_closed(IndexSet(c["rank"], c["members"])).cardinality
+    with Yields(altset, "run_sums") as walked:
+        elements = len(altset.alt_set_closed(IndexSet(c["rank"], c["members"])).elements)
     calls.append({"call": "alt_set_closed", "rank": c["rank"], "members": c["members"],
                   "terms": elements, "walked": walked.count,
                   "alt_set_size": workloads.alt_set_size(c["rank"], c["members"])})

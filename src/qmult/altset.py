@@ -11,10 +11,10 @@ independently in each (:func:`free_runs`), so the set is a product over the
 runs of their nonconsecutive subsets (:func:`run_sums`) and its cardinality
 the product of the fibonacci(b - a + 1) (:func:`fib_profile`).
 
-:func:`run_product` walks that product for the J sets of
-:func:`alt_set_closed`; its docstring says how the widest run is streamed.
-``m_q_altset`` walks each run's :func:`run_sums` alone, with integer
-weights, and multiplies the runs' tallies of them.
+:func:`alt_set_closed` walks that product for its J sets; its docstring
+says how the widest run is streamed.  ``m_q_altset`` walks each run's
+:func:`run_sums` alone, with integer weights, and multiplies the runs'
+tallies of them.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ class AltSet:
             raise ValueError(
                 f"{len(self.elements)} elements but Fibonacci profile gives {expected}"
             )
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.elements)
 
 
 def _neighbours(index_set: IndexSet) -> Iterator[tuple[int, int]]:
@@ -142,41 +138,30 @@ def _spread(heads: Iterator[_T], tails: list[_T]) -> Iterator[_T]:
     return map(add, chain.from_iterable(map(repeat, heads, repeat(len(tails)))), cycle(tails))
 
 
-def run_product(index_set: IndexSet, items: Sequence[_T], empty: _T) -> Iterator[_T]:
-    """empty + the items[j] over j in J, for each J of the alternation set:
-    the product over :func:`free_runs` of each run's :func:`run_sums`.
-
-    ``items`` is indexed by free index.  The widest run is walked lazily and
-    only the product of the others is listed, once: a single run of 29
-    free indices has 1.3 million subsets, which a list would hold at once,
-    while a product of narrower runs is small.  Each J of the product is
-    visited once, and no two equal sums are merged.
-
-    >>> sorted(map(sorted, run_product(IndexSet(5, [3]), [(j,) for j in range(5)], ())))
-    [[], [2], [2, 4], [4]]
-    """
-    *narrower, (lo, hi) = free_runs(index_set)
-    sums = run_sums(items[lo:hi + 1], empty)
-    if narrower:
-        rest = [empty]
-        for a, b in narrower:
-            rest = list(_spread(run_sums(items[a:b + 1], empty), rest))
-        sums = _spread(sums, rest)
-    return sums
-
-
 def alt_set_closed(index_set: IndexSet) -> AltSet:
     """The alternation set built from the closed-form description.
 
     Each element is the product of s_j over J, J a nonconsecutive subset of
-    the free region chosen independently in each of its runs, as
-    :func:`run_product` walks them with the items (j,).  Each element is
-    built from J directly, as the one-line tuple of the identity with j and
-    j+1 swapped for every j in J (J is nonconsecutive, so the swaps commute).
+    the free region chosen independently in each of its runs: the product
+    over :func:`free_runs` of each run's :func:`run_sums` of the items (j,).
+    The widest run is walked lazily and only the product of the others is
+    listed, once: a single run of 29 free indices has 1.3 million subsets,
+    which a list would hold at once, while a product of narrower runs is
+    small.  Each element is built from J directly, as the one-line tuple of
+    the identity with j and j+1 swapped for every j in J (J is
+    nonconsecutive, so the swaps commute).
     """
+    items = tuple(zip(range(index_set.rank)))
+    *narrower, (lo, hi) = free_runs(index_set)
+    sets = run_sums(items[lo:hi + 1], ())
+    if narrower:
+        rest = [()]
+        for a, b in narrower:
+            rest = list(_spread(run_sums(items[a:b + 1], ()), rest))
+        sets = _spread(sets, rest)
     identity = list(range(1, index_set.rank + 2))
     elements = []
-    for js in run_product(index_set, tuple(zip(range(index_set.rank))), ()):
+    for js in sets:
         p = identity.copy()
         for j in js:
             p[j - 1], p[j] = j + 1, j

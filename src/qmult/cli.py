@@ -13,13 +13,13 @@ for the brute route: the rows' permutations are the brute alternation set
 m_q_brute's value.
 
 Exit codes: 0 on success, 1 when routes that must agree do not, 2 on usage
-errors, on a request past a brute-force cap, or when memory runs out.  The
-subcommands with a brute-force route (``altset``, ``multiplicity``,
-``verify``, ``bench``) read the cap on every call, from --brute-cap, else
-the environment variable QMULT_BRUTE_CAP, else the default; ``partition``
-reads neither.  The grammar is built once per process, on the first
-``main()`` call.  All output except bench timings is byte-identical across
-runs for a fixed configuration and seed.
+errors, on a request past a brute-force cap, or when memory or the
+interpreter's recursion limit runs out.  The subcommands with a brute-force
+route (``altset``, ``multiplicity``, ``verify``, ``bench``) read the cap on
+every call, from --brute-cap, else the environment variable QMULT_BRUTE_CAP,
+else the default; ``partition`` reads neither.  The grammar is built once
+per process, on the first ``main()`` call.  All output except bench timings
+is byte-identical across runs for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -495,7 +495,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, MemoryError) as exc:  # CapExceededError included
+    except (ValueError, MemoryError, RecursionError) as exc:  # CapExceededError included
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

@@ -22,9 +22,9 @@ Weights are packed at q = 2^K (``poly.pack``), so two add as ints and a
 factor q^c is ``<< c * K``; K comes from the bound sum |w| * C(m + N, N) on
 every coefficient the pass holds, which ``kostant_q_sum`` proves.
 
-``kostant_q_coeffs`` keeps one answer cache for every rank, one entry per
-query, keyed by xi less the zeros at its ends, which no root covers: (1, 1, 0)
-at rank 3 and (0, 1, 1, 0, 0) at rank 5 share one.  ``PartitionTable`` and
+``kostant_q`` keeps one answer cache for every rank, one entry per query,
+keyed by xi less the zeros at its ends, which no root covers: (1, 1, 0) at
+rank 3 and (0, 1, 1, 0, 0) at rank 5 share one.  ``PartitionTable`` and
 ``table_for``, a rank-checking view of it, serve only ``perfbench/``'s checks.
 """
 
@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import repeat
 from math import comb
 from operator import add, sub
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .intervals import IndexSet, interval_partition
 from .poly import ONE, ZERO, QPolynomial, pack, unpack
@@ -149,19 +149,14 @@ def kostant_q_sum(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
     return QPolynomial(unpack(total, K))
 
 
-def kostant_q_coeffs(coeffs: Sequence[int]) -> QPolynomial:
-    """The q-analog at xi given by its coefficient tuple, of any rank."""
-    if min(coeffs, default=0) < 0:
+def kostant_q(xi: RootVector) -> QPolynomial:
+    """The q-analog partition function, via the answer cache."""
+    if min(xi.coeffs) < 0:
         return ZERO
-    key = _strip(tuple(coeffs))
+    key = _strip(xi.coeffs)
     if key not in _CACHE:
         _CACHE[key] = kostant_q_sum({key: 1})
     return _CACHE[key]
-
-
-def kostant_q(xi: RootVector) -> QPolynomial:
-    """The q-analog partition function, via the answer cache."""
-    return kostant_q_coeffs(xi.coeffs)
 
 
 class PartitionTable:
@@ -176,13 +171,13 @@ class PartitionTable:
         """The q-analog partition function of xi, which must have this rank."""
         if xi.rank != self.rank:
             raise ValueError(f"expected {self.rank} coefficients, got {xi.rank}")
-        return kostant_q_coeffs(xi.coeffs)
+        return kostant_q(xi)
 
 
 table_for = lru_cache(maxsize=None)(PartitionTable)
 
 
-def kostant_q_oracle(xi: RootVector, cap: int = DEFAULT_ORACLE_CAP) -> QPolynomial:
+def kostant_q_oracle(xi: RootVector) -> QPolynomial:
     """Exhaustive cross-check: enumerate the multisets one root at a time.
 
     Each multiset is generated exactly once, as its sorted-by-(i, j) word;
@@ -190,14 +185,15 @@ def kostant_q_oracle(xi: RootVector, cap: int = DEFAULT_ORACLE_CAP) -> QPolynomi
     the remainder, which is forced for the sorted word.  No memoization and
     no polynomial arithmetic: counts are accumulated by multiset size.
     A negative coefficient gives zero at once; otherwise raises
-    CapExceededError when sum(coeffs) exceeds the cap.
+    CapExceededError when sum(coeffs) exceeds ``DEFAULT_ORACLE_CAP``.
     """
     cs = xi.coeffs
     if any(c < 0 for c in cs):
         return ZERO
     weight = sum(cs)
-    if weight > cap:
-        raise CapExceededError(f"coefficient sum {weight} exceeds oracle cap {cap}")
+    if weight > DEFAULT_ORACLE_CAP:
+        raise CapExceededError(
+            f"coefficient sum {weight} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
     rank = xi.rank
     supports = _root_supports(rank)
     n = len(supports)

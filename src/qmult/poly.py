@@ -2,35 +2,16 @@
 
 Every partition-function and multiplicity value in this package is such a
 polynomial; evaluating at q = 1 recovers the plain (unweighted) count.
-Coefficients are Python ints, so no overflow is possible.  :func:`add_coeffs`
-and :func:`add_product` do ``QPolynomial``'s arithmetic on coefficient
-sequences; :func:`pack` and :func:`unpack` turn one into an int at q = 2^K
-and back, for the partition pass.
+Coefficients are Python ints, so no overflow is possible.  :func:`pack` and
+:func:`unpack` turn a coefficient sequence into an int at q = 2^K and back,
+for the partition pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from operator import add
 from typing import Iterable, Sequence
-
-
-def add_coeffs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The sum of two coefficient tuples, untrimmed."""
-    if len(a) < len(b):
-        a, b = b, a
-    return (*map(add, a, b), *a[len(b):])
-
-
-def add_product(acc: list[int], a: Sequence[int], b: Sequence[int], shift: int) -> None:
-    """acc += q^shift * a * b, for coefficient sequences; acc grows as needed."""
-    if len(acc) < shift + len(a) + len(b) - 1:
-        acc.extend(repeat(0, shift + len(a) + len(b) - 1 - len(acc)))
-    for i, x in enumerate(a, shift):
-        if x:
-            for j, y in enumerate(b, i):
-                acc[j] += x * y
 
 
 def pack(coeffs: Sequence[int], K: int) -> int:
@@ -102,7 +83,10 @@ class QPolynomial:
         return bool(self.coeffs)
 
     def __add__(self, other: "QPolynomial | int") -> "QPolynomial":
-        return QPolynomial(add_coeffs(self.coeffs, _coerce(other).coeffs))
+        a, b = self.coeffs, _coerce(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return QPolynomial((*map(add, a, b), *a[len(b):]))
 
     __radd__ = __add__
 
@@ -116,8 +100,12 @@ class QPolynomial:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "QPolynomial | int") -> "QPolynomial":
-        out: list[int] = []
-        add_product(out, self.coeffs, _coerce(other).coeffs, 0)
+        a, b = self.coeffs, _coerce(other).coeffs
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
         return QPolynomial(out)
 
     __rmul__ = __mul__

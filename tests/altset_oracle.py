@@ -8,8 +8,9 @@ of I^c minus J down with J; its run counts are checked against
 ``maximal_runs`` directly, and it is the oracle for the per-run walks and
 the (|J|, n) tally of ``qmult.altset`` and ``qmult.multiplicity``.
 ``term_tally_streamed`` is the tally that followed the walk: it counts the
-code of every J of the whole product, as ``run_product`` streams it, where
-``qmult.multiplicity`` now multiplies the tallies of the runs.
+code of every J of the whole product, each run's ``run_sums`` joined by
+``itertools.product``, where ``qmult.multiplicity`` now multiplies the
+tallies of the runs.
 
 ``maximal_runs`` is the general run splitter that ``interval_partition``,
 ``fib_profile``, ``free_runs`` and ``n_of_complement`` were once derived
@@ -21,7 +22,7 @@ import itertools
 from collections import Counter
 from typing import Iterable, Iterator
 
-from qmult.altset import run_product
+from qmult.altset import free_runs, run_sums
 from qmult.intervals import IndexSet, n_of_complement
 
 
@@ -131,6 +132,7 @@ def term_tally_streamed(index_set: IndexSet) -> dict[tuple[int, int], int]:
         weight[m - 1] -= 1
         weight[m + 1] -= 1
     runs = n_of_complement(index_set)
-    tally = Counter(run_product(index_set, weight, 0))
+    per_run = [run_sums(weight[lo:hi + 1], 0) for lo, hi in free_runs(index_set)]
+    tally = Counter(map(sum, itertools.product(*per_run)))
     return {(code // base, runs + code % base - code // base): count
             for code, count in tally.items()}

@@ -22,20 +22,23 @@ for their names.
 
 ``kostant_q_sum_tuples`` is the division pass as ``qmult.partition`` ran it
 before its weights were packed at q = 2^K: each weight is a bare coefficient
-tuple, summed by ``poly.add_coeffs``, and a state that leaves adds weight
-times value to the total by ``poly.add_product``.  It is the library's
+tuple, summed by ``add_coeffs``, and a state that leaves adds weight times
+value to the total by ``add_product``.  It is the library's
 ``kostant_q_sum`` unchanged but for its name and for reading the answer
 cache and ``_strip`` through the ``qmult.partition`` module, so that a cache
-a test patches there is the one both passes read.
+a test patches there is the one both passes read.  ``add_coeffs`` and
+``add_product`` are the two ``qmult.poly`` kernels it called, unchanged;
+the library has since folded them into ``QPolynomial.__add__`` and
+``__mul__``.
 """
 
 from functools import lru_cache
 from itertools import repeat
 from operator import add, sub
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from qmult import partition
-from qmult.poly import ONE, ZERO, QPolynomial, add_coeffs, add_product
+from qmult.poly import ONE, ZERO, QPolynomial
 
 
 def shift(p: QPolynomial, power: int) -> QPolynomial:
@@ -231,6 +234,23 @@ def kostant_q_sibling(coeffs) -> QPolynomial:
     pass replaced."""
     cs = tuple(coeffs)
     return ZERO if min(cs, default=0) < 0 else _sibling_solve(cs, 1)
+
+
+def add_coeffs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The sum of two coefficient tuples, untrimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    return (*map(add, a, b), *a[len(b):])
+
+
+def add_product(acc: list[int], a: Sequence[int], b: Sequence[int], shift: int) -> None:
+    """acc += q^shift * a * b, for coefficient sequences; acc grows as needed."""
+    if len(acc) < shift + len(a) + len(b) - 1:
+        acc.extend(repeat(0, shift + len(a) + len(b) - 1 - len(acc)))
+    for i, x in enumerate(a, shift):
+        if x:
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
 
 
 def kostant_q_sum_tuples(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:

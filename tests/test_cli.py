@@ -493,6 +493,20 @@ class TestVerifyTable:
         checks = cli._verify_one(IndexSet(11, [4, 7, 8]), None)
         assert checks == [(label, True) for label in self.CLOSED]
 
+    def test_every_check_passes_past_the_brute_range(self):
+        # with the brute cap lifted to the rank, the sweep's alternation set
+        # and signed sum meet the closed forms on every index set at rank 11
+        # and on seeded admissible samples at ranks 13-30, where verify
+        # checks the closed forms alone
+        expected = [(label, True) for label in self.CLOSED + self.BRUTE]
+        for mask in range(1, 1 << 11):
+            assert cli._verify_one(cli._from_mask(11, mask), 11) == expected, mask
+        admissible = cli._AdmissibleSets(cli._VERIFY_TERMS_CAP)
+        rng = random.Random(1)
+        for r in range(13, 31):
+            for index_set in admissible.sample(r, rng, 2):
+                assert cli._verify_one(index_set, r) == expected, index_set
+
     def test_failed_checks_are_listed_and_counted(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "m_q_rank_reduction", lambda index_set: ZERO)
         code, out, _ = run_cli(capsys, "verify", "--max-rank", "3")
@@ -603,6 +617,23 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: out of memory\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("multiplicity", "--mu", "1-1000", "--method", "brute"),
+        ("multiplicity", "--mu", "1-1000", "--method", "all"),
+        ("altset", "--mu", "1-1000", "--method", "brute"),
+    ])
+    def test_recursion_limit_is_exit_2(self, argv):
+        # with the cap raised, the sweep at rank 1000 nests one generator per
+        # position, past the interpreter's recursion limit
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmult.cli", *argv, "--rank", "1000", "--brute-cap", "5000"],
+            capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: maximum recursion depth exceeded")
+        assert "Traceback" not in proc.stderr
 
 
 class TestBruteCapScope:

@@ -14,10 +14,10 @@ from qmult import partition
 from qmult.altset import WeylSweep
 from qmult.intervals import IndexSet
 from qmult.partition import (
+    DEFAULT_ORACLE_CAP,
     PartitionTable,
     factorize_over_intervals,
     kostant_q,
-    kostant_q_coeffs,
     kostant_q_oracle,
     table_for,
 )
@@ -99,37 +99,37 @@ class TestSharedMemo:
     def test_agrees_with_rank_dp_on_partition_workload(self, seed):
         # weights up to 183, far beyond the backtracking oracle's cap
         for xi in workloads.generate("partition", seed)["xis"]:
-            assert kostant_q_coeffs(xi) == kostant_q_by_rank(xi)
+            assert kostant_q(RootVector(len(xi), xi)) == kostant_q_by_rank(xi)
 
     @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=6),
            st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2))
     def test_agrees_with_rank_dp_and_ignores_zero_padding(self, xi, left, right):
-        value = kostant_q_coeffs(xi)
+        value = kostant_q(RootVector(len(xi), xi))
         assert value == kostant_q_by_rank(xi)
         padded = [0] * left + xi + [0] * right
-        assert kostant_q_coeffs(padded) == kostant_q_by_rank(padded) == value
+        assert kostant_q(RootVector(len(padded), padded)) == kostant_q_by_rank(padded) == value
 
     def test_zero_padding_adds_no_memo_entries(self):
-        kostant_q_coeffs((3, 1, 2))
+        kostant_q(RootVector(3, (3, 1, 2)))
         size = len(partition._CACHE)
-        assert kostant_q_coeffs((0, 0, 3, 1, 2, 0)) == kostant_q_coeffs((3, 1, 2))
+        assert kostant_q(RootVector(6, (0, 0, 3, 1, 2, 0))) == kostant_q(RootVector(3, (3, 1, 2)))
         assert len(partition._CACHE) == size
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_agrees_with_predecessor_on_partition_workload(self, seed):
         for xi in workloads.generate("partition", seed)["xis"]:
-            assert kostant_q_coeffs(xi) == kostant_q_shared(xi) == kostant_q_sibling(xi)
+            assert kostant_q(RootVector(len(xi), xi)) == kostant_q_shared(xi) == kostant_q_sibling(xi)
 
     @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=6))
     @example([5, 1, 5])  # reaches (5, 1, 5) with only the full-width root left: zero
     def test_agrees_with_predecessor(self, xi):
-        assert kostant_q_coeffs(xi) == kostant_q_shared(xi) == kostant_q_sibling(xi)
+        assert kostant_q(RootVector(len(xi), xi)) == kostant_q_shared(xi) == kostant_q_sibling(xi)
 
     def test_last_root_is_forced(self):
         # only alpha_{1,3} is left at slot 0: it must be used xi[0] times
         partition_oracle._SIBLING_MEMO.clear()
         assert partition_oracle._sibling_solve((5, 1, 5), 3) == ZERO
-        assert partition_oracle._sibling_solve((1, 1, 2), 3) == Q * kostant_q_coeffs((0, 0, 1))
+        assert partition_oracle._sibling_solve((1, 1, 2), 3) == Q * kostant_q(RootVector(3, (0, 0, 1)))
         assert set(partition_oracle._SIBLING_MEMO) == {((5, 1, 5), 3), ((1, 1, 2), 3), ((1,), 1)}
 
     def test_sibling_is_reused(self, monkeypatch):
@@ -172,7 +172,7 @@ class TestSharedMemo:
     def test_memo_keys_equal_predecessors_beyond_the_workload(self, xi):
         partition_oracle._SIBLING_MEMO.clear()
         partition_oracle._MEMO.clear()
-        assert kostant_q_sibling(xi) == kostant_q_shared(xi) == kostant_q_coeffs(xi)
+        assert kostant_q_sibling(xi) == kostant_q_shared(xi) == kostant_q(RootVector(len(xi), xi))
         assert partition_oracle._SIBLING_MEMO == partition_oracle._MEMO
 
 
@@ -218,7 +218,7 @@ class TestDivisionPass:
         monkeypatch.setattr(partition, "_CACHE", {(): ONE})
         assert kostant_q(RootVector(3, (60, 59, 61))) == kostant_q_sibling((60, 59, 61))
         assert partition._CACHE.keys() == {(), (60, 59, 61)}
-        assert kostant_q_coeffs((0, 0, 0)) == ONE
+        assert kostant_q(zero_root(3)) == ONE
         assert len(partition._CACHE) == 2
 
 
@@ -299,18 +299,19 @@ class TestOracle:
         assert kostant_q_oracle(highest_root(3)) == QPolynomial([0, 1, 2, 1])
 
     def test_cap(self):
+        assert DEFAULT_ORACLE_CAP == 20
         with pytest.raises(CapExceededError):
             kostant_q_oracle(RootVector(3, (7, 7, 7)))
         with pytest.raises(CapExceededError):
             kostant_q_oracle(RootVector(3, (0, 21, 0)))
+        with pytest.raises(CapExceededError):
+            kostant_q_oracle(RootVector(2, (10, 11)))
+        assert kostant_q_oracle(RootVector(2, (10, 10))) == kostant_q(RootVector(2, (10, 10)))
 
     def test_negative_coefficient_is_zero_before_the_cap(self):
         # the cap bounds the enumeration, which a negative xi never starts
         assert kostant_q_oracle(RootVector(3, (-30, 1, 1))) == ZERO
-        assert kostant_q_oracle(RootVector(2, (-1, 3)), cap=1) == ZERO
-        with pytest.raises(CapExceededError):
-            kostant_q_oracle(RootVector(2, (3, 3)), cap=5)
-        assert kostant_q_oracle(RootVector(2, (3, 3)), cap=6) == kostant_q(RootVector(2, (3, 3)))
+        assert kostant_q_oracle(RootVector(2, (-1, 30))) == ZERO
 
     def test_agrees_with_recursion_exhaustively_rank3(self):
         for cs in itertools.product(range(4), repeat=3):

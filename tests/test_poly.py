@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from partition_oracle import shift
-from qmult.poly import ONE, Q, ZERO, QPolynomial, add_coeffs, add_product, pack, unpack
+from partition_oracle import add_coeffs, add_product, shift
+from qmult.poly import ONE, Q, ZERO, QPolynomial, pack, unpack
 
 coeff_lists = st.lists(st.integers(min_value=-100, max_value=100), max_size=9)
 polys = coeff_lists.map(QPolynomial)
@@ -112,8 +112,10 @@ def _naive_add_product(acc, a, b, shift):
 
 
 class TestKernels:
-    """The coefficient kernels of QPolynomial, which the tuple-weight division
-    pass in partition_oracle also runs on."""
+    """QPolynomial's + and * against naive loops, and the coefficient kernels
+    add_coeffs and add_product that the tuple-weight division pass in
+    partition_oracle runs on, the loops of + and * before they were folded
+    into the operators."""
 
     def test_add_coeffs_is_untrimmed(self):
         assert add_coeffs((1, 2), (-1, -2)) == (0, 0)
@@ -133,13 +135,16 @@ class TestKernels:
 
     @given(st.lists(st.integers(-9, 9), max_size=7), st.lists(st.integers(-9, 9), max_size=7))
     def test_add_coeffs_matches_a_naive_loop(self, a, b):
-        assert add_coeffs(tuple(a), tuple(b)) == _naive_add_coeffs(a, b)
+        expected = _naive_add_coeffs(a, b)
+        assert QPolynomial(a) + QPolynomial(b) == QPolynomial(expected)
+        assert add_coeffs(tuple(a), tuple(b)) == expected
 
     @given(st.lists(st.integers(-9, 9), max_size=12),
            st.lists(st.integers(-9, 9), max_size=6),
            st.lists(st.integers(-9, 9), max_size=6),
            st.integers(min_value=0, max_value=5))
     def test_add_product_matches_a_naive_double_loop(self, acc, a, b, shift):
+        assert QPolynomial(a) * QPolynomial(b) == QPolynomial(_naive_add_product([], a, b, 0))
         expected = _naive_add_product(acc, a, b, shift)
         add_product(acc, tuple(a), tuple(b), shift)
         assert acc == expected

@@ -9,7 +9,7 @@ divided together in one pass.
 
 import itertools
 
-from qmult.partition import kostant_q_coeffs
+from qmult.partition import kostant_q
 from qmult.poly import QPolynomial
 from qmult.roots import RootVector, embed
 
@@ -46,7 +46,7 @@ def m_q_unpruned(lam: RootVector, mu: RootVector) -> QPolynomial:
     """The signed sum of q-analog partition values over every Weyl element."""
     total = QPolynomial()
     for _, sign, xi in nonnegative_rows(lam, mu):
-        total = total + sign * kostant_q_coeffs(xi)
+        total = total + sign * kostant_q(RootVector(len(xi), xi))
     return total
 
 
@@ -55,7 +55,7 @@ def alt_set_unpruned(lam: RootVector, mu: RootVector) -> frozenset:
     count at xi."""
     return frozenset(
         perm for perm, _, xi in nonnegative_rows(lam, mu)
-        if kostant_q_coeffs(xi).coeffs
+        if kostant_q(RootVector(len(xi), xi)).coeffs
     )
 
 
@@ -64,7 +64,7 @@ def signed_sum_per_row(rows) -> QPolynomial:
     one partition query per (perm, sign, xi) row, added in row order."""
     acc = [0]
     for _, sign, xi in rows:
-        cs = kostant_q_coeffs(xi).coeffs
+        cs = kostant_q(RootVector(len(xi), xi)).coeffs
         if len(cs) > len(acc):
             acc.extend([0] * (len(cs) - len(acc)))
         if sign > 0:
