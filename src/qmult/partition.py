@@ -17,7 +17,23 @@ root r of each length l < L in turn maps the weights w to
 w'(y) = w(y) + w'(y + r), summed down each line xi, xi - r, ... from its top.
 Later roots cover slots 0 and l alike, so a point with y[0] > y[l] is
 dropped at once: the full-width root, which takes what is left at slot 0,
-needs y[0] <= min(y).  Equal states merge and zero weights are dropped.
+needs y[0] <= min(y).
+
+A round holds its states by their tail t = xi[1:], in one list W[t] of
+weights indexed by c = xi[0], so each root costs a few list operations per
+tail rather than per state:
+- the root on slot 0 alone sums each list from its end (suffix sums) and
+  cuts it at the room, c <= t[0];
+- the root on slots 0 .. k, k >= 1, is (1, r') with r' = 1 on tail slots
+  0 .. k-1, so W'[t] = W[t] + W'[t + r'][1:], one element-wise list add
+  shifted by one in c, walked down each line t, t - r', ... of tails from
+  its top; the list stored at t is cut at c <= t[k], the one carried down
+  stays whole;
+- a list that holds only c = 0 has no root of the round left to take and
+  leaves at once, as does a state with xi[0] = 0 on entry;
+- the full-width root sends each entry (c, t) to the state t - c.
+Trailing zeros are trimmed and all-zero lists dropped, which the brute
+route's signed weights need: they cancel, and would leave most entries 0.
 Weights are packed at q = 2^K (``poly.pack``), so two add as ints and a
 factor q^c is ``<< c * K``; K comes from the bound sum |w| * C(m + N, N) on
 every coefficient the pass holds, which ``kostant_q_sum`` proves.
@@ -31,9 +47,9 @@ rank 3 and (0, 1, 1, 0, 0) at rank 5 share one.  ``PartitionTable`` and
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, count, islice, repeat
 from math import comb
-from operator import add, sub
+from operator import add, lshift, sub
 from typing import Mapping
 
 from .intervals import IndexSet, interval_partition
@@ -65,9 +81,30 @@ def _strip(xi: tuple[int, ...]) -> tuple[int, ...]:
     return xi[lo:hi]
 
 
+def _keep(tails: dict, after: dict, t: tuple[int, ...], lst: list[int], room: int) -> None:
+    """File the list of tail t under t, cut at the room, c < room, and
+    trimmed; a list that holds only xi[0] = 0, where no root of the round is
+    left to take, joins ``after`` at once.  Lists are shared, never changed:
+    one that is not cut must come trimmed."""
+    if len(lst) > room:
+        lst = lst[:room]
+    while lst and not lst[-1]:
+        lst.pop()
+    if len(lst) > 1:
+        tails[t] = lst
+    elif lst:
+        after[t] = after.get(t, 0) + lst[0]
+
+
 def kostant_q_sum(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
     """sum w * P_q(xi) over {xi: w}, all xi >= 0 and of one length, by the
     division pass of the module docstring; it only reads the answer cache.
+
+    A round keeps the states it divides in one list per tail xi[1:],
+    indexed by xi[0]: the root on slot 0 turns each list into its suffix
+    sums, each longer root adds the list of the tail above on its line,
+    shifted by one place, and every list stored is cut at the room and
+    trimmed of trailing zeros.
 
     Weights are packed at q = 2^K (``poly.pack``); a state that leaves adds
     weight times its packed value to one packed total, unpacked at the end.
@@ -75,7 +112,8 @@ def kostant_q_sum(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
     - With one input xi of weight 1, each coefficient of a state's weight
       counts distinct multisets of the roots taken so far: each root's
       copies are chosen once, in a fixed order, and the q^xi[0] a round's
-      weights gain only sets their degree.  A line sum is a state's weight;
+      weights gain only sets their degree.  Every entry of a tail's list is
+      one state's weight, and so is every entry of a line sum, cut or not;
       a weight times a cached value, a round's hits and the total count
       multisets of all the roots with sum xi.
     - Each root adds at least 1 to the coordinate sum, so such a multiset
@@ -98,54 +136,100 @@ def kostant_q_sum(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
     shift = 0
     while states:
         width = len(next(iter(states)))
-        # a cached state (the empty xi always is) leaves with its value
-        held = {}
+        # a cached state (the empty xi always is) leaves with its value, one
+        # with xi[0] = 0 joins after at once, and the rest join the list of
+        # their tail xi[1:], at xi[0]
+        tails: dict[tuple[int, ...], list[int]] = {}
+        after: dict[tuple[int, ...], int] = {}
         hits = 0
+        base = None  # the least xi[0] of a state held
         for xi, w in states.items():
-            key = _strip(xi)
-            got = _CACHE.get(key)
-            if got is None:
-                held[xi] = w
+            if not w:
                 continue
-            value = packed.get(key)
-            if value is None:
-                value = packed[key] = pack(got.coeffs, K)
-            hits += w * value
+            key = xi if xi and xi[0] and xi[-1] else _strip(xi)  # no call if no zero ends
+            got = _CACHE.get(key)
+            if got is not None:
+                value = packed.get(key)
+                if value is None:
+                    value = packed[key] = pack(got.coeffs, K)
+                hits += w * value
+                continue
+            c, t = xi[0], xi[1:]
+            if not c:
+                after[t] = after.get(t, 0) + w
+                base = 0
+                continue
+            lst = tails.get(t)
+            if lst is None:
+                lst = tails[t] = []
+            if len(lst) <= c:
+                lst.extend(repeat(0, c + 1 - len(lst)))
+            lst[c] = w
+            if base is None or c < base:
+                base = c
         if hits:
             total += hits << (shift * K)
-        if not held:
-            break
+        if not tails:
+            states = after
+            continue
+        states.clear()  # the round's weights now live in tails and after
         # each weight gains q^xi[0]; the power all of them gain joins the shift
-        base = min(xi[0] for xi in held)
         shift += base
-        states = {xi: w << ((xi[0] - base) * K) for xi, w in held.items()}
-        after: dict[tuple[int, ...], int] = {}
-        for length in range(1, width):
-            # each line along the root on slots 0 .. length-1: lowest point -> {height: weight}
-            lines: dict[tuple[int, ...], dict[int, int]] = {}
-            for xi, w in states.items():
-                if not xi[0]:  # no root is left to take at slot 0
-                    after[xi[1:]] = after.get(xi[1:], 0) + w
-                    continue
-                h = min(xi[:length])
-                low = tuple(map(sub, xi[:length], repeat(h))) + xi[length:] if h else xi
-                lines.setdefault(low, {})[h] = w
-            states = {}
-            for low, points in lines.items():
-                room = low[length] - low[0]  # the highest point with y[0] <= y[length]
-                acc = 0
-                for c in range(max(points), -1, -1):
-                    w = points.get(c)
-                    if w is not None:
-                        acc += w
-                    if acc and c <= room:
-                        states[tuple(map(add, low[:length], repeat(c))) + low[length:]
-                               if c else low] = acc
-        # the full-width root takes what is left at slot 0, xi[0] <= min(xi)
-        for xi, w in states.items():
-            rest = tuple(map(sub, xi[1:], repeat(xi[0]))) if xi[0] else xi[1:]
-            after[rest] = after.get(rest, 0) + w
-        states = {xi: w for xi, w in after.items() if w}
+        for lst in tails.values():
+            lst[base:] = map(lshift, lst[base:], count(0, K))
+        if width > 1:
+            # the root on slot 0 alone: suffix sums, cut at c <= t[0]
+            held, tails = tails, {}
+            while held:  # popped, so that each list is freed once summed
+                t, lst = held.popitem()
+                suffix = map(sub, repeat(sum(lst)), accumulate(lst, initial=0))
+                _keep(tails, after, t, list(islice(suffix, t[0] + 1)), t[0] + 1)
+        for k in range(1, width - 1):
+            # the root on slots 0 .. k: along r' = 1 on tail slots 0 .. k-1,
+            # W'[t] = W[t] + W'[t + r'][1:], walked down each line from its top
+            lines: dict[tuple[int, ...], list[tuple]] = {}
+            for t, lst in tails.items():
+                h = min(t[:k])
+                low = tuple(map(sub, t[:k], repeat(h))) + t[k:] if h else t
+                points = lines.get(low)
+                if points is None:
+                    lines[low] = [(h, t, lst)]
+                else:
+                    points.append((h, t, lst))
+            tails = {}
+            while lines:
+                low, points = lines.popitem()
+                room = low[k] + 1  # c <= t[k], the same all along the line
+                if len(points) > 1:
+                    points.sort(reverse=True)
+                points.append((-1, None, None))
+                carried: list[int] = []
+                for (h, t, lst), (below, _, _) in zip(points, points[1:]):
+                    if carried:
+                        a, b = (lst, carried) if len(lst) >= len(carried) else (carried, lst)
+                        carried = list(map(add, a, b)) + a[len(b):]
+                        while carried and not carried[-1]:  # signed weights cancel
+                            carried.pop()
+                    else:
+                        carried = lst
+                    _keep(tails, after, t, carried, room)
+                    carried = carried[1:]
+                    # the points down to the next one hold what is carried
+                    g = h - 1
+                    while carried and g > below:
+                        point = tuple(map(add, low[:k], repeat(g))) + low[k:] if g else low
+                        _keep(tails, after, point, carried, room)
+                        carried = carried[1:]
+                        g -= 1
+        # the full-width root takes what is left at slot 0: (c, t) goes to
+        # t - c, c <= min(t)
+        while tails:
+            t, lst = tails.popitem()
+            for c, w in enumerate(lst):
+                if w:
+                    rest = tuple(map(sub, t, repeat(c))) if c else t
+                    after[rest] = after.get(rest, 0) + w
+        states = after
     return QPolynomial(unpack(total, K))
 
 

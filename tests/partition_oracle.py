@@ -30,15 +30,24 @@ a test patches there is the one both passes read.  ``add_coeffs`` and
 ``add_product`` are the two ``qmult.poly`` kernels it called, unchanged;
 the library has since folded them into ``QPolynomial.__add__`` and
 ``__mul__``.
+
+``kostant_q_sum_states`` is the packed division pass as ``qmult.partition``
+ran it before a round grouped its states by their tail xi[1:]: each state
+is its own dict entry, and every root of a round costs every state a
+``min``, a rebuilt tuple and a dict entry on its line.  It is the library's
+``kostant_q_sum`` of that time unchanged but for its name and for reading
+the answer cache and ``_strip`` through the ``qmult.partition`` module, as
+``kostant_q_sum_tuples`` does.
 """
 
 from functools import lru_cache
 from itertools import repeat
+from math import comb
 from operator import add, sub
 from typing import Mapping, Sequence
 
 from qmult import partition
-from qmult.poly import ONE, ZERO, QPolynomial
+from qmult.poly import ONE, ZERO, QPolynomial, pack, unpack
 
 
 def shift(p: QPolynomial, power: int) -> QPolynomial:
@@ -305,3 +314,87 @@ def kostant_q_sum_tuples(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
             after[rest] = add_coeffs(after.get(rest, ()), w)
         states = {xi: w for xi, w in after.items() if any(w)}
     return QPolynomial(total)
+
+
+def kostant_q_sum_states(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
+    """sum w * P_q(xi) over {xi: w}, all xi >= 0 and of one length, by the
+    division pass of the module docstring; it only reads the answer cache.
+
+    Weights are packed at q = 2^K (``poly.pack``); a state that leaves adds
+    weight times its packed value to one packed total, unpacked at the end.
+    K must keep every coefficient strictly inside +-2^(K-1):
+    - With one input xi of weight 1, each coefficient of a state's weight
+      counts distinct multisets of the roots taken so far: each root's
+      copies are chosen once, in a fixed order, and the q^xi[0] a round's
+      weights gain only sets their degree.  A line sum is a state's weight;
+      a weight times a cached value, a round's hits and the total count
+      multisets of all the roots with sum xi.
+    - Each root adds at least 1 to the coordinate sum, so such a multiset
+      has at most m roots, m the largest coordinate sum of an input xi, out
+      of the N = r(r+1)/2 positive roots at r = len(xi): C(m + N, N) of them.
+    - The pass is linear in the weights, so no coefficient exceeds
+      sum |w| * C(m + N, N) in absolute value.  K is that bound's bit length
+      plus a sign bit, so a packed weight is 0 exactly when the polynomial
+      is, and the total unpacks exactly.
+    """
+    states = {xi: w for xi, w in weights.items() if w}
+    if not states:
+        return ZERO
+    width = len(next(iter(states)))
+    roots = width * (width + 1) // 2
+    bound = sum(map(abs, states.values())) * comb(max(map(sum, states)) + roots, roots)
+    K = bound.bit_length() + 1
+    packed = {(): 1}  # stripped xi -> its cached value packed at K
+    total = 0  # packed; each round's hits join it times q^shift
+    shift = 0
+    while states:
+        width = len(next(iter(states)))
+        # a cached state (the empty xi always is) leaves with its value
+        held = {}
+        hits = 0
+        for xi, w in states.items():
+            key = partition._strip(xi)
+            got = partition._CACHE.get(key)
+            if got is None:
+                held[xi] = w
+                continue
+            value = packed.get(key)
+            if value is None:
+                value = packed[key] = pack(got.coeffs, K)
+            hits += w * value
+        if hits:
+            total += hits << (shift * K)
+        if not held:
+            break
+        # each weight gains q^xi[0]; the power all of them gain joins the shift
+        base = min(xi[0] for xi in held)
+        shift += base
+        states = {xi: w << ((xi[0] - base) * K) for xi, w in held.items()}
+        after: dict[tuple[int, ...], int] = {}
+        for length in range(1, width):
+            # each line along the root on slots 0 .. length-1: lowest point -> {height: weight}
+            lines: dict[tuple[int, ...], dict[int, int]] = {}
+            for xi, w in states.items():
+                if not xi[0]:  # no root is left to take at slot 0
+                    after[xi[1:]] = after.get(xi[1:], 0) + w
+                    continue
+                h = min(xi[:length])
+                low = tuple(map(sub, xi[:length], repeat(h))) + xi[length:] if h else xi
+                lines.setdefault(low, {})[h] = w
+            states = {}
+            for low, points in lines.items():
+                room = low[length] - low[0]  # the highest point with y[0] <= y[length]
+                acc = 0
+                for c in range(max(points), -1, -1):
+                    w = points.get(c)
+                    if w is not None:
+                        acc += w
+                    if acc and c <= room:
+                        states[tuple(map(add, low[:length], repeat(c))) + low[length:]
+                               if c else low] = acc
+        # the full-width root takes what is left at slot 0, xi[0] <= min(xi)
+        for xi, w in states.items():
+            rest = tuple(map(sub, xi[1:], repeat(xi[0]))) if xi[0] else xi[1:]
+            after[rest] = after.get(rest, 0) + w
+        states = {xi: w for xi, w in after.items() if w}
+    return QPolynomial(unpack(total, K))

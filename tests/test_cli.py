@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmult import cli
-from qmult.altset import WeylSweep, alt_set_brute, alt_set_cardinality
+from qmult.altset import WeylSweep, alt_set_brute, alt_set_cardinality, free_runs
 from qmult.cli import main, parse_index_set, parse_mu
 from qmult.intervals import IndexSet
 from qmult.multiplicity import m_q_closed_general
@@ -495,9 +495,9 @@ class TestVerifyTable:
 
     def test_every_check_passes_past_the_brute_range(self):
         # with the brute cap lifted to the rank, the sweep's alternation set
-        # and signed sum meet the closed forms on every index set at rank 11
-        # and on seeded admissible samples at ranks 13-30, where verify
-        # checks the closed forms alone
+        # and signed sum meet the closed forms on every index set at rank 11,
+        # on seeded admissible samples at ranks 13-30 and on three index sets
+        # with a wide free run, where verify checks the closed forms alone
         expected = [(label, True) for label in self.CLOSED + self.BRUTE]
         for mask in range(1, 1 << 11):
             assert cli._verify_one(cli._from_mask(11, mask), 11) == expected, mask
@@ -506,6 +506,11 @@ class TestVerifyTable:
         for r in range(13, 31):
             for index_set in admissible.sample(r, rng, 2):
                 assert cli._verify_one(index_set, r) == expected, index_set
+        # the samples favour many members, so none has a free run wider than
+        # 7 indices; these have one of 11, 14 and 12 (beside one of 5)
+        for index_set in (IndexSet(13, [13]), IndexSet(16, [1, 16]), IndexSet(20, [7, 20])):
+            assert max(hi - lo + 1 for lo, hi in free_runs(index_set)) >= 10
+            assert cli._verify_one(index_set, index_set.rank) == expected, index_set
 
     def test_failed_checks_are_listed_and_counted(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "m_q_rank_reduction", lambda index_set: ZERO)

@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from partition_oracle import (
     kostant_q_by_rank,
     kostant_q_shared,
     kostant_q_sibling,
+    kostant_q_sum_states,
     kostant_q_sum_tuples,
 )
 from weyl_helpers import zero_root
@@ -245,20 +247,33 @@ def _sweep_weights(mu):
 
 
 class TestPackedPass:
-    """The pass on weights packed at q = 2^K against the coefficient-tuple
-    pass it replaced, which reads the same answer cache."""
+    """The pass on packed weights held in one list per tail xi[1:] against
+    the two passes it replaced, which read the same answer cache: the
+    per-state packed pass and the coefficient-tuple pass before it."""
 
     @staticmethod
     def check(weights, cache):
         keys = set(cache)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(partition, "_CACHE", cache)
-            assert partition.kostant_q_sum(weights) == kostant_q_sum_tuples(weights)
-        assert cache.keys() == keys  # both passes only read the cache
+            assert (partition.kostant_q_sum(weights) == kostant_q_sum_states(weights)
+                    == kostant_q_sum_tuples(weights))
+        assert cache.keys() == keys  # the passes only read the cache
 
     @given(weighted_xis())
     @example({(4, 4, 4, 4, 4): 10 ** 30, (4, 3, 4, 4, 4): -(10 ** 30) + 1})
     @example({(1, 0, 2): 2 ** 64, (0, 0, 0): -1, (2, 2, 2): -(2 ** 64)})
+    # width 1: every list goes whole to the empty xi
+    @example({(3,): 2, (0,): -1, (1,): 5})
+    # xi[0] = 0 on entry, on tails that also hold a state with xi[0] > 0
+    @example({(0, 2, 1): 3, (0, 0, 4): -1, (2, 2, 1): 1, (1, 0, 4): 2})
+    # the total cancels to zero
+    @example({(2, 1): 1, (1, 2): -1})
+    # a line sum that cancels to all zeros, and one whose last entry cancels
+    @example({(3, 1, 3): -2, (3, 2, 3): 2})
+    @example({(3, 3, 3): -1, (1, 2, 3): -2, (3, 1, 3): 1})
+    # padded, with interior zeros
+    @example({(0, 2, 0, 3, 0): 1, (0, 1, 0, 2, 0): -4})
     def test_agrees_with_tuple_pass_on_signed_weights(self, weights):
         # cold, then with the cache holding the values of every other xi
         self.check(weights, {(): ONE})
@@ -268,6 +283,7 @@ class TestPackedPass:
     @settings(max_examples=40)
     @given(st.integers(min_value=5, max_value=7).flatmap(
         lambda r: st.lists(st.integers(min_value=-2, max_value=1), min_size=r, max_size=r)))
+    @example([-3] * 7)  # the brute route's weights at rank 7, mu = -3 everywhere
     @example([-2] * 7)
     @example([-2, 1, -2, 0, -1, 1, -2])
     @example([0, -1, 0, 0, -1])
@@ -281,6 +297,23 @@ class TestPackedPass:
         # check in verify leaves them before its brute sum
         warm = {partition._strip(xi): kostant_q_by_rank(xi) for xi in list(weights)[:6]}
         self.check(weights, {(): ONE, **warm})
+
+    def test_peak_memory_is_at_most_the_predecessors(self):
+        # tracemalloc counts the objects each pass allocates, so both peaks
+        # are deterministic; the per-state pass holds a round's line sums
+        # in dicts of dicts, one entry per state
+        values, peaks = [], []
+        for divide in (partition.kostant_q_sum, kostant_q_sum_states):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(partition, "_CACHE", {(): ONE})
+                tracemalloc.start()
+                try:
+                    values.append(divide({(100, 100, 100): 1}))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert values[0] == values[1]
+        assert peaks[0] <= peaks[1], peaks
 
     def test_width_grows_with_the_weights(self):
         # sum |w| * C(m + N, N) = (10^40 + 1) * C(3 + 3, 3), so K = 139
