@@ -31,7 +31,9 @@ makes, and the alternation-set elements accounted for on the seed-1
 ``altset`` inputs (``terms_evaluated`` of each ``m_q_altset`` call and the
 element count of the ``alt_set_closed`` call, each of which must equal
 perfbench's independent ``alt_set_size``), beside the ``run_sums`` yields
-each call walked to account for them.  ``src_lines`` is the line count of
+each call walked to account for them and, for ``alt_set_closed``, the words
+in the lists its join reads (``altset._halves``; null in a checkout without
+it).  ``src_lines`` is the line count of
 ``src/qmult/*.py`` in each checkout, as ``wc -l`` gives it, so a change's
 size is read from the record.  Timings depend on the host, which the
 record names; the counts do not.
@@ -223,15 +225,43 @@ class Yields:
         setattr(self.module, self.name, self.walk)
 
 
+class JoinedWords:
+    """Counts the words in the (heads, tails) lists that ``module.name``
+    returns while the context is open; the count stays None if the module
+    has no such function."""
+
+    def __init__(self, module, name: str):
+        self.module, self.name, self.count = module, name, None
+
+    def __enter__(self):
+        self.halves = halves = getattr(self.module, self.name, None)
+        if halves is None:
+            return self
+        self.count = 0
+
+        def counted(*args):
+            pairs = halves(*args)
+            self.count += sum(len(heads) + len(tails) for heads, tails in pairs)
+            return pairs
+
+        setattr(self.module, self.name, counted)
+        return self
+
+    def __exit__(self, *exc):
+        if self.halves is not None:
+            setattr(self.module, self.name, self.halves)
+
+
 def altset_terms() -> list:
     """The alternation-set elements each seed-1 ``altset`` operation accounts
-    for, checked against perfbench's ``alt_set_size``, and the ``run_sums``
-    yields, codes or J sets of one free run, it walked to do so."""
+    for, checked against perfbench's ``alt_set_size``, the ``run_sums``
+    yields, codes or J sets of one free run, it walked to do so, and the
+    words ``alt_set_closed`` joined across its cut."""
     import workloads
     from qmult import altset, multiplicity
     from qmult.intervals import IndexSet
 
-    # each call walks every free run with run_sums, read through its module
+    # m_q_altset walks every free run with run_sums, read through its module
     inputs = workloads.generate("altset", SEED)
     calls = []
     for members in inputs["index_sets"]:
@@ -241,10 +271,10 @@ def altset_terms() -> list:
                       "terms": res.terms_evaluated, "walked": walked.count,
                       "alt_set_size": workloads.alt_set_size(inputs["rank"], members)})
     c = inputs["closed"]
-    with Yields(altset, "run_sums") as walked:
+    with Yields(altset, "run_sums") as walked, JoinedWords(altset, "_halves") as joined:
         elements = len(altset.alt_set_closed(IndexSet(c["rank"], c["members"])).elements)
     calls.append({"call": "alt_set_closed", "rank": c["rank"], "members": c["members"],
-                  "terms": elements, "walked": walked.count,
+                  "terms": elements, "walked": walked.count, "joined": joined.count,
                   "alt_set_size": workloads.alt_set_size(c["rank"], c["members"])})
     for call in calls:
         if call["terms"] != call["alt_set_size"]:

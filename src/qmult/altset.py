@@ -11,18 +11,16 @@ independently in each (:func:`free_runs`), so the set is a product over the
 runs of their nonconsecutive subsets (:func:`run_sums`) and its cardinality
 the product of the fibonacci(b - a + 1) (:func:`fib_profile`).
 
-:func:`alt_set_closed` walks that product for its J sets; its docstring
-says how the widest run is streamed.  ``m_q_altset`` walks each run's
-:func:`run_sums` alone, with integer weights, and multiplies the runs'
-tallies of them.
+:func:`alt_set_closed` joins the one-line words of two halves of the strip of
+coordinates (:func:`_halves`); ``m_q_altset`` walks each run's :func:`run_sums`
+alone, with integer weights, and multiplies the runs' tallies of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, cycle, pairwise, repeat
+from itertools import pairwise
 from math import factorial, prod
-from operator import add
 from typing import Iterator, Sequence, TypeVar
 
 from .intervals import IndexSet
@@ -132,41 +130,43 @@ def run_sums(items: Sequence[_T], empty: _T) -> Iterator[_T]:
         yield acc
 
 
-def _spread(heads: Iterator[_T], tails: list[_T]) -> Iterator[_T]:
-    """head + tail for each head in turn and each tail of the list, at C
-    speed: each head is repeated once per tail and added to them in turn."""
-    return map(add, chain.from_iterable(map(repeat, heads, repeat(len(tails)))), cycle(tails))
+def _halves(index_set: IndexSet) -> list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
+    """The alternation set's one-line words as (heads, tails) pairs: each is
+    head + tail for exactly one pair, head and tail.  A word tiles 1..rank+1
+    by fixed points (m,) and swaps (m, m-1), a swap allowed where s_{m-1} is
+    free, so the words over 1..m number N(m) = N(m-1) + [s_{m-1} free] N(m-2)
+    and N(rank+1) = |A|.  The cut after the first mid with N(mid)^2 >= |A|
+    leaves O(sqrt |A|) words a side, from the recurrence and its mirror; the
+    second pair puts the swap (mid+1, mid) across the cut if s_mid is free."""
+    if index_set.is_empty():
+        raise ValueError("index set must be nonempty")
+    rank, members = index_set.rank, index_set.members
+    free = [False] * (rank + 2)
+    older = size = 1  # N(j - 1) and N(j) as j is reached; N(rank) = N(rank + 1) = |A|
+    for j in range(2, rank):
+        free[j] = j not in members
+        older, size = size, size + older * free[j]
+    p_short, p_words, mid = [()], [(1,)], 1  # s_1 is never free: 1 is fixed
+    while len(p_words) ** 2 < size:
+        mid += 1
+        grown = [w + (mid,) for w in p_words]
+        if free[mid - 1]:
+            grown += [w + (mid, mid - 1) for w in p_short]
+        p_short, p_words = p_words, grown
+    s_short, s_words = [()], [(rank + 1,)]  # nor is s_rank: rank + 1 is fixed
+    for k in range(rank, mid, -1):
+        grown = [(k,) + w for w in s_words]
+        if free[k]:
+            grown += [(k + 1, k) + w for w in s_short]
+        s_short, s_words = s_words, grown
+    across = [w + (mid + 1, mid) for w in p_short] if free[mid] else []
+    return [(p_words, s_words), (across, s_short)]
 
 
 def alt_set_closed(index_set: IndexSet) -> AltSet:
-    """The alternation set built from the closed-form description.
-
-    Each element is the product of s_j over J, J a nonconsecutive subset of
-    the free region chosen independently in each of its runs: the product
-    over :func:`free_runs` of each run's :func:`run_sums` of the items (j,).
-    The widest run is walked lazily and only the product of the others is
-    listed, once: a single run of 29 free indices has 1.3 million subsets,
-    which a list would hold at once, while a product of narrower runs is
-    small.  Each element is built from J directly, as the one-line tuple of
-    the identity with j and j+1 swapped for every j in J (J is
-    nonconsecutive, so the swaps commute).
-    """
-    items = tuple(zip(range(index_set.rank)))
-    *narrower, (lo, hi) = free_runs(index_set)
-    sets = run_sums(items[lo:hi + 1], ())
-    if narrower:
-        rest = [()]
-        for a, b in narrower:
-            rest = list(_spread(run_sums(items[a:b + 1], ()), rest))
-        sets = _spread(sets, rest)
-    identity = list(range(1, index_set.rank + 2))
-    elements = []
-    for js in sets:
-        p = identity.copy()
-        for j in js:
-            p[j - 1], p[j] = j + 1, j
-        elements.append(tuple(p))
-    return AltSet(mu=index_set, elements=frozenset(elements))
+    """The alternation set from the closed-form description (see :func:`_halves`)."""
+    return AltSet(mu=index_set, elements=frozenset(
+        [x + y for heads, tails in _halves(index_set) for x in heads for y in tails]))
 
 
 class WeylSweep:

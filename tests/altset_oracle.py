@@ -12,6 +12,12 @@ code of every J of the whole product, each run's ``run_sums`` joined by
 ``itertools.product``, where ``qmult.multiplicity`` now multiplies the
 tallies of the runs.
 
+``alt_set_closed_runs`` is the builder ``alt_set_closed`` replaced: it
+walks the J sets of the product over the free runs, the widest run
+streamed and the narrower ones listed, and swaps j and j + 1 in the
+identity for each j of J.  ``alt_set_closed`` now builds the one-line words
+from one cut of the coordinate strip instead, with no J and no runs.
+
 ``maximal_runs`` is the general run splitter that ``interval_partition``,
 ``fib_profile``, ``free_runs`` and ``n_of_complement`` were once derived
 from; those derivations are the oracle for the walk over the neighbours of
@@ -20,10 +26,14 @@ I that replaced them.
 
 import itertools
 from collections import Counter
-from typing import Iterable, Iterator
+from itertools import chain, cycle, repeat
+from operator import add
+from typing import Iterable, Iterator, TypeVar
 
 from qmult.altset import free_runs, run_sums
 from qmult.intervals import IndexSet, n_of_complement
+
+_T = TypeVar("_T")
 
 
 def maximal_runs(members: Iterable[int]) -> tuple[tuple[int, int], ...]:
@@ -136,3 +146,39 @@ def term_tally_streamed(index_set: IndexSet) -> dict[tuple[int, int], int]:
     tally = Counter(map(sum, itertools.product(*per_run)))
     return {(code // base, runs + code % base - code // base): count
             for code, count in tally.items()}
+
+
+def _spread(heads: Iterator[_T], tails: list[_T]) -> Iterator[_T]:
+    """head + tail for each head in turn and each tail of the list, at C
+    speed: each head is repeated once per tail and added to them in turn."""
+    return map(add, chain.from_iterable(map(repeat, heads, repeat(len(tails)))), cycle(tails))
+
+
+def alt_set_closed_runs(index_set: IndexSet) -> frozenset[tuple[int, ...]]:
+    """The alternation set built from the closed-form description.
+
+    Each element is the product of s_j over J, J a nonconsecutive subset of
+    the free region chosen independently in each of its runs: the product
+    over :func:`free_runs` of each run's :func:`run_sums` of the items (j,).
+    The widest run is walked lazily and only the product of the others is
+    listed, once; the elements are all listed and then frozen.  Each element
+    is built from J directly, as the one-line tuple of the identity with j
+    and j+1 swapped for every j in J (J is nonconsecutive, so the swaps
+    commute).
+    """
+    items = tuple(zip(range(index_set.rank)))
+    *narrower, (lo, hi) = free_runs(index_set)
+    sets = run_sums(items[lo:hi + 1], ())
+    if narrower:
+        rest = [()]
+        for a, b in narrower:
+            rest = list(_spread(run_sums(items[a:b + 1], ()), rest))
+        sets = _spread(sets, rest)
+    identity = list(range(1, index_set.rank + 2))
+    elements = []
+    for js in sets:
+        p = identity.copy()
+        for j in js:
+            p[j - 1], p[j] = j + 1, j
+        elements.append(tuple(p))
+    return frozenset(elements)

@@ -1,10 +1,12 @@
 """Tests for index sets, interval partitions, and alternation sets."""
 
 from itertools import chain, product
+from math import isqrt
 
 import pytest
 
 from altset_oracle import (
+    alt_set_closed_runs,
     alternation_walk,
     maximal_runs,
     nonconsecutive_subsets,
@@ -12,6 +14,7 @@ from altset_oracle import (
 )
 from qmult.altset import (
     AltSet,
+    _halves,
     alt_set_brute,
     alt_set_cardinality,
     alt_set_closed,
@@ -317,6 +320,39 @@ class TestAltSetClosed:
     def test_empty_index_set_rejected(self):
         with pytest.raises(ValueError):
             alt_set_closed(IndexSet(4, []))
+
+
+class TestClosedVersusRunsOracle:
+    """alt_set_closed, which joins the words of one cut of the coordinate
+    strip, against the builder it replaced, which walks J run by run."""
+
+    def test_every_index_set_up_to_rank12(self):
+        for index_set in chain.from_iterable(_all_index_sets(r) for r in range(1, 13)):
+            assert alt_set_closed(index_set).elements == alt_set_closed_runs(index_set), index_set
+
+    def test_wide_skewed_and_empty_free_regions(self):
+        cases = [
+            (13, [13]), (16, [1, 16]), (20, [7, 20]),  # widest free runs of 11, 14, 12
+            (40, range(2, 25)), (40, range(16, 40)),  # the free region at one end
+            (22, [21]),
+            (1, [1]), (2, [1]), (2, [2]), (2, [1, 2]),
+            (5, range(1, 6)),  # no free index
+        ]
+        for r, members in cases:
+            index_set = IndexSet(r, members)
+            assert alt_set_closed(index_set).elements == alt_set_closed_runs(index_set), index_set
+
+    def test_the_cut_is_balanced(self):
+        # the words joined across the cut number O(sqrt |A|), and their
+        # products account for every element once
+        sets = [*chain.from_iterable(_all_index_sets(r) for r in range(1, 11)),
+                IndexSet(40, range(2, 25)), IndexSet(40, range(16, 40)), IndexSet(30, [1])]
+        for index_set in sets:
+            size = alt_set_cardinality(index_set)
+            pairs = _halves(index_set)
+            assert sum(len(heads) * len(tails) for heads, tails in pairs) == size
+            joined = sum(len(heads) + len(tails) for heads, tails in pairs)
+            assert joined <= 4 * (isqrt(size - 1) + 1) + 2 * (index_set.rank + 1), index_set
 
 
 class TestAltSetBrute:

@@ -1,6 +1,7 @@
 """Tests for ``scripts/bench_pair.py``: what each benchmark run sees."""
 
 import sys
+from math import isqrt
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -37,13 +38,18 @@ def test_runs_write_no_bytecode_and_use_no_prefix(monkeypatch):
 
 def test_altset_counts_what_each_call_walks():
     # m_q_altset walks each free run's codes once and accounts for their
-    # product; alt_set_closed walks each free run's J sets once and lists
-    # their product, every element of the alternation set
+    # product; alt_set_closed walks no run and lists every element of the
+    # alternation set from the words on either side of one cut, O(sqrt |A|)
+    # of them
     calls = bench_pair.altset_terms()
     assert [c["call"] for c in calls] == ["m_q_altset"] * 3 + ["alt_set_closed"]
     for c in calls:
         assert c["terms"] == c["alt_set_size"], c
-        runs = free_runs(IndexSet(c["rank"], c["members"]))
-        assert c["walked"] == sum(fibonacci(hi - lo + 3) for lo, hi in runs), c
         if c["call"] == "m_q_altset":
+            runs = free_runs(IndexSet(c["rank"], c["members"]))
+            assert c["walked"] == sum(fibonacci(hi - lo + 3) for lo, hi in runs), c
             assert c["walked"] < c["terms"], c
+        else:
+            assert c["walked"] == 0, c
+            ceil_sqrt = isqrt(c["terms"] - 1) + 1
+            assert 0 < c["joined"] <= 4 * ceil_sqrt + 2 * (c["rank"] + 1), c
