@@ -7,13 +7,12 @@ mu = alpha_I, the set consists exactly of the products of simple
 reflections over nonconsecutive indices drawn from the complement of I with
 the endpoints 1 and rank removed.  The free indices between two neighbours
 a < b of 1, i_1, ..., i_k, rank form one run, maybe empty, and J is chosen
-independently in each (:func:`free_runs`), so the set is a product over the
-runs of their nonconsecutive subsets (:func:`run_sums`) and its cardinality
-the product of the fibonacci(b - a + 1) (:func:`fib_profile`).
+independently in each, so the set's cardinality is the product of the
+fibonacci(b - a + 1) (:func:`fib_profile`).
 
 :func:`alt_set_closed` joins the one-line words of two halves of the strip of
-coordinates (:func:`_halves`); ``m_q_altset`` walks each run's :func:`run_sums`
-alone, with integer weights, and multiplies the runs' tallies of them.
+coordinates (:func:`_halves`); ``m_q_altset`` tallies the J sets in one scan
+of the strip, by the same Fibonacci recurrence.
 """
 
 from __future__ import annotations
@@ -21,13 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import pairwise
 from math import factorial, prod
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterator
 
 from .intervals import IndexSet
 from .roots import RootVector, embed
 from .weyl import DEFAULT_BRUTE_CAP, CapExceededError
-
-_T = TypeVar("_T")
 
 
 def fibonacci(n: int) -> int:
@@ -64,16 +61,6 @@ class AltSet:
             )
 
 
-def _neighbours(index_set: IndexSet) -> Iterator[tuple[int, int]]:
-    """The pairs (a, b) of neighbours in the sequence 1, i_1, ..., i_k, rank
-    of a nonempty index set: the free indices are the a < j < b of each pair,
-    and a pair contributes the factor fibonacci(b - a + 1) to the size of
-    the alternation set."""
-    if index_set.is_empty():
-        raise ValueError("index set must be nonempty")
-    return pairwise((1, *index_set.members, index_set.rank))
-
-
 def fib_profile(index_set: IndexSet) -> tuple[int, ...]:
     """Fibonacci indices for the runs of I: (i_1, i_{x+1} - j_x + 1, rank - j_n + 1).
 
@@ -83,51 +70,16 @@ def fib_profile(index_set: IndexSet) -> tuple[int, ...]:
     are an interval of b - a - 1 integers, with fibonacci(b - a + 1)
     nonconsecutive subsets.  I = {1, 6} at rank 6 has the profile (1, 6, 1).
     """
-    first, *interior, last = (b - a + 1 for a, b in _neighbours(index_set))
+    if index_set.is_empty():
+        raise ValueError("index set must be nonempty")
+    bounds = (1, *index_set.members, index_set.rank)
+    first, *interior, last = (b - a + 1 for a, b in pairwise(bounds))
     return (first, *(k for k in interior if k != 2), last)
 
 
 def alt_set_cardinality(index_set: IndexSet) -> int:
     """Size of the alternation set, as the product of Fibonacci numbers."""
     return prod(fibonacci(k) for k in fib_profile(index_set))
-
-
-def free_runs(index_set: IndexSet) -> list[tuple[int, int]]:
-    """The maximal runs [lo, hi] of the free region, [2, rank - 1] minus I,
-    narrowest first, so the widest is last; one empty run (2, 1) when the
-    free region is empty.
-
-    Each run lies strictly between two neighbours of the sorted bounds
-    1, i_1, ..., i_n, rank.  A run [lo, hi] has fibonacci(hi - lo + 3)
-    nonconsecutive subsets, one factor of :func:`alt_set_cardinality`.
-
-    >>> free_runs(IndexSet(9, [3]))
-    [(2, 2), (4, 8)]
-    """
-    gaps = [(b - a, a + 1, b - 1) for a, b in _neighbours(index_set) if b - a > 1]
-    gaps.sort()
-    return [(lo, hi) for _, lo, hi in gaps] or [(2, 1)]
-
-
-def run_sums(items: Sequence[_T], empty: _T) -> Iterator[_T]:
-    """empty + items[i_1] + items[i_2] + ... for each set of pairwise
-    nonconsecutive positions i_1 < i_2 < ... of items, the empty set first.
-
-    With the items (lo,), (lo + 1,), ..., (hi,) and empty = () these are the
-    nonconsecutive subsets of [lo, hi] as ascending tuples; with numbers
-    and 0 they are the subsets' weights.  n items give fibonacci(n + 2)
-    sums.  Each stack entry is a node (next position, partial sum); popping
-    it follows the skip branch to the end, pushing the take branch at every
-    position passed, and taking i resumes at i + 2.  Every set is one leaf.
-    """
-    stack = [(0, empty)]
-    size = len(items)
-    while stack:
-        i, acc = stack.pop()
-        while i < size:
-            stack.append((i + 2, acc + items[i]))
-            i += 1
-        yield acc
 
 
 def _halves(index_set: IndexSet) -> list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:

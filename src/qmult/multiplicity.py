@@ -19,12 +19,11 @@ Their agreement is the package's central cross-check.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
-from .altset import WeylSweep, free_runs, run_sums
+from .altset import WeylSweep
 from .intervals import IndexSet, interval_partition, n_of_complement
 from .partition import kostant_q_sum
 from .poly import Q, QPolynomial
@@ -79,48 +78,40 @@ def _term_tally(index_set: IndexSet) -> dict[tuple[int, int], int]:
 
     Removing j from I^c splits, shortens or deletes its run as
     g_j = #({j-1, j+1} & I^c) is 2, 1 or 0, and no two members of J are
-    adjacent, so n = runs(I^c) + sum over j in J of (g_j - 1).  Each free
-    index j weighs B + g_j with B = 2 rank + 2, larger than any sum of the
-    g_j, so the code of J, the sum of its weights, holds |J| = code // B and
-    sum g_j = code % B.  J is chosen independently in each free run and
-    codes add over the runs, so the tally is the product of the runs'
-    tallies (codes add, counts multiply): :func:`~qmult.altset.run_sums`
-    walks each run's codes once and ``Counter`` counts them at C speed.
+    adjacent, so n = runs(I^c) + sum over j in J of (g_j - 1).  Let T_j
+    tally the J within [2, j], T_1 = T_0 = {(0, runs(I^c)): 1}.  A J either
+    skips j, or takes a free j and nothing of j - 1, so going along the strip
+    T_j = T_{j-1} + [j free] T_{j-2} moved by (1, g_j - 1), the Fibonacci
+    recurrence of the alternation set's size, and T_{rank-1} is the tally.
+    Each step touches O(rank^2) keys, however many elements they count.
     """
-    r = index_set.rank
-    base = 2 * r + 2
-    # g_j = 2 - #({j-1, j+1} & I) for j in [2, r - 1]
-    weight = [base + 2] * (r + 2)
-    for m in index_set.members:
-        weight[m - 1] -= 1
-        weight[m + 1] -= 1
-    runs = n_of_complement(index_set)
-    *narrower, (lo, hi) = free_runs(index_set)
-    tally = Counter(run_sums(weight[lo:hi + 1], 0))
-    for a, b in narrower:
-        product = Counter()
-        for code, count in Counter(run_sums(weight[a:b + 1], 0)).items():
-            for other, times in tally.items():
-                product[code + other] += count * times
-        tally = product
-    return {(code // base, runs + code % base - code // base): count
-            for code, count in tally.items()}
+    picked = set(index_set.members)
+    older = tally = {(0, n_of_complement(index_set)): 1}
+    for j in range(2, index_set.rank):
+        if j in picked:
+            older = tally
+            continue
+        split = 1 - (j - 1 in picked) - (j + 1 in picked)
+        grown = tally.copy()
+        for (size, n), count in older.items():
+            key = (size + 1, n + split)
+            grown[key] = grown.get(key, 0) + count
+        older, tally = tally, grown
+    return tally
 
 
 def m_q_altset(index_set: IndexSet) -> MultiplicityResult:
     """The signed sum over the alternation set only.
 
     Each element is the product of s_j over a nonconsecutive subset J of the
-    free region, chosen run by run (:func:`~qmult.altset.free_runs`); its
-    term has sign (-1)^|J| and shifted image alpha_{I^c} - alpha_J, an
-    indicator vector whose partition value factors over its maximal runs as
-    q(q+1)^(len-1).  With n runs of total length N = |I^c| - |J| the term is
-    q^n (q+1)^(N-n).  Terms are tallied by (|J|, n) and expanded once per
-    pair by the binomial theorem.  The tally keys each J by the sum of its
-    weights B + g_j, B = 2 rank + 2 and g_j = #({j-1, j+1} & I^c); it walks
-    each run's J once and multiplies the runs' tallies (:func:`_term_tally`),
-    so the terms accounted for, exactly the alternation-set cardinality,
-    cost a sum of Fibonacci numbers and ranks far beyond brute force stay cheap.
+    free region, [2, rank - 1] minus I; its term has sign (-1)^|J| and
+    shifted image alpha_{I^c} - alpha_J, an indicator vector whose partition
+    value factors over its maximal runs as q(q+1)^(len-1).  With n runs of
+    total length N = |I^c| - |J| the term is q^n (q+1)^(N-n).  Terms are
+    tallied by (|J|, n) in one scan of the strip (:func:`_term_tally`) and
+    expanded once per pair by the binomial theorem, so the terms accounted
+    for, exactly the alternation-set cardinality, cost O(rank^3) and ranks
+    far beyond brute force stay cheap.
     """
     r = index_set.rank
     free = r - len(index_set)

@@ -7,10 +7,14 @@ one walk over all free indices that followed it, carrying the run count n
 of I^c minus J down with J; its run counts are checked against
 ``maximal_runs`` directly, and it is the oracle for the per-run walks and
 the (|J|, n) tally of ``qmult.altset`` and ``qmult.multiplicity``.
+``free_runs`` splits the free region into its maximal runs and
+``run_sums`` walks the nonconsecutive subsets of one run.
 ``term_tally_streamed`` is the tally that followed the walk: it counts the
 code of every J of the whole product, each run's ``run_sums`` joined by
-``itertools.product``, where ``qmult.multiplicity`` now multiplies the
-tallies of the runs.
+``itertools.product``.  ``term_tally_runs`` followed it: it walks each
+run's codes once and multiplies the runs' tallies, work a sum of Fibonacci
+numbers, one per run.  ``qmult.multiplicity`` now tallies the J sets in
+one scan of the strip, with no runs and no codes.
 
 ``alt_set_closed_runs`` is the builder ``alt_set_closed`` replaced: it
 walks the J sets of the product over the free runs, the widest run
@@ -20,17 +24,16 @@ from one cut of the coordinate strip instead, with no J and no runs.
 
 ``maximal_runs`` is the general run splitter that ``interval_partition``,
 ``fib_profile``, ``free_runs`` and ``n_of_complement`` were once derived
-from; those derivations are the oracle for the walk over the neighbours of
+from; those derivations are the oracle for the walks over the neighbours of
 I that replaced them.
 """
 
 import itertools
 from collections import Counter
-from itertools import chain, cycle, repeat
+from itertools import chain, cycle, pairwise, repeat
 from operator import add
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
-from qmult.altset import free_runs, run_sums
 from qmult.intervals import IndexSet, n_of_complement
 
 _T = TypeVar("_T")
@@ -127,25 +130,96 @@ def alternation_walk(index_set: IndexSet) -> Iterator[tuple[tuple[int, ...], int
         yield chosen, n
 
 
-def term_tally_streamed(index_set: IndexSet) -> dict[tuple[int, int], int]:
-    """The (|J|, n) tally of ``multiplicity._term_tally``, counted over every
-    code of the alternation set's product.
+def free_runs(index_set: IndexSet) -> list[tuple[int, int]]:
+    """The maximal runs [lo, hi] of the free region, [2, rank - 1] minus I,
+    narrowest first, so the widest is last; one empty run (2, 1) when the
+    free region is empty.
 
-    Each free index j weighs B + g_j with B = 2 rank + 2 and
-    g_j = #({j-1, j+1} & I^c); the code of J, the sum of its weights, holds
-    |J| = code // B and n = runs(I^c) + code % B - |J|.
+    Each run lies strictly between two neighbours of the sorted bounds
+    1, i_1, ..., i_n, rank.  A run [lo, hi] has fibonacci(hi - lo + 3)
+    nonconsecutive subsets, one factor of ``alt_set_cardinality``.
+
+    >>> free_runs(IndexSet(9, [3]))
+    [(2, 2), (4, 8)]
     """
-    r = index_set.rank
-    base = 2 * r + 2
-    weight = [base + 2] * (r + 2)
+    if index_set.is_empty():
+        raise ValueError("index set must be nonempty")
+    bounds = (1, *index_set.members, index_set.rank)
+    gaps = [(b - a, a + 1, b - 1) for a, b in pairwise(bounds) if b - a > 1]
+    gaps.sort()
+    return [(lo, hi) for _, lo, hi in gaps] or [(2, 1)]
+
+
+def run_sums(items: Sequence[_T], empty: _T) -> Iterator[_T]:
+    """empty + items[i_1] + items[i_2] + ... for each set of pairwise
+    nonconsecutive positions i_1 < i_2 < ... of items, the empty set first.
+
+    With the items (lo,), (lo + 1,), ..., (hi,) and empty = () these are the
+    nonconsecutive subsets of [lo, hi] as ascending tuples; with numbers
+    and 0 they are the subsets' weights.  n items give fibonacci(n + 2)
+    sums.  Each stack entry is a node (next position, partial sum); popping
+    it follows the skip branch to the end, pushing the take branch at every
+    position passed, and taking i resumes at i + 2.  Every set is one leaf.
+    """
+    stack = [(0, empty)]
+    size = len(items)
+    while stack:
+        i, acc = stack.pop()
+        while i < size:
+            stack.append((i + 2, acc + items[i]))
+            i += 1
+        yield acc
+
+
+def _weights(index_set: IndexSet) -> tuple[int, list[int]]:
+    """B = 2 rank + 2 and the weight B + g_j of each free index j, with
+    g_j = #({j-1, j+1} & I^c); B is larger than any sum of the g_j, so the
+    code of J, the sum of its weights, holds |J| = code // B and
+    sum g_j = code % B."""
+    base = 2 * index_set.rank + 2
+    # g_j = 2 - #({j-1, j+1} & I) for j in [2, r - 1]
+    weight = [base + 2] * (index_set.rank + 2)
     for m in index_set.members:
         weight[m - 1] -= 1
         weight[m + 1] -= 1
+    return base, weight
+
+
+def _decoded(index_set: IndexSet, base: int, tally: Counter) -> dict[tuple[int, int], int]:
+    """The tally of codes as a tally of (|J|, n), n = runs(I^c) + sum of
+    (g_j - 1) over J."""
     runs = n_of_complement(index_set)
-    per_run = [run_sums(weight[lo:hi + 1], 0) for lo, hi in free_runs(index_set)]
-    tally = Counter(map(sum, itertools.product(*per_run)))
     return {(code // base, runs + code % base - code // base): count
             for code, count in tally.items()}
+
+
+def term_tally_runs(index_set: IndexSet) -> dict[tuple[int, int], int]:
+    """The (|J|, n) tally of ``multiplicity._term_tally``, as the product of
+    the free runs' tallies of codes.
+
+    J is chosen independently in each free run and codes add over the runs,
+    so the tally is the product of the runs' tallies (codes add, counts
+    multiply): :func:`run_sums` walks each run's codes once and ``Counter``
+    counts them.
+    """
+    base, weight = _weights(index_set)
+    *narrower, (lo, hi) = free_runs(index_set)
+    tally = Counter(run_sums(weight[lo:hi + 1], 0))
+    for a, b in narrower:
+        product = Counter()
+        for code, count in Counter(run_sums(weight[a:b + 1], 0)).items():
+            for other, times in tally.items():
+                product[code + other] += count * times
+        tally = product
+    return _decoded(index_set, base, tally)
+
+
+def term_tally_streamed(index_set: IndexSet) -> dict[tuple[int, int], int]:
+    """The (|J|, n) tally of ``multiplicity._term_tally``, counted over every
+    code of the alternation set's product (see :func:`_weights`)."""
+    base, weight = _weights(index_set)
+    per_run = [run_sums(weight[lo:hi + 1], 0) for lo, hi in free_runs(index_set)]
+    return _decoded(index_set, base, Counter(map(sum, itertools.product(*per_run))))
 
 
 def _spread(heads: Iterator[_T], tails: list[_T]) -> Iterator[_T]:

@@ -8,9 +8,11 @@ import pytest
 from altset_oracle import (
     alt_set_closed_runs,
     alternation_walk,
+    free_runs,
     maximal_runs,
     nonconsecutive_subsets,
     reflection_index_sets,
+    run_sums,
 )
 from qmult.altset import (
     AltSet,
@@ -20,8 +22,6 @@ from qmult.altset import (
     alt_set_closed,
     fib_profile,
     fibonacci,
-    free_runs,
-    run_sums,
 )
 from qmult.cli import element_words
 from qmult.intervals import IndexSet, interval_partition, n_of_complement
@@ -70,9 +70,9 @@ class TestIntervalPartition:
         assert interval_partition(IndexSet(3, [3])) == ((3, 3),)
 
     def test_neighbour_walk_matches_the_run_derivations(self):
-        # fib_profile and free_runs read the neighbours of 1, I, rank, and
-        # interval_partition and n_of_complement split I themselves; each
-        # must equal its earlier derivation from maximal_runs
+        # fib_profile and the oracle free_runs read the neighbours of 1, I,
+        # rank, and interval_partition and n_of_complement split I
+        # themselves; each must equal its earlier derivation from maximal_runs
         for r in range(1, 13):
             for index_set in _all_index_sets(r):
                 members = set(index_set)

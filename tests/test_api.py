@@ -59,7 +59,7 @@ def test_public_names():
 # README; a helper only the tests call belongs in tests/.
 SUBMODULE_NAMES = {
     "altset": ["AltSet", "WeylSweep", "alt_set_brute", "alt_set_cardinality",
-               "alt_set_closed", "fib_profile", "fibonacci", "free_runs", "run_sums"],
+               "alt_set_closed", "fib_profile", "fibonacci"],
     "cli": ["ENV_BRUTE_CAP", "build_parser", "element_words", "main",
             "parse_index_set", "parse_mu"],
     "intervals": ["IndexSet", "interval_partition", "n_of_complement"],

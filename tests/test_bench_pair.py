@@ -3,13 +3,14 @@
 import sys
 from math import isqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import bench_pair  # noqa: E402
 
-from qmult.altset import fibonacci, free_runs  # noqa: E402
+from altset_oracle import term_tally_runs  # noqa: E402
 from qmult.intervals import IndexSet  # noqa: E402
 
 
@@ -37,19 +38,33 @@ def test_runs_write_no_bytecode_and_use_no_prefix(monkeypatch):
 
 
 def test_altset_counts_what_each_call_walks():
-    # m_q_altset walks each free run's codes once and accounts for their
-    # product; alt_set_closed walks no run and lists every element of the
-    # alternation set from the words on either side of one cut, O(sqrt |A|)
-    # of them
+    # m_q_altset walks no free run: one scan of the strip accounts for every
+    # element under a few (|J|, n) keys; alt_set_closed walks no run either
+    # and lists every element of the alternation set from the words on
+    # either side of one cut, O(sqrt |A|) of them
     calls = bench_pair.altset_terms()
     assert [c["call"] for c in calls] == ["m_q_altset"] * 3 + ["alt_set_closed"]
     for c in calls:
         assert c["terms"] == c["alt_set_size"], c
+        assert c["walked"] is None, c
         if c["call"] == "m_q_altset":
-            runs = free_runs(IndexSet(c["rank"], c["members"]))
-            assert c["walked"] == sum(fibonacci(hi - lo + 3) for lo, hi in runs), c
-            assert c["walked"] < c["terms"], c
+            runs_tally = term_tally_runs(IndexSet(c["rank"], c["members"]))
+            assert c["keys"] == len(runs_tally), c
+            assert c["keys"] <= (c["rank"] // 2 + 1) * (c["rank"] + 1) < c["terms"], c
         else:
-            assert c["walked"] == 0, c
             ceil_sqrt = isqrt(c["terms"] - 1) + 1
             assert 0 < c["joined"] <= 4 * ceil_sqrt + 2 * (c["rank"] + 1), c
+
+
+def test_yields_counts_or_reads_null():
+    # a parent checkout's m_q_altset walks run_sums, whose yields are
+    # counted; a checkout without the name reads null, not an AttributeError
+    module = SimpleNamespace(run_sums=lambda n: iter(range(n)))
+    with bench_pair.Yields(module, "run_sums") as walked:
+        assert list(module.run_sums(5)) == [0, 1, 2, 3, 4]
+    assert walked.count == 5
+    assert list(module.run_sums(2)) == [0, 1]
+    bare = SimpleNamespace()
+    with bench_pair.Yields(bare, "run_sums") as walked:
+        pass
+    assert walked.count is None and not hasattr(bare, "run_sums")

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from altset_oracle import free_runs
 from qmult import cli
-from qmult.altset import WeylSweep, alt_set_brute, alt_set_cardinality, free_runs
+from qmult.altset import WeylSweep, alt_set_brute, alt_set_cardinality
 from qmult.cli import main, parse_index_set, parse_mu
 from qmult.intervals import IndexSet
 from qmult.multiplicity import m_q_closed_general
@@ -221,6 +222,17 @@ class TestMultiplicityCommand:
         assert "brute: q^3 - q^2  [terms 720]" in out
         assert "altset: q^3 - q^2  [terms 5]" in out
         assert out.rstrip().endswith("verdict: AGREE")
+
+    def test_altset_on_one_wide_run_finishes(self):
+        # I = {1} at rank 45 leaves one free run of 43 indices and 1.1e9
+        # alternation-set elements, tallied in one scan of the strip
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmult.cli", "multiplicity", "--rank", "45", "--mu", "1",
+             "--method", "altset"],
+            capture_output=True, text=True, timeout=10, env={"PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "q^44\n"
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "multiplicity", "--rank", "5", "--mu", "1,5",

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altset_oracle import alternation_walk, term_tally_streamed
-from qmult import multiplicity, partition
-from qmult.altset import WeylSweep, alt_set_cardinality, alt_set_closed, fibonacci, free_runs
+from altset_oracle import alternation_walk, term_tally_runs, term_tally_streamed
+from qmult import partition
+from qmult.altset import WeylSweep, alt_set_cardinality, alt_set_closed, fibonacci
 from qmult.intervals import IndexSet, interval_partition
 from closed_forms import m_q_closed_positive_root, m_q_closed_two_intervals
 from qmult.multiplicity import (
@@ -151,6 +151,20 @@ class TestSignedSum:
 
 
 class TestAltsetSum:
+    # free runs of 22, 13, 19 and 18 indices, each the widest of its set
+    WIDE_RUNS = [IndexSet(24, [1]), IndexSet(28, [5, 19, 26]), IndexSet(22, [21]),
+                 IndexSet(20, [1, 20])]
+
+    @staticmethod
+    def _benchmark_sets():
+        # the rank-28 index sets of the altset benchmark, seeds 1-8
+        sets = []
+        for seed in range(1, 9):
+            inputs = workloads.generate("altset", seed)
+            sets += [IndexSet(inputs["rank"], members) for members in inputs["index_sets"]]
+        assert len(sets) == 24
+        return sets
+
     def test_full_interval(self):
         res = m_q_altset(IndexSet(5, range(1, 6)))
         assert res.value == ONE
@@ -177,16 +191,17 @@ class TestAltsetSum:
             m_q_altset(IndexSet(4, []))
 
     def test_tally_matches_the_walk_oracle(self):
-        # pins the weight encoding: each code decodes to the (|J|, n) that
-        # the walk carries, and every element is counted once
-        for r in range(1, 13):
-            for index_set in _all_index_sets(r):
-                walk = Counter((len(chosen), n) for chosen, n in alternation_walk(index_set))
-                assert _term_tally(index_set) == walk, index_set
+        # the scan counts each element once, under the (|J|, n) that the
+        # walk carries, on every set of rank <= 12, the benchmark's sets and
+        # single wide runs
+        sets = [index_set for r in range(1, 13) for index_set in _all_index_sets(r)]
+        for index_set in sets + self._benchmark_sets() + self.WIDE_RUNS:
+            walk = Counter((len(chosen), n) for chosen, n in alternation_walk(index_set))
+            assert _term_tally(index_set) == walk, index_set
 
     def test_widest_run_is_streamed(self):
         # one free run of 22 indices, 46,368 elements; listing its subsets
-        # would take several MB
+        # would take several MB, and the scan holds 23 keys
         tracemalloc.start()
         try:
             res = m_q_altset(IndexSet(24, [1]))
@@ -197,37 +212,35 @@ class TestAltsetSum:
         assert peak < 1_000_000, peak
 
     def test_tally_matches_the_streamed_product(self):
-        # the product of the runs' tallies against the tally of every code
-        # of the product set, on small ranks and the benchmark's rank-28 sets
+        # the scan against the tally of every code of the product set, on
+        # small ranks and the benchmark's rank-28 sets
         sets = [index_set for r in range(1, 13) for index_set in _all_index_sets(r)]
-        for seed in range(1, 9):
-            inputs = workloads.generate("altset", seed)
-            sets += [IndexSet(inputs["rank"], members) for members in inputs["index_sets"]]
-        assert len(sets) == sum(2 ** r - 1 for r in range(1, 13)) + 24
-        for index_set in sets:
+        for index_set in sets + self._benchmark_sets():
             assert _term_tally(index_set) == term_tally_streamed(index_set), index_set
 
-    @pytest.mark.parametrize("index_set, walked, terms", [
+    def test_tally_matches_the_run_product(self):
+        # the scan against its predecessor, the product of the free runs'
+        # tallies, on every set of rank <= 12, the benchmark's sets, single
+        # wide runs and 24 narrow runs at rank 120
+        sets = [index_set for r in range(1, 13) for index_set in _all_index_sets(r)]
+        sets += self._benchmark_sets() + self.WIDE_RUNS + [IndexSet(120, range(5, 120, 5))]
+        for index_set in sets:
+            assert _term_tally(index_set) == term_tally_runs(index_set), index_set
+
+    @pytest.mark.parametrize("index_set, keys, terms", [
         # runs of width 1, 3, 6 and 13
-        (IndexSet(28, [5, 19, 26]), 2 + 5 + 21 + 610, 128_100),
+        (IndexSet(28, [5, 19, 26]), 66, 128_100),
         # runs of width 3, then 23 of width 4; a walk of the product set
         # could never finish
-        (IndexSet(120, range(5, 120, 5)), 5 + 23 * 8, 2_951_479_051_793_528_258_560),
-    ])
-    def test_runs_are_walked_and_their_product_accounted(self, monkeypatch, index_set,
-                                                         walked, terms):
-        codes = 0
-        walk = multiplicity.run_sums
-
-        def counted(items, empty):
-            nonlocal codes
-            for code in walk(items, empty):
-                codes += 1
-                yield code
-
-        monkeypatch.setattr(multiplicity, "run_sums", counted)
+        (IndexSet(120, range(5, 120, 5)), 946, 2_951_479_051_793_528_258_560),
+        # one run of 43 free indices, 1.1e9 elements: a walk of its subsets,
+        # even run by run, would not finish in minutes
+        (IndexSet(45, [1]), 44, fibonacci(45)),
+    ], ids=["rank28", "rank120", "rank45"])
+    def test_wide_sets_are_tallied_in_one_scan(self, index_set, keys, terms):
+        tally = _term_tally(index_set)
+        assert len(tally) == keys
         res = m_q_altset(index_set)
-        assert codes == walked == sum(fibonacci(hi - lo + 3) for lo, hi in free_runs(index_set))
         assert res.terms_evaluated == alt_set_cardinality(index_set) == terms
         assert res.value == m_q_closed_general(index_set)
 
