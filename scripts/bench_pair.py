@@ -30,11 +30,10 @@ seed-1 ``partition`` inputs, the number of passes over a ``WeylSweep``
 makes, and the alternation-set elements accounted for on the seed-1
 ``altset`` inputs (``terms_evaluated`` of each ``m_q_altset`` call and the
 element count of the ``alt_set_closed`` call, each of which must equal
-perfbench's independent ``alt_set_size``), beside the ``run_sums`` yields
-each call walked to account for them (null in a checkout without
-``run_sums``), for ``m_q_altset`` the distinct (|J|, n) keys of its tally
-``multiplicity._term_tally`` and, for ``alt_set_closed``, the words in the
-lists its join reads (``altset._halves``; null in a checkout without it).
+perfbench's independent ``alt_set_size``), beside, for ``m_q_altset``,
+the distinct (|J|, n) keys of its tally ``multiplicity._term_tally`` and,
+for ``alt_set_closed``, the words in the lists its join reads
+(``altset._halves``; null in a checkout without it).
 ``src_lines`` is the line count of
 ``src/qmult/*.py`` in each checkout, as ``wc -l`` gives it, so a change's
 size is read from the record.  Timings depend on the host, which the
@@ -205,33 +204,6 @@ def fresh_count(checkout: Path, count: str):
     return json.loads(proc.stdout)
 
 
-class Yields:
-    """Counts the items the generator function ``module.name`` yields while
-    the context is open, to every caller that reads it through that name;
-    the count stays None if the module has no such function."""
-
-    def __init__(self, module, name: str):
-        self.module, self.name, self.count = module, name, None
-
-    def __enter__(self):
-        self.walk = walk = getattr(self.module, self.name, None)
-        if walk is None:
-            return self
-        self.count = 0
-
-        def counted(*args):
-            for item in walk(*args):
-                self.count += 1
-                yield item
-
-        setattr(self.module, self.name, counted)
-        return self
-
-    def __exit__(self, *exc):
-        if self.walk is not None:
-            setattr(self.module, self.name, self.walk)
-
-
 class JoinedWords:
     """Counts the words in the (heads, tails) lists that ``module.name``
     returns while the context is open; the count stays None if the module
@@ -261,30 +233,27 @@ class JoinedWords:
 
 def altset_terms() -> list:
     """The alternation-set elements each seed-1 ``altset`` operation accounts
-    for, checked against perfbench's ``alt_set_size``, the ``run_sums``
-    yields, codes or J sets of one free run, it walked to do so, the keys
-    of ``m_q_altset``'s tally and the words ``alt_set_closed`` joined across
+    for, checked against perfbench's ``alt_set_size``, the keys of
+    ``m_q_altset``'s tally and the words ``alt_set_closed`` joined across
     its cut."""
     import workloads
     from qmult import altset, multiplicity
     from qmult.intervals import IndexSet
 
-    # a checkout whose m_q_altset walks free runs reads run_sums through its module
     inputs = workloads.generate("altset", SEED)
     calls = []
     for members in inputs["index_sets"]:
         index_set = IndexSet(inputs["rank"], members)
-        with Yields(multiplicity, "run_sums") as walked:
-            res = multiplicity.m_q_altset(index_set)
+        res = multiplicity.m_q_altset(index_set)
         calls.append({"call": "m_q_altset", "rank": inputs["rank"], "members": members,
-                      "terms": res.terms_evaluated, "walked": walked.count,
+                      "terms": res.terms_evaluated,
                       "keys": len(multiplicity._term_tally(index_set)),
                       "alt_set_size": workloads.alt_set_size(inputs["rank"], members)})
     c = inputs["closed"]
-    with Yields(altset, "run_sums") as walked, JoinedWords(altset, "_halves") as joined:
+    with JoinedWords(altset, "_halves") as joined:
         elements = len(altset.alt_set_closed(IndexSet(c["rank"], c["members"])).elements)
     calls.append({"call": "alt_set_closed", "rank": c["rank"], "members": c["members"],
-                  "terms": elements, "walked": walked.count, "joined": joined.count,
+                  "terms": elements, "joined": joined.count,
                   "alt_set_size": workloads.alt_set_size(c["rank"], c["members"])})
     for call in calls:
         if call["terms"] != call["alt_set_size"]:

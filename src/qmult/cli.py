@@ -32,7 +32,7 @@ import os
 import random
 import sys
 import time
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .altset import (
     WeylSweep,
@@ -62,9 +62,6 @@ ENV_BRUTE_CAP = "QMULT_BRUTE_CAP"
 _VERIFY_EXHAUSTIVE_MAX = 12
 # verify: brute-force cross-checks stop here regardless of the cap
 _VERIFY_BRUTE_MAX = 10
-# verify: sampled index sets are drawn uniformly among those whose
-# alternation set has at most this many elements
-_VERIFY_TERMS_CAP = 50_000
 
 
 def parse_index_set(spec: str, rank: int) -> IndexSet:
@@ -247,84 +244,6 @@ def _from_mask(rank: int, mask: int) -> IndexSet:
     return IndexSet(rank, (k + 1 for k in range(rank) if mask >> k & 1))
 
 
-class _AdmissibleSets:
-    """Counts and uniform draws of the admissible index sets, the nonempty I
-    whose alternation set has at most ``cap`` elements.
-
-    That size is the product of fibonacci(b - a + 1) over the neighbours
-    a < b of 1, i_1, ..., i_k, rank.  ``rows[d][c]`` counts the ways on from
-    a member d places before the rank when the factors still to come may
-    multiply to at most c: stop there, with factor F(d + 1), or place the
-    next member s places on, with factor F(s + 1).  Each c is cap // P for a
-    product P of factors, so the table is filled one d at a time over every
-    such c and serves every rank.
-    """
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.fib = [0, 1]  # F(n), or cap + 1 when F(n) is past cap
-        self.rows: list[dict[int, int]] = []
-
-    @functools.cached_property
-    def budgets(self) -> set[int]:
-        """The budgets the walk reads: the cap, and c // f for each budget c
-        and each Fibonacci number 1 < f <= c; worked out on the first count."""
-        factors = [2, 3]
-        while factors[-1] <= self.cap:
-            factors.append(factors[-1] + factors[-2])
-        budgets: set[int] = set()
-        todo = {self.cap}
-        while todo:
-            budgets |= todo
-            todo = {c // f for c in todo for f in factors if f <= c} - budgets
-        return budgets
-
-    def _choices(self, d: int, c: int, first: int) -> Iterator[tuple[int, Optional[int]]]:
-        """(ways, s) for each choice at d places before the rank with the
-        budget c: s is None to stop, else the next member lies s places on,
-        with s at least ``first``.  The walk starts at position 1 with
-        first = 0 and no stop, as I is nonempty and i_1 has factor F(i_1)."""
-        fib, rows = self.fib, self.rows
-        if first and fib[d + 1] <= c:
-            yield 1, None
-        for s in range(first, d + 1):
-            f = fib[s + 1]
-            if f > c:
-                break
-            yield rows[d - s][c // f], s
-
-    def count(self, rank: int) -> int:
-        """The number of admissible index sets at rank; fills the table."""
-        fib, rows = self.fib, self.rows
-        while len(fib) <= rank:
-            fib.append(min(fib[-1] + fib[-2], self.cap + 1))
-        while len(rows) < rank:
-            d = len(rows)
-            rows.append({c: sum(w for w, _ in self._choices(d, c, 1)) for c in self.budgets})
-        return sum(w for w, _ in self._choices(rank - 1, self.cap, 0))
-
-    def nth(self, rank: int, k: int) -> IndexSet:
-        """The k-th admissible index set at rank, 0 <= k < count(rank), in
-        the order ``_choices`` lists them; count(rank) must come first."""
-        members: list[int] = []
-        d, c, first = rank - 1, self.cap, 0
-        while True:
-            for w, s in self._choices(d, c, first):
-                if k < w:
-                    break
-                k -= w
-            if s is None:
-                return IndexSet(rank, members)
-            members.append(rank - d + s)
-            d, c, first = d - s, c // self.fib[s + 1], 1
-
-    def sample(self, rank: int, rng: random.Random, samples: int) -> list[IndexSet]:
-        """``samples`` uniform draws among the admissible index sets at rank,
-        or none when no set is admissible."""
-        total = self.count(rank)
-        return [self.nth(rank, rng.randrange(total)) for _ in range(samples)] if total else []
-
-
 def _verify_one(index_set: IndexSet, brute_cap: Optional[int]) -> list[tuple[str, bool]]:
     """Every applicable cross-check on one index set, as (label, passed)
     pairs in the order run; the brute-force ones only under a ``brute_cap``."""
@@ -357,7 +276,6 @@ def _verify_one(index_set: IndexSet, brute_cap: Optional[int]) -> list[tuple[str
 def _run_verify(args: argparse.Namespace) -> int:
     cap = _brute_cap(args)
     rng = random.Random(args.seed)
-    admissible = _AdmissibleSets(_VERIFY_TERMS_CAP)
     failures: list[str] = []
     total = 0
     empty: list[int] = []
@@ -367,7 +285,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             sets = [_from_mask(r, mask) for mask in range(1, 1 << r)]
             mode = "exhaustive"
         else:
-            sets = admissible.sample(r, rng, args.samples)
+            sets = [_from_mask(r, rng.randrange(1, 1 << r)) for _ in range(args.samples)]
             mode = "sampled"
         if not sets:
             empty.append(r)

@@ -419,60 +419,19 @@ class TestVerifyCommand:
         assert "--samples" in err
 
     def test_rank_with_no_index_sets_fails(self, capsys, monkeypatch):
-        # every sampled draw is rejected, so rank 2 checks nothing
+        # argparse refuses --samples 0, so only a direct call draws no index
+        # set at a sampled rank; rank 2 then checks nothing
         monkeypatch.setattr(cli, "_VERIFY_EXHAUSTIVE_MAX", 1)
-        monkeypatch.setattr(cli, "_VERIFY_TERMS_CAP", 0)
-        code, out, _ = run_cli(capsys, "verify", "--max-rank", "2")
+        monkeypatch.delenv("QMULT_BRUTE_CAP", raising=False)
+        args = argparse.Namespace(max_rank=2, samples=0, seed=0, brute_cap=None)
+        code = cli._run_verify(args)
+        out = capsys.readouterr().out
         assert code == 1
         assert "rank 2: 0 index sets (sampled, all methods)" in out
         assert out.splitlines()[-1] == (
             "VERIFY FAIL (0 of 7 checks failed, no index set checked at rank 2)")
 
-
-class TestVerifySampler:
-    """Past the exhaustive ranks, ``verify`` draws each index set uniformly
-    among the admissible ones, those whose alternation set has at most
-    ``_VERIFY_TERMS_CAP`` elements, by counting them first."""
-
-    @staticmethod
-    def admissible_by_mask(rank, cap):
-        sets = (cli._from_mask(rank, mask) for mask in range(1, 1 << rank))
-        return {s.members for s in sets if alt_set_cardinality(s) <= cap}
-
-    def test_count_matches_a_count_over_all_masks(self):
-        admissible = cli._AdmissibleSets(cli._VERIFY_TERMS_CAP)
-        for r in range(1, 17):
-            assert admissible.count(r) == len(self.admissible_by_mask(r, cli._VERIFY_TERMS_CAP)), r
-
-    @pytest.mark.parametrize("cap, size", [(1, 1), (4, 3), (50, 12), (50_000, 218)])
-    def test_budgets_are_the_cap_over_products_of_fibonacci_factors(self, cap, size):
-        # c // f // g = c // (f * g), so the budgets the walk reaches from
-        # the cap are cap // P over the products P <= cap of factors F(k) > 1
-        def products(p, smallest):
-            yield p
-            a, b = 1, 2
-            while p * b <= cap:
-                if b >= smallest:
-                    yield from products(p * b, b)
-                a, b = b, a + b
-        budgets = cli._AdmissibleSets(cap).budgets
-        assert budgets == {cap // p for p in products(1, 2)}
-        assert len(budgets) == size
-
-    @pytest.mark.parametrize("cap", [4, 13, 50])
-    def test_draws_hit_every_admissible_set_and_no_other(self, cap):
-        # 200 draws per admissible set: each set is hit about 200 times
-        rng = random.Random(cap)
-        for r in range(1, 9):
-            admissible = cli._AdmissibleSets(cap)
-            expected = self.admissible_by_mask(r, cap)
-            hits = Counter(s.members for s in admissible.sample(r, rng, 200 * len(expected)))
-            assert set(hits) == expected, (cap, r)
-            assert 120 <= min(hits.values()) and max(hits.values()) <= 280, (cap, r)
-
     def test_rank_70_passes(self):
-        # rejection from all 2^r - 1 masks found no admissible set at 13 of
-        # these ranks, and verify failed without any route disagreeing
         src = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "qmult.cli", "verify", "--max-rank", "70", "--samples", "2"],
@@ -480,6 +439,32 @@ class TestVerifySampler:
         assert proc.returncode == 0, proc.stdout[-500:]
         assert proc.stdout.splitlines()[-1].startswith("VERIFY PASS")
         assert "rank 70: 2 index sets (sampled, closed forms)" in proc.stdout
+
+
+class TestVerifySampler:
+    """Past the exhaustive ranks, ``verify`` draws each index set uniformly,
+    with replacement, among all 2^r - 1 nonempty index sets at rank r."""
+
+    def test_draws_hit_every_index_set_and_no_other(self, capsys, monkeypatch):
+        # 200 draws per nonempty mask of rank 6: each mask of rank r is
+        # hit about 200 * 63 / (2^r - 1) times
+        drawn = {r: Counter() for r in range(1, 7)}
+
+        def record(index_set, brute_cap):
+            drawn[index_set.rank][index_set.members] += 1
+            return [("recorded", True)]
+
+        monkeypatch.setattr(cli, "_VERIFY_EXHAUSTIVE_MAX", 0)
+        monkeypatch.setattr(cli, "_verify_one", record)
+        samples = 200 * 63
+        code, _, _ = run_cli(capsys, "verify", "--max-rank", "6",
+                             "--samples", str(samples), "--seed", "1")
+        assert code == 0
+        for r, hits in drawn.items():
+            masks = range(1, 1 << r)
+            assert set(hits) == {cli._from_mask(r, mask).members for mask in masks}, r
+            expected = samples / len(masks)
+            assert all(0.6 * expected <= n <= 1.4 * expected for n in hits.values()), r
 
 
 class TestVerifyTable:
@@ -508,18 +493,20 @@ class TestVerifyTable:
     def test_every_check_passes_past_the_brute_range(self):
         # with the brute cap lifted to the rank, the sweep's alternation set
         # and signed sum meet the closed forms on every index set at rank 11,
-        # on seeded admissible samples at ranks 13-30 and on three index sets
-        # with a wide free run, where verify checks the closed forms alone
+        # on two seeded uniform draws per rank at ranks 13-30 and on three
+        # index sets with a wide free run, where verify checks the closed
+        # forms alone; the sweep has |A| leaves, so draws past 50,000 are skipped
         expected = [(label, True) for label in self.CLOSED + self.BRUTE]
         for mask in range(1, 1 << 11):
             assert cli._verify_one(cli._from_mask(11, mask), 11) == expected, mask
-        admissible = cli._AdmissibleSets(cli._VERIFY_TERMS_CAP)
         rng = random.Random(1)
         for r in range(13, 31):
-            for index_set in admissible.sample(r, rng, 2):
-                assert cli._verify_one(index_set, r) == expected, index_set
-        # the samples favour many members, so none has a free run wider than
-        # 7 indices; these have one of 11, 14 and 12 (beside one of 5)
+            for _ in range(2):
+                index_set = cli._from_mask(r, rng.randrange(1, 1 << r))
+                if alt_set_cardinality(index_set) <= 50_000:
+                    assert cli._verify_one(index_set, r) == expected, index_set
+        # a uniform draw has about r / 2 members, so none of these has a free
+        # run wider than 8 indices; these have one of 11, 14 and 12 (beside one of 5)
         for index_set in (IndexSet(13, [13]), IndexSet(16, [1, 16]), IndexSet(20, [7, 20])):
             assert max(hi - lo + 1 for lo, hi in free_runs(index_set)) >= 10
             assert cli._verify_one(index_set, index_set.rank) == expected, index_set
