@@ -33,7 +33,10 @@ element count of the ``alt_set_closed`` call, each of which must equal
 perfbench's independent ``alt_set_size``), beside, for ``m_q_altset``,
 the distinct (|J|, n) keys of its tally ``multiplicity._term_tally`` and,
 for ``alt_set_closed``, the words in the lists its join reads
-(``altset._halves``; null in a checkout without it).
+(``altset._halves``; null in a checkout without it).  The import
+footprint is the sorted names of the modules that ``import qmult.cli`` adds
+to a ``python -I -S`` interpreter (no site, no environment, no bytecode
+written), and their count.
 ``src_lines`` is the line count of
 ``src/qmult/*.py`` in each checkout, as ``wc -l`` gives it, so a change's
 size is read from the record.  Timings depend on the host, which the
@@ -204,6 +207,18 @@ def fresh_count(checkout: Path, count: str):
     return json.loads(proc.stdout)
 
 
+def import_footprint(checkout: Path) -> dict:
+    """The modules ``import qmult.cli`` adds to a bare interpreter, sorted,
+    and their count."""
+    src = str(checkout / "src")
+    code = (f"import sys; before = set(sys.modules); sys.path.insert(0, {src!r}); "
+            "import qmult.cli; print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
+                          capture_output=True, text=True, check=True)
+    modules = proc.stdout.split()
+    return {"count": len(modules), "modules": modules}
+
+
 class JoinedWords:
     """Counts the words in the (heads, tails) lists that ``module.name``
     returns while the context is open; the count stays None if the module
@@ -279,6 +294,7 @@ def main(argv=None) -> int:
     counts = {k: fresh_count(d, "count_partition") for k, d in sides.items()}
     sweeps = {k: fresh_count(d, "count_verify_sweeps") for k, d in sides.items()}
     terms = {k: fresh_count(d, "altset_terms") for k, d in sides.items()}
+    imports = {k: import_footprint(d) for k, d in sides.items()}
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
                    f"--seconds {SECONDS} --trace 0",
@@ -293,6 +309,7 @@ def main(argv=None) -> int:
                               "entries": counts},
         "verify_sweeps": {"workload": "verify", "seed": SEED, "passes": sweeps},
         "altset_terms": {"workload": "altset", "seed": SEED, "calls": terms},
+        "import_footprint": {"command": "python3 -I -S -c 'import qmult.cli'", **imports},
     }
     tmp.cleanup()
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -17,13 +17,12 @@ of the strip, by the same Fibonacci recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import pairwise
 from math import factorial, prod
-from typing import Iterator
 
 from .intervals import IndexSet
-from .roots import RootVector, embed
+from .roots import RootVector, _Frozen, embed
 from .weyl import DEFAULT_BRUTE_CAP, CapExceededError
 
 
@@ -41,8 +40,7 @@ def fibonacci(n: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
-class AltSet:
+class AltSet(_Frozen):
     """An alternation set for the highest root against mu = alpha_I.
 
     Each element is a Weyl element as its one-line tuple.  The number of
@@ -50,15 +48,14 @@ class AltSet:
     gives for mu, the certificate of the closed-form description.
     """
 
-    mu: IndexSet
-    elements: frozenset[tuple[int, ...]]
+    _fields = ("mu", "elements")
 
-    def __post_init__(self) -> None:
-        expected = alt_set_cardinality(self.mu)
-        if len(self.elements) != expected:
-            raise ValueError(
-                f"{len(self.elements)} elements but Fibonacci profile gives {expected}"
-            )
+    def __init__(self, mu: IndexSet, elements: frozenset[tuple[int, ...]]):
+        expected = alt_set_cardinality(mu)
+        if len(elements) != expected:
+            raise ValueError(f"{len(elements)} elements but Fibonacci profile gives {expected}")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "elements", elements)
 
 
 def fib_profile(index_set: IndexSet) -> tuple[int, ...]:

@@ -32,7 +32,7 @@ import os
 import random
 import sys
 import time
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .altset import (
     WeylSweep,
@@ -115,7 +115,7 @@ def parse_mu(spec: str, rank: int) -> RootVector:
     return parse_index_set(spec, rank).to_root_vector()
 
 
-def _as_index_set(mu: RootVector) -> Optional[IndexSet]:
+def _as_index_set(mu: RootVector) -> IndexSet | None:
     """The index set behind mu when mu is a nonzero 0/1 vector, else None."""
     if any(c not in (0, 1) for c in mu.coeffs) or mu.is_zero():
         return None
@@ -182,7 +182,7 @@ def _run_altset(args: argparse.Namespace) -> int:
 
 
 def _route(method: str, mu: RootVector,
-           cap: int) -> Optional[tuple[QPolynomial, Optional[int]]]:
+           cap: int) -> tuple[QPolynomial, int | None] | None:
     """One route's value at mu and its term count (None for the formula
     routes), or None when the route does not apply to mu."""
     if method == "brute":
@@ -206,7 +206,7 @@ def _run_multiplicity(args: argparse.Namespace) -> int:
     mu = parse_mu(args.mu, args.rank)
     names = METHODS if args.method == "all" else (
         {"reduce": "rank_reduction"}.get(args.method, args.method),)
-    results: list[tuple[str, QPolynomial, Optional[int]]] = []
+    results: list[tuple[str, QPolynomial, int | None]] = []
     for name in names:
         out = _route(name, mu, cap)
         if out is not None:
@@ -244,7 +244,7 @@ def _from_mask(rank: int, mask: int) -> IndexSet:
     return IndexSet(rank, (k + 1 for k in range(rank) if mask >> k & 1))
 
 
-def _verify_one(index_set: IndexSet, brute_cap: Optional[int]) -> list[tuple[str, bool]]:
+def _verify_one(index_set: IndexSet, brute_cap: int | None) -> list[tuple[str, bool]]:
     """Every applicable cross-check on one index set, as (label, passed)
     pairs in the order run; the brute-force ones only under a ``brute_cap``."""
     r = index_set.rank
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -9,26 +9,25 @@ Fibonacci counts of alternation sets read the neighbours of I in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
+from operator import index
 
-from .roots import RootVector
+from .roots import RootVector, _Frozen
 
 
-@dataclass(frozen=True, init=False)
-class IndexSet:
+class IndexSet(_Frozen):
     """A subset of {1, ..., rank}, kept sorted and duplicate-free.
 
     The empty set is allowed; operations that need a nonempty set say so.
     """
 
-    rank: int
-    members: tuple[int, ...]
+    _fields = ("rank", "members")
 
     def __init__(self, rank: int, members: Iterable[int] = ()):
+        rank = index(rank)
         if rank < 1:
             raise ValueError("rank must be at least 1")
-        ms = tuple(sorted(set(int(m) for m in members)))
+        ms = tuple(sorted(set(map(index, members))))
         if ms and (ms[0] < 1 or ms[-1] > rank):
             raise ValueError(f"members {ms} outside [1, {rank}]")
         object.__setattr__(self, "rank", rank)

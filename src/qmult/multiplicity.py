@@ -19,23 +19,21 @@ Their agreement is the package's central cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from math import comb
-from typing import Iterable
 
 from .altset import WeylSweep
 from .intervals import IndexSet, interval_partition, n_of_complement
 from .partition import kostant_q_sum
 from .poly import Q, QPolynomial
-from .roots import RootVector
+from .roots import RootVector, _Frozen
 from .weyl import DEFAULT_BRUTE_CAP
 
 # The route names, in the order ``qmult multiplicity`` and ``qmult bench`` run them.
 METHODS = ("brute", "altset", "rank_reduction", "closed")
 
 
-@dataclass(frozen=True)
-class MultiplicityResult:
+class MultiplicityResult(_Frozen):
     """A computed multiplicity together with how much work it took.
 
     ``terms_evaluated`` counts the Weyl elements whose partition value the
@@ -43,9 +41,12 @@ class MultiplicityResult:
     alternation-set cardinality for the restricted sum.
     """
 
-    value: QPolynomial
-    method: str
-    terms_evaluated: int
+    _fields = ("value", "method", "terms_evaluated")
+
+    def __init__(self, value: QPolynomial, method: str, terms_evaluated: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "terms_evaluated", terms_evaluated)
 
 
 def signed_sum(rows: Iterable[tuple]) -> QPolynomial:

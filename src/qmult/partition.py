@@ -46,11 +46,11 @@ rank 3 and (0, 1, 1, 0, 0) at rank 5 share one.  ``PartitionTable`` and
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import accumulate, count, islice, repeat
 from math import comb
 from operator import add, lshift, sub
-from typing import Mapping
 
 from .intervals import IndexSet, interval_partition
 from .poly import ONE, ZERO, QPolynomial, pack, unpack

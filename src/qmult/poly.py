@@ -9,9 +9,10 @@ for the partition pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from operator import add
-from typing import Iterable, Sequence
+
+from .roots import _Frozen
 
 
 def pack(coeffs: Sequence[int], K: int) -> int:
@@ -39,8 +40,7 @@ def unpack(value: int, K: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True, init=False)
-class QPolynomial:
+class QPolynomial(_Frozen):
     """A dense polynomial in q, stored as coefficients in ascending order.
 
     ``coeffs[k]`` is the coefficient of q^k.  The tuple is canonical:
@@ -55,7 +55,7 @@ class QPolynomial:
     'q^3 + 2q^2 + q'
     """
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)

@@ -15,21 +15,46 @@ half-sum for small ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
+from operator import attrgetter, index
 
 
-@dataclass(frozen=True, init=False)
-class RootVector:
+class _Frozen:
+    """An immutable value: a frozen dataclass's equality, hash and repr over the
+    fields ``_fields`` names, which ``__init__`` sets by ``object.__setattr__``.
+    Nothing reads ``vars(self)``, which would give each instance a dict."""
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls._fields)  # the bare value when there is one field
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values(self) == other._values(other) if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class RootVector(_Frozen):
     """An integer vector over the simple-root basis of A_rank."""
 
-    rank: int
-    coeffs: tuple[int, ...]
+    _fields = ("rank", "coeffs")
 
     def __init__(self, rank: int, coeffs: Iterable[int]):
+        rank = index(rank)
         if rank < 1:
             raise ValueError("rank must be at least 1")
-        cs = tuple(int(c) for c in coeffs)
+        cs = tuple(map(index, coeffs))
         if len(cs) != rank:
             raise ValueError(f"expected {rank} coefficients, got {len(cs)}")
         object.__setattr__(self, "rank", rank)

@@ -10,8 +10,6 @@ tuples are not checked again here.
 
 from __future__ import annotations
 
-from typing import Optional
-
 # The pruned sweep visits up to (rank+1)! leaves, how many depending on lam
 # and mu, so brute-force entry points refuse ranks above this unless the
 # caller raises the cap.
@@ -28,7 +26,7 @@ def length(perm: tuple[int, ...]) -> int:
     return sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
 
 
-def commuting_indices(perm: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+def commuting_indices(perm: tuple[int, ...]) -> tuple[int, ...] | None:
     """Recover the index set when perm is a product of nonconsecutive simple
     reflections; None if perm has no such factorization."""
     found = []

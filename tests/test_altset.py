@@ -49,6 +49,17 @@ class TestIndexSet:
         with pytest.raises(ValueError):
             IndexSet(0, [])
 
+    def test_non_integer_members_are_rejected(self):
+        with pytest.raises(TypeError):
+            IndexSet(5, [1.5, 5])
+        with pytest.raises(TypeError):
+            IndexSet(5, ["2"])
+        with pytest.raises(TypeError):
+            IndexSet(5.0, [1])
+        s = IndexSet(5, [True, 5])
+        assert s == IndexSet(5, [1, 5])
+        assert [type(m) for m in s] == [int, int]
+
     def test_membership_and_iteration(self):
         s = IndexSet(6, [2, 5])
         assert list(s) == [2, 5]

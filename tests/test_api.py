@@ -2,16 +2,23 @@
 names exported from ``qmult`` are exactly the listed ones, and so are the
 fields of ``MultiplicityResult`` and ``AltSet``, the public names that
 each submodule defines and the public methods of the exported classes, so
-that test-only helpers stay in ``tests/``."""
+that test-only helpers stay in ``tests/``.  The exported value types are
+immutable and hashable, and importing the package loads no
+``dataclasses``, ``inspect`` or ``typing``."""
 
 import ast
-import dataclasses
 import importlib
 import inspect
+import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import qmult
+from qmult import IndexSet, QPolynomial, RootVector
 from qmult.partition import PartitionTable
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -131,9 +138,63 @@ def test_class_public_methods():
 
 
 def test_multiplicity_result_fields():
-    fields = tuple(f.name for f in dataclasses.fields(qmult.MultiplicityResult))
-    assert fields == ("value", "method", "terms_evaluated")
+    result = qmult.m_q_altset(IndexSet(5, [1, 5]))
+    assert tuple(vars(result)) == ("value", "method", "terms_evaluated")
 
 
 def test_alt_set_fields():
-    assert tuple(f.name for f in dataclasses.fields(qmult.AltSet)) == ("mu", "elements")
+    assert tuple(vars(qmult.alt_set_closed(IndexSet(5, [1, 5])))) == ("mu", "elements")
+
+
+# One instance of each exported value type, built twice, its field names
+# and the repr the frozen dataclasses gave it.
+VALUES = [
+    (lambda: RootVector(3, (1, 0, 2)), ("rank", "coeffs"),
+     "RootVector(rank=3, coeffs=(1, 0, 2))"),
+    (lambda: IndexSet(5, [5, 1]), ("rank", "members"), "IndexSet(rank=5, members=(1, 5))"),
+    (lambda: QPolynomial([0, 1, -2, 0]), ("coeffs",), "QPolynomial(coeffs=(0, 1, -2))"),
+    (lambda: qmult.alt_set_closed(IndexSet(4, [2])), ("mu", "elements"),
+     "AltSet(mu=IndexSet(rank=4, members=(2,)), "
+     "elements=frozenset({(1, 2, 3, 4, 5), (1, 2, 4, 3, 5)}))"),
+    (lambda: qmult.m_q_altset(IndexSet(5, [1, 5])), ("value", "method", "terms_evaluated"),
+     "MultiplicityResult(value=QPolynomial(coeffs=(0, 0, -1, 1)), method='altset', "
+     "terms_evaluated=5)"),
+]
+
+
+@pytest.mark.parametrize("make, fields, text", VALUES)
+def test_value_semantics(make, fields, text):
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) == hash(tuple(getattr(a, f) for f in fields))
+    assert repr(a) == text
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert tuple(vars(a)) == fields
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and hash(copy) == hash(a) and repr(copy) == text
+
+
+def test_values_of_different_types_never_compare_equal():
+    assert IndexSet(3, [1]) != RootVector(3, (1, 0, 0))
+    values = [make() for make, _, _ in VALUES]
+    for i, x in enumerate(values):
+        assert x != tuple(vars(x).values())
+        for y in values[i + 1:]:
+            assert x != y and y != x
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # -I ignores PYTHONPATH, so the command puts src/ on sys.path itself;
+    # -S keeps site's .pth files from importing typing first
+    src = str(Path(qmult.__file__).resolve().parents[1])
+    unwanted = {"dataclasses", "inspect", "ast", "dis", "typing"}
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qmult, qmult.cli; "
+            f"print(sorted({unwanted!r} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

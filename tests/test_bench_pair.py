@@ -36,6 +36,16 @@ def test_runs_write_no_bytecode_and_use_no_prefix(monkeypatch):
     assert "PYTHONPYCACHEPREFIX" not in env
 
 
+def test_import_footprint_lists_what_the_cli_import_adds():
+    repo = Path(__file__).resolve().parents[1]
+    footprint = bench_pair.import_footprint(repo)
+    modules = footprint["modules"]
+    assert footprint["count"] == len(modules) == len(set(modules))
+    assert modules == sorted(modules)
+    assert {"qmult", "qmult.cli", "qmult.poly", "argparse"} <= set(modules)
+    assert not {"dataclasses", "inspect", "ast", "dis", "typing"} & set(modules)
+
+
 def test_altset_counts_what_each_call_walks():
     # one scan of the strip accounts for every element of m_q_altset's
     # alternation set under a few (|J|, n) keys; alt_set_closed lists every

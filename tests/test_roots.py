@@ -81,6 +81,17 @@ class TestRootConstruction:
         with pytest.raises(ValueError):
             root_add(positive_root(1, 1, 2), positive_root(1, 1, 3))
 
+    def test_non_integer_coordinates_are_rejected(self):
+        with pytest.raises(TypeError):
+            RootVector(3, (1.9, 1.9, 1.9))
+        with pytest.raises(TypeError):
+            RootVector(3, ("1", 0, 0))
+        with pytest.raises(TypeError):
+            RootVector(3.0, (1, 0, 0))
+        v = RootVector(True, (True,))
+        assert v == RootVector(1, (1,))
+        assert type(v.rank) is int and type(v.coeffs[0]) is int
+
     def test_vector_arithmetic(self):
         a = positive_root(1, 1, 3)
         b = positive_root(3, 3, 3)
