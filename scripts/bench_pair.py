@@ -37,7 +37,16 @@ for ``alt_set_closed``, the words in the lists its join reads
 footprint is the sorted names of the modules that ``import qmult.cli`` adds
 to a ``python -I -S`` interpreter (no site, no environment, no bytecode
 written), and their count.
-``src_lines`` is the line count of
+``verify_garbage`` is the number of unreachable objects
+``gc.collect()`` finds after one seed-1 ``verify`` window run with the
+collector disabled and the CLI grammar built beforehand: the garbage that
+reference counting alone cannot free, which the cyclic collector would
+otherwise collect inside the window.
+``sweep_rates`` times the pruned sweep alone, in process, as the best of
+SWEEP_ROUNDS rounds: sweep nodes (leaves plus pruned subtrees) per second
+on the sweeps one seed-1 ``verify`` run makes (the highest root against
+every alpha_I up to its --max-rank), on rank 8 with mu = -2 and on rank 9
+with mu = -4 in every coordinate.  ``src_lines`` is the line count of
 ``src/qmult/*.py`` in each checkout, as ``wc -l`` gives it, so a change's
 size is read from the record.  Timings depend on the host, which the
 record names; the counts do not.
@@ -62,6 +71,8 @@ SECONDS = 20
 # interleaved before/after pairs per workload: one pair cannot resolve a
 # change of a few percent in an operation of a few milliseconds
 PAIRS = 10
+# rounds of each in-process sweep timing, of which the fastest is kept
+SWEEP_ROUNDS = 5
 
 
 def cpu_model() -> str:
@@ -196,6 +207,68 @@ def count_verify_sweeps() -> int:
     return passes
 
 
+def verify_garbage() -> int:
+    """The unreachable objects ``gc.collect()`` finds after one seed-1
+    ``verify`` window run with the collector disabled.  The CLI grammar is
+    built first: building it leaves 88 of its own, argparse's help formatters,
+    whatever the engine does."""
+    import gc
+
+    import workloads
+    from qmult import cli
+
+    ops = workloads.build("verify", workloads.generate("verify", SEED))
+    cli.build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        for _, call in ops:
+            call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def sweep_rates() -> list:
+    """Sweep nodes (leaves plus pruned subtrees) per second on the sweeps of
+    one seed-1 ``verify`` run, on rank 8 with mu = -2 and on rank 9 with
+    mu = -4, each case timed in process as the best of SWEEP_ROUNDS rounds."""
+    import time
+
+    import workloads
+    from qmult.altset import WeylSweep
+    from qmult.intervals import IndexSet
+    from qmult.roots import RootVector, highest_root
+
+    def alpha(r, mask):
+        return IndexSet(r, [k + 1 for k in range(r) if mask >> k & 1]).to_root_vector()
+
+    argv = workloads.generate("verify", SEED)["argv"]
+    max_rank = int(argv[argv.index("--max-rank") + 1])
+    cases = {
+        f"verify --max-rank {max_rank}": [(highest_root(r), alpha(r, mask))
+                                          for r in range(1, max_rank + 1)
+                                          for mask in range(1, 1 << r)],
+        "rank 8, mu = -2": [(highest_root(8), RootVector(8, (-2,) * 8))],
+        "rank 9, mu = -4": [(highest_root(9), RootVector(9, (-4,) * 9))],
+    }
+    rates = []
+    for name, pairs in cases.items():
+        best = float("inf")
+        for _ in range(SWEEP_ROUNDS):
+            nodes = 0
+            start = time.perf_counter()
+            for lam, mu in pairs:
+                sweep = WeylSweep(lam, mu)
+                for _ in sweep:
+                    pass
+                nodes += sweep.leaves + sweep.pruned
+            best = min(best, time.perf_counter() - start)
+        rates.append({"case": name, "sweeps": len(pairs), "nodes": nodes,
+                      "best_s": best, "nodes_per_s": nodes / best})
+    return rates
+
+
 def fresh_count(checkout: Path, count: str):
     """The named counting function of this script, run on the checkout's
     source in a fresh process."""
@@ -295,6 +368,8 @@ def main(argv=None) -> int:
     sweeps = {k: fresh_count(d, "count_verify_sweeps") for k, d in sides.items()}
     terms = {k: fresh_count(d, "altset_terms") for k, d in sides.items()}
     imports = {k: import_footprint(d) for k, d in sides.items()}
+    garbage = {k: fresh_count(d, "verify_garbage") for k, d in sides.items()}
+    rates = {k: fresh_count(d, "sweep_rates") for k, d in sides.items()}
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
                    f"--seconds {SECONDS} --trace 0",
@@ -310,6 +385,9 @@ def main(argv=None) -> int:
         "verify_sweeps": {"workload": "verify", "seed": SEED, "passes": sweeps},
         "altset_terms": {"workload": "altset", "seed": SEED, "calls": terms},
         "import_footprint": {"command": "python3 -I -S -c 'import qmult.cli'", **imports},
+        "verify_garbage": {"workload": "verify", "seed": SEED, "collector": "disabled",
+                           "grammar": "built before the window", "unreachable": garbage},
+        "sweep_rates": {"timing": f"in process, best of {SWEEP_ROUNDS} rounds", **rates},
     }
     tmp.cleanup()
     args.out.write_text(json.dumps(record, indent=1) + "\n")

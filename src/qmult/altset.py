@@ -12,7 +12,10 @@ fibonacci(b - a + 1) (:func:`fib_profile`).
 
 :func:`alt_set_closed` joins the one-line words of two halves of the strip of
 coordinates (:func:`_halves`); ``m_q_altset`` tallies the J sets in one scan
-of the strip, by the same Fibonacci recurrence.
+of the strip, by the same Fibonacci recurrence.  For arbitrary lam and mu,
+:class:`WeylSweep` walks S_{rank+1} depth first in one loop over an explicit
+stack, so no rank meets the interpreter's recursion limit, and a sweep leaves
+no reference cycle behind.
 """
 
 from __future__ import annotations
@@ -129,7 +132,10 @@ class WeylSweep:
     P(xi) = 0 makes all those terms zero, for any lam and mu.  ``leaves`` and
     ``pruned`` count rows and dropped subtrees; ``accounted``, the elements
     both cover, must end at (rank+1)!, and a sweep that ends short or over
-    raises RuntimeError.  The cap is checked before any work.
+    raises RuntimeError.  The counters are stored when an iteration ends or
+    is closed, so an abandoned one reports what it visited.  The depth-first
+    walk keeps its state per depth in arrays, not in nested generator
+    frames.  The cap is checked before any work.
     """
 
     def __init__(self, lam: RootVector, mu: RootVector, cap: int = DEFAULT_BRUTE_CAP):
@@ -141,41 +147,54 @@ class WeylSweep:
         self.leaves = self.pruned = self.accounted = 0
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-        self.leaves = self.pruned = self.accounted = 0
         rank = self.lam.rank
         n = rank + 1
         rho = tuple(range(rank, -1, -1))
         shifted = tuple(a + b for a, b in zip(embed(self.lam), rho))
-        # The last prefix sum is the coordinate sum of lam, always 0.
-        mu = self.mu.coeffs + (0,)
+        mu = self.mu.coeffs
         subtree = [factorial(n - p - 1) for p in range(n)]
         free = list(range(n))  # coordinates not yet placed, ascending
         perm = [0] * n
-        xi = [0] * n
-
-        def extend(p: int, total: int, inversions: int):
-            if p == n:
-                self.leaves += 1
-                self.accounted += 1
-                yield tuple(perm), -1 if inversions & 1 else 1, tuple(xi[:rank])
-                return
-            for j in range(n - p):
-                k = free[j]
-                t = total + shifted[k] - rho[p]
-                if t < mu[p]:
-                    self.pruned += 1
-                    self.accounted += subtree[p]
+        xi = [0] * rank
+        # per depth: the next j to try, the coordinate placed, and the running
+        # total and inversions of the prefix before it
+        choice, placed, totals, inversions = [0] * n, [0] * n, [0] * n, [0] * n
+        leaves = pruned = accounted = p = 0
+        try:
+            while p >= 0:
+                j, total, m = choice[p], totals[p] - rho[p], mu[p]
+                while j < n - p and total + shifted[free[j]] < m:
+                    pruned += 1
+                    accounted += subtree[p]
+                    j += 1
+                if j == n - p:  # depth p is done: back up and put its coordinate back
+                    p -= 1
+                    if p >= 0:
+                        free.insert(choice[p] - 1, placed[p])
                     continue
                 # j free coordinates below k are placed later: j inversions
-                del free[j]
+                k = free.pop(j)
+                t = total + shifted[k]
                 perm[k] = p + 1
-                xi[p] = t - mu[p]
-                yield from extend(p + 1, t, inversions + j)
+                xi[p] = t - m
+                choice[p], placed[p] = j + 1, k
+                p += 1
+                totals[p], inversions[p] = t, inversions[p - 1] + j
+                if p < rank:
+                    choice[p] = 0
+                    continue
+                # a leaf: the last free coordinate makes the prefix sum that of
+                # lam's coordinates, always 0, so it is never pruned
+                perm[free[0]] = n
+                leaves += 1
+                accounted += 1
+                yield tuple(perm), -1 if inversions[p] & 1 else 1, tuple(xi)
+                p -= 1
                 free.insert(j, k)
-
-        yield from extend(0, 0, 0)
-        if self.accounted != factorial(n):
-            raise RuntimeError(f"sweep accounted for {self.accounted} of {n}! elements")
+            if accounted != factorial(n):
+                raise RuntimeError(f"sweep accounted for {accounted} of {n}! elements")
+        finally:
+            self.leaves, self.pruned, self.accounted = leaves, pruned, accounted
 
 
 def alt_set_brute(

@@ -62,3 +62,16 @@ def test_altset_counts_what_each_call_walks():
             ceil_sqrt = isqrt(c["terms"] - 1) + 1
             assert 0 < c["joined"] <= 4 * ceil_sqrt + 2 * (c["rank"] + 1), c
 
+
+def test_sweep_layer_records_garbage_and_node_rates():
+    # the verify window leaves nothing for the cyclic collector (the
+    # recursive sweep left 3,000 objects); the node counts are structural
+    assert bench_pair.verify_garbage() == 0
+    rates = bench_pair.sweep_rates()
+    assert [(r["case"], r["sweeps"], r["nodes"]) for r in rates] == [
+        ("verify --max-rank 6", 120, 2993),
+        ("rank 8, mu = -2", 1, 1228 + 964),
+        ("rank 9, mu = -4", 1, 27553 + 8455),
+    ]
+    for r in rates:
+        assert r["best_s"] > 0 and r["nodes_per_s"] == r["nodes"] / r["best_s"], r

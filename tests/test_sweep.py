@@ -1,5 +1,7 @@
-"""The pruned Weyl sweep against the unpruned permutation scan."""
+"""The pruned Weyl sweep against the unpruned permutation scan and against
+its recursive predecessor."""
 
+import gc
 import itertools
 import math
 import subprocess
@@ -19,7 +21,7 @@ from qmult.poly import ZERO
 from qmult.roots import RootVector, highest_root
 from qmult.weyl import CapExceededError
 from weyl_helpers import permutation, zero_root
-from weyl_oracle import alt_set_unpruned, m_q_unpruned, nonnegative_rows
+from weyl_oracle import RecursiveWeylSweep, alt_set_unpruned, m_q_unpruned, nonnegative_rows
 
 
 def _indicator_weights(rank):
@@ -112,6 +114,76 @@ class TestAccounting:
     def test_brute_still_reports_the_whole_group(self):
         res = m_q_brute(highest_root(8), RootVector(8, (1, 0, 1, 1, 0, 0, 1, 0)))
         assert res.terms_evaluated == math.factorial(9)
+
+
+def _assert_same_as_recursive(lam, mu):
+    sweep, oracle = WeylSweep(lam, mu), RecursiveWeylSweep(lam, mu)
+    assert list(sweep) == list(oracle)
+    assert ((sweep.leaves, sweep.pruned, sweep.accounted)
+            == (oracle.leaves, oracle.pruned, oracle.accounted))
+
+
+class TestAgainstRecursiveSweep:
+    """The explicit-stack sweep against its predecessor, one nested generator
+    per coordinate: the same rows in the same order, and the same counts."""
+
+    def test_every_index_set_up_to_rank7(self):
+        for r in range(1, 8):
+            theta = highest_root(r)
+            for mu in _indicator_weights(r):
+                if any(mu.coeffs):
+                    _assert_same_as_recursive(theta, mu)
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 6).flatmap(lambda r: st.tuples(
+        st.lists(st.integers(-2, 2), min_size=r, max_size=r),
+        st.lists(st.integers(-2, 2), min_size=r, max_size=r),
+    )))
+    def test_arbitrary_lam_and_mu(self, pair):
+        lam_c, mu_c = pair
+        _assert_same_as_recursive(RootVector(len(lam_c), lam_c), RootVector(len(mu_c), mu_c))
+
+    @pytest.mark.parametrize("rank, c", [(8, -2), (9, -4)])
+    def test_constant_negative_mu(self, rank, c):
+        _assert_same_as_recursive(highest_root(rank), RootVector(rank, (c,) * rank))
+
+    def test_a_sweep_closed_after_its_first_row_reports_it(self):
+        theta, mu = highest_root(6), IndexSet(6, [1, 3, 6]).to_root_vector()
+        sweep, oracle = WeylSweep(theta, mu), RecursiveWeylSweep(theta, mu)
+        rows, oracle_rows = iter(sweep), iter(oracle)
+        assert next(rows) == next(oracle_rows)
+        rows.close()
+        assert sweep.leaves == 1
+        assert ((sweep.leaves, sweep.pruned, sweep.accounted)
+                == (oracle.leaves, oracle.pruned, oracle.accounted))
+
+
+def _cyclic_garbage_after(action):
+    """The objects ``gc.collect()`` finds unreachable after ``action()``, run
+    with the collector disabled so that none is freed on the way."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        action()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestNoGarbage:
+    def test_a_sweep_and_a_brute_call_leave_no_reference_cycle(self):
+        # reference counting alone frees everything a sweep allocates; the
+        # recursive sweep's generator function reached itself through its own
+        # closure cell, which kept 25 objects per pass alive until a
+        # collection: the function, its cells, lists and tuples, the sweep
+        # and its two vectors
+        def vectors():
+            return highest_root(6), IndexSet(6, [1, 3, 6]).to_root_vector()
+
+        assert _cyclic_garbage_after(lambda: list(WeylSweep(*vectors()))) == 0
+        assert _cyclic_garbage_after(lambda: m_q_brute(*vectors())) == 0
 
 
 class TestRefusals:

@@ -4,11 +4,16 @@ Walks all (rank+1)! permutations with ``itertools.permutations`` and filters
 afterwards, the way the brute-force routes worked before the sweep learned
 to drop prefixes.  Small ranks only: rank 7 already means 40,320 rows.
 ``signed_sum_per_row`` is the brute route's sum before the rows were
-divided together in one pass.
+divided together in one pass.  ``RecursiveWeylSweep`` is the pruned sweep
+as it was before it moved onto an explicit stack: one nested generator per
+coordinate, which reaches the interpreter's recursion limit near rank 1000
+and leaves a reference cycle through its own closure cell.
 """
 
 import itertools
+from math import factorial
 
+from qmult.altset import WeylSweep
 from qmult.partition import kostant_q
 from qmult.poly import QPolynomial
 from qmult.roots import RootVector, embed
@@ -74,3 +79,46 @@ def signed_sum_per_row(rows) -> QPolynomial:
             for k, c in enumerate(cs):
                 acc[k] -= c
     return QPolynomial(acc)
+
+
+class RecursiveWeylSweep(WeylSweep):
+    """``qmult.altset.WeylSweep`` with its predecessor's ``__iter__``: the same
+    rows in the same order, and the same ``leaves``, ``pruned`` and
+    ``accounted``, which it updates as it goes."""
+
+    def __iter__(self):
+        self.leaves = self.pruned = self.accounted = 0
+        rank = self.lam.rank
+        n = rank + 1
+        rho = tuple(range(rank, -1, -1))
+        shifted = tuple(a + b for a, b in zip(embed(self.lam), rho))
+        # The last prefix sum is the coordinate sum of lam, always 0.
+        mu = self.mu.coeffs + (0,)
+        subtree = [factorial(n - p - 1) for p in range(n)]
+        free = list(range(n))  # coordinates not yet placed, ascending
+        perm = [0] * n
+        xi = [0] * n
+
+        def extend(p: int, total: int, inversions: int):
+            if p == n:
+                self.leaves += 1
+                self.accounted += 1
+                yield tuple(perm), -1 if inversions & 1 else 1, tuple(xi[:rank])
+                return
+            for j in range(n - p):
+                k = free[j]
+                t = total + shifted[k] - rho[p]
+                if t < mu[p]:
+                    self.pruned += 1
+                    self.accounted += subtree[p]
+                    continue
+                # j free coordinates below k are placed later: j inversions
+                del free[j]
+                perm[k] = p + 1
+                xi[p] = t - mu[p]
+                yield from extend(p + 1, t, inversions + j)
+                free.insert(j, k)
+
+        yield from extend(0, 0, 0)
+        if self.accounted != factorial(n):
+            raise RuntimeError(f"sweep accounted for {self.accounted} of {n}! elements")
