@@ -43,10 +43,16 @@ collector disabled and the CLI grammar built beforehand: the garbage that
 reference counting alone cannot free, which the cyclic collector would
 otherwise collect inside the window.
 ``sweep_rates`` times the pruned sweep alone, in process, as the best of
-SWEEP_ROUNDS rounds: sweep nodes (leaves plus pruned subtrees) per second
+RATE_ROUNDS rounds: sweep nodes (leaves plus pruned subtrees) per second
 on the sweeps one seed-1 ``verify`` run makes (the highest root against
 every alpha_I up to its --max-rank), on rank 8 with mu = -2 and on rank 9
-with mu = -4 in every coordinate.  ``src_lines`` is the line count of
+with mu = -4 in every coordinate.  ``pass_rates`` times the division pass
+alone, ``kostant_q_sum({stripped xi: 1})`` on each seed-1 ``partition`` xi,
+in process as the best of RATE_ROUNDS rounds; the pass only reads the
+answer cache, so every round is cold.  Both run RATE_RUNS fresh processes
+per checkout, the checkouts alternating which goes first, and keep each
+case's fastest run, so that one slow process does not skew a side.
+``src_lines`` is the line count of
 ``src/qmult/*.py`` in each checkout, as ``wc -l`` gives it, so a change's
 size is read from the record.  Timings depend on the host, which the
 record names; the counts do not.
@@ -71,8 +77,10 @@ SECONDS = 20
 # interleaved before/after pairs per workload: one pair cannot resolve a
 # change of a few percent in an operation of a few milliseconds
 PAIRS = 10
-# rounds of each in-process sweep timing, of which the fastest is kept
-SWEEP_ROUNDS = 5
+# rounds of each in-process timing, of which the fastest is kept
+RATE_ROUNDS = 5
+# fresh processes per checkout for the in-process timings
+RATE_RUNS = 3
 
 
 def cpu_model() -> str:
@@ -232,7 +240,7 @@ def verify_garbage() -> int:
 def sweep_rates() -> list:
     """Sweep nodes (leaves plus pruned subtrees) per second on the sweeps of
     one seed-1 ``verify`` run, on rank 8 with mu = -2 and on rank 9 with
-    mu = -4, each case timed in process as the best of SWEEP_ROUNDS rounds."""
+    mu = -4, each case timed in process as the best of RATE_ROUNDS rounds."""
     import time
 
     import workloads
@@ -255,7 +263,7 @@ def sweep_rates() -> list:
     rates = []
     for name, pairs in cases.items():
         best = float("inf")
-        for _ in range(SWEEP_ROUNDS):
+        for _ in range(RATE_ROUNDS):
             nodes = 0
             start = time.perf_counter()
             for lam, mu in pairs:
@@ -269,6 +277,27 @@ def sweep_rates() -> list:
     return rates
 
 
+def pass_rates() -> list:
+    """The division pass alone on each seed-1 ``partition`` xi, stripped as
+    ``kostant_q`` keys it, timed in process as the best of RATE_ROUNDS
+    rounds; the pass only reads the answer cache, so every round is cold."""
+    import time
+
+    import workloads
+    from qmult import partition
+
+    rates = []
+    for xi in workloads.generate("partition", SEED)["xis"]:
+        weights = {partition._strip(tuple(xi)): 1}
+        best = float("inf")
+        for _ in range(RATE_ROUNDS):
+            start = time.perf_counter()
+            partition.kostant_q_sum(weights)
+            best = min(best, time.perf_counter() - start)
+        rates.append({"xi": xi, "best_s": best})
+    return rates
+
+
 def fresh_count(checkout: Path, count: str):
     """The named counting function of this script, run on the checkout's
     source in a fresh process."""
@@ -278,6 +307,19 @@ def fresh_count(checkout: Path, count: str):
     proc = subprocess.run([sys.executable, "-c", code], cwd=checkout,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def fastest_runs(sides: dict, count: str) -> dict:
+    """The named timing function of this script, run RATE_RUNS times in each
+    checkout, each time in a fresh process, the checkouts alternating which
+    goes first; per case, the run with the least ``best_s``."""
+    best: dict = {}
+    for i in range(RATE_RUNS):
+        for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
+            runs = fresh_count(sides[side], count)
+            kept = best.get(side, runs)
+            best[side] = [min(a, b, key=lambda r: r["best_s"]) for a, b in zip(kept, runs)]
+    return best
 
 
 def import_footprint(checkout: Path) -> dict:
@@ -369,7 +411,10 @@ def main(argv=None) -> int:
     terms = {k: fresh_count(d, "altset_terms") for k, d in sides.items()}
     imports = {k: import_footprint(d) for k, d in sides.items()}
     garbage = {k: fresh_count(d, "verify_garbage") for k, d in sides.items()}
-    rates = {k: fresh_count(d, "sweep_rates") for k, d in sides.items()}
+    rates = fastest_runs(sides, "sweep_rates")
+    passes = fastest_runs(sides, "pass_rates")
+    timing = (f"in process, best of {RATE_ROUNDS} rounds in each of {RATE_RUNS} "
+              "fresh processes per checkout, alternated")
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
                    f"--seconds {SECONDS} --trace 0",
@@ -387,7 +432,8 @@ def main(argv=None) -> int:
         "import_footprint": {"command": "python3 -I -S -c 'import qmult.cli'", **imports},
         "verify_garbage": {"workload": "verify", "seed": SEED, "collector": "disabled",
                            "grammar": "built before the window", "unreachable": garbage},
-        "sweep_rates": {"timing": f"in process, best of {SWEEP_ROUNDS} rounds", **rates},
+        "sweep_rates": {"timing": timing, **rates},
+        "pass_rates": {"workload": "partition", "seed": SEED, "timing": timing, **passes},
     }
     tmp.cleanup()
     args.out.write_text(json.dumps(record, indent=1) + "\n")

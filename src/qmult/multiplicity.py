@@ -24,7 +24,7 @@ from math import comb
 
 from .altset import WeylSweep
 from .intervals import IndexSet, interval_partition, n_of_complement
-from .partition import kostant_q_sum
+from .partition import _divide
 from .poly import Q, QPolynomial
 from .roots import RootVector, _Frozen
 from .weyl import DEFAULT_BRUTE_CAP
@@ -52,11 +52,11 @@ class MultiplicityResult(_Frozen):
 def signed_sum(rows: Iterable[tuple]) -> QPolynomial:
     """The sum of sign * P_q(xi) over the (perm, sign, xi) rows of a
     :class:`~qmult.altset.WeylSweep`, the signs of equal xi added first
-    (:func:`~qmult.partition.kostant_q_sum`)."""
+    (``qmult.partition._divide``; the sweep's xi need no check)."""
     weights: dict[tuple[int, ...], int] = {}
     for _, sign, xi in rows:
         weights[xi] = weights.get(xi, 0) + sign
-    return kostant_q_sum(weights)
+    return _divide(weights)
 
 
 def m_q_brute(

@@ -26,17 +26,20 @@ tail rather than per state:
   cuts it at the room, c <= t[0];
 - the root on slots 0 .. k, k >= 1, is (1, r') with r' = 1 on tail slots
   0 .. k-1, so W'[t] = W[t] + W'[t + r'][1:], one element-wise list add
-  shifted by one in c, walked down each line t, t - r', ... of tails from
-  its top; the list stored at t is cut at c <= t[k], the one carried down
-  stays whole;
+  shifted by one in c.  It takes the tails level by level from the top,
+  the level of t being min(t[:k]), and carries W'[t][1:] to t - r' one
+  level down; the list stored at t is cut at c <= t[k], the one carried
+  down stays whole;
 - a list that holds only c = 0 has no root of the round left to take and
   leaves at once, as does a state with xi[0] = 0 on entry;
-- the full-width root sends each entry (c, t) to the state t - c.
+- the full-width root sends each entry (c, t) to the state t - c; one zip
+  of the per-coordinate ranges t_i, t_i - 1, ... builds a tail's states,
+  and at width 1 the whole list goes to the empty xi.
 Trailing zeros are trimmed and all-zero lists dropped, which the brute
 route's signed weights need: they cancel, and would leave most entries 0.
 Weights are packed at q = 2^K (``poly.pack``), so two add as ints and a
 factor q^c is ``<< c * K``; K comes from the bound sum |w| * C(m + N, N) on
-every coefficient the pass holds, which ``kostant_q_sum`` proves.
+every coefficient the pass holds, which ``_divide`` proves.
 
 ``kostant_q`` keeps one answer cache for every rank, one entry per query,
 keyed by xi less the zeros at its ends, which no root covers: (1, 1, 0) at
@@ -97,6 +100,15 @@ def _keep(tails: dict, after: dict, t: tuple[int, ...], lst: list[int], room: in
 
 
 def kostant_q_sum(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
+    """sum w * P_q(xi) over {xi: w} by ``_divide``: every xi must have one
+    length, else ValueError, and one with a negative coordinate adds 0.  The
+    package's callers build valid states and call ``_divide`` directly."""
+    if len(set(map(len, weights))) > 1:
+        raise ValueError("every xi must have the same length")
+    return _divide({xi: w for xi, w in weights.items() if min(xi, default=0) >= 0})
+
+
+def _divide(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
     """sum w * P_q(xi) over {xi: w}, all xi >= 0 and of one length, by the
     division pass of the module docstring; it only reads the answer cache.
 
@@ -104,7 +116,8 @@ def kostant_q_sum(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
     indexed by xi[0]: the root on slot 0 turns each list into its suffix
     sums, each longer root adds the list of the tail above on its line,
     shifted by one place, and every list stored is cut at the room and
-    trimmed of trailing zeros.
+    trimmed of trailing zeros; the full-width root zips per-coordinate
+    ranges into the states t, t - 1, ... of tail t's list.
 
     Weights are packed at q = 2^K (``poly.pack``); a state that leaves adds
     weight times its packed value to one packed total, unpacked at the end.
@@ -185,50 +198,49 @@ def kostant_q_sum(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
                 suffix = map(sub, repeat(sum(lst)), accumulate(lst, initial=0))
                 _keep(tails, after, t, list(islice(suffix, t[0] + 1)), t[0] + 1)
         for k in range(1, width - 1):
+            if not tails:
+                break
             # the root on slots 0 .. k: along r' = 1 on tail slots 0 .. k-1,
-            # W'[t] = W[t] + W'[t + r'][1:], walked down each line from its top
-            lines: dict[tuple[int, ...], list[tuple]] = {}
+            # W'[t] = W[t] + W'[t + r'][1:], taken level by level from the
+            # top, the level of t being h = min(t[:k]); t - r' is one level down
+            step = (1,) * k + (0,) * (width - 1 - k)  # r'
+            levels: dict[int, dict] = {}
             for t, lst in tails.items():
                 h = min(t[:k])
-                low = tuple(map(sub, t[:k], repeat(h))) + t[k:] if h else t
-                points = lines.get(low)
-                if points is None:
-                    lines[low] = [(h, t, lst)]
+                level = levels.get(h)
+                if level is None:
+                    levels[h] = {t: lst}
                 else:
-                    points.append((h, t, lst))
+                    level[t] = lst
             tails = {}
-            while lines:
-                low, points = lines.popitem()
-                room = low[k] + 1  # c <= t[k], the same all along the line
-                if len(points) > 1:
-                    points.sort(reverse=True)
-                points.append((-1, None, None))
-                carried: list[int] = []
-                for (h, t, lst), (below, _, _) in zip(points, points[1:]):
-                    if carried:
-                        a, b = (lst, carried) if len(lst) >= len(carried) else (carried, lst)
-                        carried = list(map(add, a, b)) + a[len(b):]
-                        while carried and not carried[-1]:  # signed weights cancel
-                            carried.pop()
-                    else:
-                        carried = lst
-                    _keep(tails, after, t, carried, room)
-                    carried = carried[1:]
-                    # the points down to the next one hold what is carried
-                    g = h - 1
-                    while carried and g > below:
-                        point = tuple(map(add, low[:k], repeat(g))) + low[k:] if g else low
-                        _keep(tails, after, point, carried, room)
-                        carried = carried[1:]
-                        g -= 1
+            down: dict[tuple[int, ...], list[int]] = {}  # W'[t + r'][1:] by t
+            for h in range(max(levels), -1, -1):
+                level = levels.pop(h, None)
+                if level is None:
+                    level = down
+                else:
+                    for t, carried in down.items():
+                        lst = level.get(t)
+                        if lst is not None:
+                            a, b = (lst, carried) if len(lst) >= len(carried) else (carried, lst)
+                            carried = list(map(add, a, b)) + a[len(b):]
+                            while carried and not carried[-1]:  # signed weights cancel
+                                carried.pop()
+                        level[t] = carried
+                down = {}
+                for t, lst in level.items():
+                    if h and len(lst) > 1:
+                        down[tuple(map(sub, t, step))] = lst[1:]
+                    _keep(tails, after, t, lst, t[k] + 1)
         # the full-width root takes what is left at slot 0: (c, t) goes to
-        # t - c, c <= min(t)
-        while tails:
-            t, lst = tails.popitem()
-            for c, w in enumerate(lst):
-                if w:
-                    rest = tuple(map(sub, t, repeat(c))) if c else t
-                    after[rest] = after.get(rest, 0) + w
+        # t - c, c <= min(t).  Tails are read top level first, as filed, so
+        # a tail of the next round mostly meets its largest xi[0] first.
+        if width == 1:
+            after[()] = after.get((), 0) + sum(tails.pop(()))
+        for t, lst in tails.items():
+            n = len(lst)
+            for rest, w in zip(zip(*[range(x, x - n, -1) for x in t]), lst):
+                after[rest] = after.get(rest, 0) + w
         states = after
     return QPolynomial(unpack(total, K))
 
@@ -239,7 +251,7 @@ def kostant_q(xi: RootVector) -> QPolynomial:
         return ZERO
     key = _strip(xi.coeffs)
     if key not in _CACHE:
-        _CACHE[key] = kostant_q_sum({key: 1})
+        _CACHE[key] = _divide({key: 1})
     return _CACHE[key]
 
 

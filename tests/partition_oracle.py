@@ -38,12 +38,22 @@ is its own dict entry, and every root of a round costs every state a
 ``kostant_q_sum`` of that time unchanged but for its name and for reading
 the answer cache and ``_strip`` through the ``qmult.partition`` module, as
 ``kostant_q_sum_tuples`` does.
+
+``kostant_q_sum_lists`` is the division pass as ``qmult.partition`` ran it
+before its full-width root built a tail's states by one zip of
+per-coordinate ranges and its middle roots went level by level: each entry
+(c, t) of a tail's list becomes its state t - c by its own
+``tuple(map(sub, t, repeat(c)))``, and each middle root walks the lines of
+tails from their tops.  It is the library's ``kostant_q_sum`` of that time,
+with its helper ``_keep``, unchanged but for its name and for reading the
+answer cache and ``_strip`` through the ``qmult.partition`` module, as the
+two passes above do.
 """
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, count, islice, repeat
 from math import comb
-from operator import add, sub
+from operator import add, lshift, sub
 from typing import Mapping, Sequence
 
 from qmult import partition
@@ -397,4 +407,156 @@ def kostant_q_sum_states(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
             rest = tuple(map(sub, xi[1:], repeat(xi[0]))) if xi[0] else xi[1:]
             after[rest] = after.get(rest, 0) + w
         states = {xi: w for xi, w in after.items() if w}
+    return QPolynomial(unpack(total, K))
+
+
+def _keep(tails: dict, after: dict, t: tuple[int, ...], lst: list[int], room: int) -> None:
+    """File the list of tail t under t, cut at the room, c < room, and
+    trimmed; a list that holds only xi[0] = 0, where no root of the round is
+    left to take, joins ``after`` at once.  Lists are shared, never changed:
+    one that is not cut must come trimmed."""
+    if len(lst) > room:
+        lst = lst[:room]
+    while lst and not lst[-1]:
+        lst.pop()
+    if len(lst) > 1:
+        tails[t] = lst
+    elif lst:
+        after[t] = after.get(t, 0) + lst[0]
+
+
+def kostant_q_sum_lists(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
+    """sum w * P_q(xi) over {xi: w}, all xi >= 0 and of one length, by the
+    division pass of the module docstring; it only reads the answer cache.
+
+    A round keeps the states it divides in one list per tail xi[1:],
+    indexed by xi[0]: the root on slot 0 turns each list into its suffix
+    sums, each longer root adds the list of the tail above on its line,
+    shifted by one place, and every list stored is cut at the room and
+    trimmed of trailing zeros.
+
+    Weights are packed at q = 2^K (``poly.pack``); a state that leaves adds
+    weight times its packed value to one packed total, unpacked at the end.
+    K must keep every coefficient strictly inside +-2^(K-1):
+    - With one input xi of weight 1, each coefficient of a state's weight
+      counts distinct multisets of the roots taken so far: each root's
+      copies are chosen once, in a fixed order, and the q^xi[0] a round's
+      weights gain only sets their degree.  Every entry of a tail's list is
+      one state's weight, and so is every entry of a line sum, cut or not;
+      a weight times a cached value, a round's hits and the total count
+      multisets of all the roots with sum xi.
+    - Each root adds at least 1 to the coordinate sum, so such a multiset
+      has at most m roots, m the largest coordinate sum of an input xi, out
+      of the N = r(r+1)/2 positive roots at r = len(xi): C(m + N, N) of them.
+    - The pass is linear in the weights, so no coefficient exceeds
+      sum |w| * C(m + N, N) in absolute value.  K is that bound's bit length
+      plus a sign bit, so a packed weight is 0 exactly when the polynomial
+      is, and the total unpacks exactly.
+    """
+    states = {xi: w for xi, w in weights.items() if w}
+    if not states:
+        return ZERO
+    width = len(next(iter(states)))
+    roots = width * (width + 1) // 2
+    bound = sum(map(abs, states.values())) * comb(max(map(sum, states)) + roots, roots)
+    K = bound.bit_length() + 1
+    packed = {(): 1}  # stripped xi -> its cached value packed at K
+    total = 0  # packed; each round's hits join it times q^shift
+    shift = 0
+    while states:
+        width = len(next(iter(states)))
+        # a cached state (the empty xi always is) leaves with its value, one
+        # with xi[0] = 0 joins after at once, and the rest join the list of
+        # their tail xi[1:], at xi[0]
+        tails: dict[tuple[int, ...], list[int]] = {}
+        after: dict[tuple[int, ...], int] = {}
+        hits = 0
+        base = None  # the least xi[0] of a state held
+        for xi, w in states.items():
+            if not w:
+                continue
+            key = xi if xi and xi[0] and xi[-1] else partition._strip(xi)  # no call if no zero ends
+            got = partition._CACHE.get(key)
+            if got is not None:
+                value = packed.get(key)
+                if value is None:
+                    value = packed[key] = pack(got.coeffs, K)
+                hits += w * value
+                continue
+            c, t = xi[0], xi[1:]
+            if not c:
+                after[t] = after.get(t, 0) + w
+                base = 0
+                continue
+            lst = tails.get(t)
+            if lst is None:
+                lst = tails[t] = []
+            if len(lst) <= c:
+                lst.extend(repeat(0, c + 1 - len(lst)))
+            lst[c] = w
+            if base is None or c < base:
+                base = c
+        if hits:
+            total += hits << (shift * K)
+        if not tails:
+            states = after
+            continue
+        states.clear()  # the round's weights now live in tails and after
+        # each weight gains q^xi[0]; the power all of them gain joins the shift
+        shift += base
+        for lst in tails.values():
+            lst[base:] = map(lshift, lst[base:], count(0, K))
+        if width > 1:
+            # the root on slot 0 alone: suffix sums, cut at c <= t[0]
+            held, tails = tails, {}
+            while held:  # popped, so that each list is freed once summed
+                t, lst = held.popitem()
+                suffix = map(sub, repeat(sum(lst)), accumulate(lst, initial=0))
+                _keep(tails, after, t, list(islice(suffix, t[0] + 1)), t[0] + 1)
+        for k in range(1, width - 1):
+            # the root on slots 0 .. k: along r' = 1 on tail slots 0 .. k-1,
+            # W'[t] = W[t] + W'[t + r'][1:], walked down each line from its top
+            lines: dict[tuple[int, ...], list[tuple]] = {}
+            for t, lst in tails.items():
+                h = min(t[:k])
+                low = tuple(map(sub, t[:k], repeat(h))) + t[k:] if h else t
+                points = lines.get(low)
+                if points is None:
+                    lines[low] = [(h, t, lst)]
+                else:
+                    points.append((h, t, lst))
+            tails = {}
+            while lines:
+                low, points = lines.popitem()
+                room = low[k] + 1  # c <= t[k], the same all along the line
+                if len(points) > 1:
+                    points.sort(reverse=True)
+                points.append((-1, None, None))
+                carried: list[int] = []
+                for (h, t, lst), (below, _, _) in zip(points, points[1:]):
+                    if carried:
+                        a, b = (lst, carried) if len(lst) >= len(carried) else (carried, lst)
+                        carried = list(map(add, a, b)) + a[len(b):]
+                        while carried and not carried[-1]:  # signed weights cancel
+                            carried.pop()
+                    else:
+                        carried = lst
+                    _keep(tails, after, t, carried, room)
+                    carried = carried[1:]
+                    # the points down to the next one hold what is carried
+                    g = h - 1
+                    while carried and g > below:
+                        point = tuple(map(add, low[:k], repeat(g))) + low[k:] if g else low
+                        _keep(tails, after, point, carried, room)
+                        carried = carried[1:]
+                        g -= 1
+        # the full-width root takes what is left at slot 0: (c, t) goes to
+        # t - c, c <= min(t)
+        while tails:
+            t, lst = tails.popitem()
+            for c, w in enumerate(lst):
+                if w:
+                    rest = tuple(map(sub, t, repeat(c))) if c else t
+                    after[rest] = after.get(rest, 0) + w
+        states = after
     return QPolynomial(unpack(total, K))

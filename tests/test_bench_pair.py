@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import bench_pair  # noqa: E402
+import workloads  # noqa: E402
 
 from altset_oracle import term_tally_runs  # noqa: E402
 from qmult.intervals import IndexSet  # noqa: E402
@@ -75,3 +76,28 @@ def test_sweep_layer_records_garbage_and_node_rates():
     ]
     for r in rates:
         assert r["best_s"] > 0 and r["nodes_per_s"] == r["nodes"] / r["best_s"], r
+
+
+def test_pass_layer_times_every_partition_input():
+    rates = bench_pair.pass_rates()
+    assert [r["xi"] for r in rates] == workloads.generate("partition", 1)["xis"]
+    assert len(rates) == 15 and rates[0]["xi"] == [59, 61, 59]
+    for r in rates:
+        assert r["best_s"] > 0, r
+
+
+def test_timed_runs_alternate_and_keep_each_cases_fastest(monkeypatch):
+    # one slow process on a side must not set that side's record
+    calls = []
+    times = iter([[3.0, 1.0], [2.0, 2.0], [1.0, 5.0], [4.0, 4.0], [5.0, 0.5], [0.5, 3.0]])
+
+    def fake(checkout, count):
+        calls.append(checkout)
+        return [{"case": i, "best_s": s} for i, s in enumerate(next(times))]
+
+    monkeypatch.setattr(bench_pair, "fresh_count", fake)
+    monkeypatch.setattr(bench_pair, "RATE_RUNS", 3)
+    best = bench_pair.fastest_runs({"before": "B", "after": "A"}, "pass_rates")
+    assert calls == ["B", "A", "A", "B", "B", "A"]
+    assert best == {"before": [{"case": 0, "best_s": 3.0}, {"case": 1, "best_s": 0.5}],
+                    "after": [{"case": 0, "best_s": 0.5}, {"case": 1, "best_s": 2.0}]}

@@ -1,6 +1,7 @@
 """Tests for the q-analog partition function and its cross-checks."""
 
 import itertools
+import json
 import random
 import sys
 import tracemalloc
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from closed_forms import kostant_q_interval_closed_form
+from closed_forms import kostant_q_interval_closed_form, kostant_q_rank2, kostant_q_rank3
 from qmult import partition
 from qmult.altset import WeylSweep
+from qmult.cli import main
 from qmult.intervals import IndexSet
 from qmult.partition import (
     DEFAULT_ORACLE_CAP,
@@ -30,6 +32,7 @@ from partition_oracle import (
     kostant_q_by_rank,
     kostant_q_shared,
     kostant_q_sibling,
+    kostant_q_sum_lists,
     kostant_q_sum_states,
     kostant_q_sum_tuples,
 )
@@ -208,6 +211,26 @@ class TestDivisionPass:
         assert partition.kostant_q_sum({(): -2}) == QPolynomial([-2])
         assert partition._CACHE.keys() == {()}
 
+    @pytest.mark.parametrize("weights", [{(1,): 1, (1, 2): 1}, {(1, 2): 1, (1,): 1},
+                                         {(): 1, (0,): 1}, {(2, 1): 1, (0, 1, 1): 0}])
+    def test_states_of_unequal_length_are_rejected(self, weights):
+        with pytest.raises(ValueError):
+            partition.kostant_q_sum(weights)
+
+    @given(st.integers(min_value=1, max_value=4).flatmap(lambda r: st.dictionaries(
+        st.lists(st.integers(min_value=-2, max_value=4), min_size=r, max_size=r).map(tuple),
+        st.integers(min_value=-3, max_value=3), max_size=6)))
+    @example({(3, 0, -1): 2})
+    @example({(3, 0, -1): 2, (2, 1, 1): -1})
+    def test_negative_coordinates_add_nothing(self, weights):
+        # kostant_q gives 0 at a negative coordinate; the cold pass must agree
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partition, "_CACHE", {(): ONE})
+            value = partition.kostant_q_sum(weights)
+            expected = sum((w * kostant_q(RootVector(len(xi), xi)) for xi, w in weights.items()),
+                           ZERO)
+        assert value == expected
+
     def test_cached_states_are_read_not_divided(self, monkeypatch):
         # a wrong value planted in the cache is read for a state that
         # reaches it, at the start or after a slot is cleared
@@ -248,16 +271,18 @@ def _sweep_weights(mu):
 
 class TestPackedPass:
     """The pass on packed weights held in one list per tail xi[1:] against
-    the two passes it replaced, which read the same answer cache: the
-    per-state packed pass and the coefficient-tuple pass before it."""
+    the three passes it replaced, which read the same answer cache: the list
+    pass that built each full-width state by its own tuple and walked lines
+    from their tops, the per-state packed pass and the coefficient-tuple
+    pass before it."""
 
     @staticmethod
     def check(weights, cache):
         keys = set(cache)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(partition, "_CACHE", cache)
-            assert (partition.kostant_q_sum(weights) == kostant_q_sum_states(weights)
-                    == kostant_q_sum_tuples(weights))
+            assert (partition.kostant_q_sum(weights) == kostant_q_sum_lists(weights)
+                    == kostant_q_sum_states(weights) == kostant_q_sum_tuples(weights))
         assert cache.keys() == keys  # the passes only read the cache
 
     @given(weighted_xis())
@@ -274,6 +299,14 @@ class TestPackedPass:
     @example({(3, 3, 3): -1, (1, 2, 3): -2, (3, 1, 3): 1})
     # padded, with interior zeros
     @example({(0, 2, 0, 3, 0): 1, (0, 1, 0, 2, 0): -4})
+    # long lists at the full-width root, at rank 3 and 4
+    @example({(30, 31, 30): 1})
+    @example({(12, 13, 12, 12): 1, (11, 13, 12, 10): -2})
+    # a width-1 round whose list, q, q^2 - q and -q^2 once shifted, sums to 0
+    @example({(1, 3): -1, (2, 2): 1})
+    # signed entries that cancel on one state of the full-width root
+    @example({(3, 3): 2, (3, 1): -2})
+    @example({(1, 2, 3): -2, (2, 0, 2): 2})
     def test_agrees_with_tuple_pass_on_signed_weights(self, weights):
         # cold, then with the cache holding the values of every other xi
         self.check(weights, {(): ONE})
@@ -417,3 +450,45 @@ class TestClosedFormAndFactorization:
                 index_set = IndexSet(r, (k + 1 for k in range(r) if mask >> k & 1))
                 assert factorize_over_intervals(index_set) == \
                     kostant_q(index_set.to_root_vector())
+
+
+class TestClosedSums:
+    """The pass, cold, against the rank-2 and rank-3 closed sums of
+    ``closed_forms``, which count multisets of roots without dividing, at
+    widths far beyond ``kostant_q_oracle``'s cap, where the packing width K
+    matters most."""
+
+    def test_closed_sums_match_the_oracle(self):
+        for a, b, c in itertools.product(range(5), repeat=3):
+            assert kostant_q_rank2(a, b) == kostant_q_oracle(RootVector(2, (a, b)))
+            assert kostant_q_rank3(a, b, c) == kostant_q_oracle(RootVector(3, (a, b, c)))
+        assert kostant_q_rank2(-1, 3) == kostant_q_rank3(2, -1, 2) == ZERO
+
+    @given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=300))
+    @example(300, 300)
+    @example(0, 7)
+    def test_rank2(self, a, b):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partition, "_CACHE", {(): ONE})
+            assert kostant_q(RootVector(2, (a, b))) == kostant_q_rank2(a, b)
+
+    @settings(max_examples=25)
+    @given(st.tuples(st.integers(min_value=0, max_value=250),
+                     st.integers(min_value=0, max_value=250),
+                     st.integers(min_value=0, max_value=250)))
+    @example((59, 61, 59))  # the benchmark's seed-1 rank-3 xi
+    @example((250, 3, 250))
+    @example((0, 40, 0))
+    def test_rank3(self, xi):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partition, "_CACHE", {(): ONE})
+            assert kostant_q(RootVector(3, xi)) == kostant_q_rank3(*xi)
+
+    def test_rank3_cli_at_400(self, capsys, monkeypatch):
+        # K = 53 here; a pass with K forced down to 16 at rank 3 fails here
+        # first, while its largest coefficient still fits at every xi <= 250
+        monkeypatch.setattr(partition, "_CACHE", {(): ONE})
+        code = main(["partition", "--rank", "3", "--xi", "400,400,400", "--format", "json"])
+        assert code == 0
+        coeffs = json.loads(capsys.readouterr().out)["coeffs"]
+        assert tuple(coeffs) == kostant_q_rank3(400, 400, 400).coeffs
