@@ -1,61 +1,48 @@
 """Write a before/after benchmark record for one change.
 
-    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_21.json
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_29.json
 
-DIR is a checkout (source, perfbench/ and BENCHMARK.json) of the parent
-commit and of the change.  Each checkout's ``src/``, ``perfbench/`` (without
-``runs/`` and every ``__pycache__/``) and ``BENCHMARK.json`` are copied once
-into a temporary directory, and everything below runs in the copies.  For
-every workload in BENCHMARK.json this runs
+DIR is a checkout of the parent commit or of the change.  Its ``src/``,
+``perfbench/`` (less ``runs/`` and every ``__pycache__/``) and
+``BENCHMARK.json`` are copied into a temporary directory, and every run reads
+the copies with PYTHONDONTWRITEBYTECODE=1 and no PYTHONPYCACHEPREFIX, so
+qmult and perfbench compile from source while the standard library reads
+its installed bytecode cache, as in a run from a fresh checkout (a prefix
+would compile the standard library too).
 
-    python3 perfbench/run.py --workload W --seed 1 --seconds 20 --trace 0
+The record holds:
+- ``workloads``: for each workload of BENCHMARK.json, PAIRS runs per side of
+  ``python3 perfbench/run.py --workload W --seed 1 --seconds 20 --trace 0``,
+  interleaved, the pairs alternating which side runs first so that a drift
+  of the host's speed falls on both sides alike; each run's JSON result
+  line and, for each end-to-end metric, each side's median and quartiles
+  and the pairs the after side won, beside each side's failed operations
+  and its runs that ``run.py`` found incorrect.  The script still writes
+  the record when any of those is nonzero, then exits 1.
+- ``src_lines``: the line count of ``src/qmult/*.py``, as ``wc -l`` gives it.
+- ``sweep_counts``: the pruned Weyl sweep's leaves, pruned subtrees and
+  accounted elements ((rank+1)! each) on the seed-1 ``brute`` inputs.
+- ``partition_entries``: the entries the answer cache ``_CACHE`` holds
+  after the seed-1 ``partition`` inputs.
+- ``altset_terms``: the alternation-set elements each seed-1 ``altset`` call
+  accounts for, checked against perfbench's ``alt_set_size``, with the
+  (|J|, n) ``keys`` of ``m_q_altset``'s tally ``multiplicity._term_tally``
+  and the words ``joined`` in the lists ``alt_set_closed`` joins
+  (``altset._halves``).
+- ``import_footprint``: the modules ``import qmult.cli`` adds to a
+  ``python -I -S`` interpreter, sorted, and their count.
+- ``sweep_rates``: sweep nodes (leaves plus pruned subtrees) per second on
+  the sweeps one seed-1 ``verify`` run makes, on rank 8 with mu = -2 and on
+  rank 9 with mu = -4.
+- ``pass_rates``: the division pass ``partition._divide`` alone on each
+  seed-1 ``partition`` xi, stripped as ``kostant_q`` keys it; the pass only
+  reads the answer cache, so every round is cold.
 
-in the before and the after checkout, PAIRS times each, interleaved: the
-pairs alternate which side runs first, so a drift of the host's speed
-falls on both sides alike.  It keeps the last line each run prints (its
-JSON result) for every pair, and for each end-to-end metric of
-BENCHMARK.json the median and quartiles of each side and the number of
-pairs in which the after side was better.  Every run has
-PYTHONDONTWRITEBYTECODE=1 and no PYTHONPYCACHEPREFIX, so both sides' qmult
-and perfbench compile from source while the standard library reads its
-installed bytecode cache, as in a run from a fresh checkout; a prefix would
-compile the standard library too and dilute ``setup_s`` and
-``peak_rss_mb``.  It also records structural counts, each
-counted in each checkout in a fresh process: the pruned Weyl sweep on the
-seed-1 ``brute`` inputs (rows are leaves, each pruned subtree is one
-dropped prefix, and leaves plus pruned elements account for (rank+1)!),
-the entries the partition engine's answer cache ``_CACHE`` holds after the
-seed-1 ``partition`` inputs, the number of passes over a ``WeylSweep``
-(calls of its ``__iter__``) that one run of the seed-1 ``verify`` inputs
-makes, and the alternation-set elements accounted for on the seed-1
-``altset`` inputs (``terms_evaluated`` of each ``m_q_altset`` call and the
-element count of the ``alt_set_closed`` call, each of which must equal
-perfbench's independent ``alt_set_size``), beside, for ``m_q_altset``,
-the distinct (|J|, n) keys of its tally ``multiplicity._term_tally`` and,
-for ``alt_set_closed``, the words in the lists its join reads
-(``altset._halves``; null in a checkout without it).  The import
-footprint is the sorted names of the modules that ``import qmult.cli`` adds
-to a ``python -I -S`` interpreter (no site, no environment, no bytecode
-written), and their count.
-``verify_garbage`` is the number of unreachable objects
-``gc.collect()`` finds after one seed-1 ``verify`` window run with the
-collector disabled and the CLI grammar built beforehand: the garbage that
-reference counting alone cannot free, which the cyclic collector would
-otherwise collect inside the window.
-``sweep_rates`` times the pruned sweep alone, in process, as the best of
-RATE_ROUNDS rounds: sweep nodes (leaves plus pruned subtrees) per second
-on the sweeps one seed-1 ``verify`` run makes (the highest root against
-every alpha_I up to its --max-rank), on rank 8 with mu = -2 and on rank 9
-with mu = -4 in every coordinate.  ``pass_rates`` times the division pass
-alone, ``kostant_q_sum({stripped xi: 1})`` on each seed-1 ``partition`` xi,
-in process as the best of RATE_ROUNDS rounds; the pass only reads the
-answer cache, so every round is cold.  Both run RATE_RUNS fresh processes
-per checkout, the checkouts alternating which goes first, and keep each
-case's fastest run, so that one slow process does not skew a side.
-``src_lines`` is the line count of
-``src/qmult/*.py`` in each checkout, as ``wc -l`` gives it, so a change's
-size is read from the record.  Timings depend on the host, which the
-record names; the counts do not.
+Each count is taken in a fresh process per checkout.  Each rate is the best
+of RATE_ROUNDS rounds in process; RATE_RUNS fresh processes run per
+checkout, the checkouts alternating which goes first, and each case keeps
+its fastest run, so that one slow process does not set a side.  Timings
+depend on the host, which the record names; the counts do not.
 """
 
 from __future__ import annotations
@@ -131,7 +118,7 @@ def run_pairs(sides: dict, workload: str) -> list:
 
 def summarize(pairs: list, end_to_end: list) -> dict:
     """Each metric's median and quartiles on each side, and the pairs the
-    after side won; failed operations are summed over the runs."""
+    after side won; failed operations and incorrect runs are summed."""
     out = {}
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -144,6 +131,8 @@ def summarize(pairs: list, end_to_end: list) -> dict:
         out[name]["after_won"] = sum((a < b) if lower else (a > b)
                                      for b, a in zip(values["before"], values["after"]))
     out["failed"] = {side: sum(p[side]["failed"] for p in pairs) for side in ("before", "after")}
+    out["incorrect"] = {side: sum(not p[side]["correct"] for p in pairs)
+                        for side in ("before", "after")}
     out["pairs"] = len(pairs)
     return out
 
@@ -184,57 +173,6 @@ def count_partition() -> int:
     for xi in workloads.generate("partition", SEED)["xis"]:
         partition.kostant_q(RootVector(len(xi), xi))
     return len(partition._CACHE)
-
-
-def count_verify_sweeps() -> int:
-    """The passes over a ``WeylSweep`` that one run of the seed-1 ``verify``
-    inputs makes.  Every pass calls the class's ``__iter__``, so a wrapper
-    put there counts them, whichever module the sweep is reached through."""
-    import contextlib
-    import io
-
-    import workloads
-    from qmult import cli
-    from qmult.altset import WeylSweep
-
-    iterate, passes = WeylSweep.__iter__, 0
-
-    def counted(self):
-        nonlocal passes
-        passes += 1
-        return iterate(self)
-
-    WeylSweep.__iter__ = counted
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(workloads.generate("verify", SEED)["argv"])
-    finally:
-        WeylSweep.__iter__ = iterate
-    if code != 0:
-        raise RuntimeError(f"verify exited {code}")
-    return passes
-
-
-def verify_garbage() -> int:
-    """The unreachable objects ``gc.collect()`` finds after one seed-1
-    ``verify`` window run with the collector disabled.  The CLI grammar is
-    built first: building it leaves 88 of its own, argparse's help formatters,
-    whatever the engine does."""
-    import gc
-
-    import workloads
-    from qmult import cli
-
-    ops = workloads.build("verify", workloads.generate("verify", SEED))
-    cli.build_parser()
-    gc.collect()
-    gc.disable()
-    try:
-        for _, call in ops:
-            call()
-        return gc.collect()
-    finally:
-        gc.enable()
 
 
 def sweep_rates() -> list:
@@ -292,7 +230,7 @@ def pass_rates() -> list:
         best = float("inf")
         for _ in range(RATE_ROUNDS):
             start = time.perf_counter()
-            partition.kostant_q_sum(weights)
+            partition._divide(weights)
             best = min(best, time.perf_counter() - start)
         rates.append({"xi": xi, "best_s": best})
     return rates
@@ -334,33 +272,6 @@ def import_footprint(checkout: Path) -> dict:
     return {"count": len(modules), "modules": modules}
 
 
-class JoinedWords:
-    """Counts the words in the (heads, tails) lists that ``module.name``
-    returns while the context is open; the count stays None if the module
-    has no such function."""
-
-    def __init__(self, module, name: str):
-        self.module, self.name, self.count = module, name, None
-
-    def __enter__(self):
-        self.halves = halves = getattr(self.module, self.name, None)
-        if halves is None:
-            return self
-        self.count = 0
-
-        def counted(*args):
-            pairs = halves(*args)
-            self.count += sum(len(heads) + len(tails) for heads, tails in pairs)
-            return pairs
-
-        setattr(self.module, self.name, counted)
-        return self
-
-    def __exit__(self, *exc):
-        if self.halves is not None:
-            setattr(self.module, self.name, self.halves)
-
-
 def altset_terms() -> list:
     """The alternation-set elements each seed-1 ``altset`` operation accounts
     for, checked against perfbench's ``alt_set_size``, the keys of
@@ -380,10 +291,11 @@ def altset_terms() -> list:
                       "keys": len(multiplicity._term_tally(index_set)),
                       "alt_set_size": workloads.alt_set_size(inputs["rank"], members)})
     c = inputs["closed"]
-    with JoinedWords(altset, "_halves") as joined:
-        elements = len(altset.alt_set_closed(IndexSet(c["rank"], c["members"])).elements)
+    closed = IndexSet(c["rank"], c["members"])
     calls.append({"call": "alt_set_closed", "rank": c["rank"], "members": c["members"],
-                  "terms": elements, "joined": joined.count,
+                  "terms": len(altset.alt_set_closed(closed).elements),
+                  "joined": sum(len(heads) + len(tails)
+                                for heads, tails in altset._halves(closed)),
                   "alt_set_size": workloads.alt_set_size(c["rank"], c["members"])})
     for call in calls:
         if call["terms"] != call["alt_set_size"]:
@@ -407,10 +319,8 @@ def main(argv=None) -> int:
         results[w["name"]] = {"summary": summarize(pairs, spec["end_to_end"]), "pairs": pairs}
     swept = {k: fresh_count(d, "sweep_counts") for k, d in sides.items()}
     counts = {k: fresh_count(d, "count_partition") for k, d in sides.items()}
-    sweeps = {k: fresh_count(d, "count_verify_sweeps") for k, d in sides.items()}
     terms = {k: fresh_count(d, "altset_terms") for k, d in sides.items()}
     imports = {k: import_footprint(d) for k, d in sides.items()}
-    garbage = {k: fresh_count(d, "verify_garbage") for k, d in sides.items()}
     rates = fastest_runs(sides, "sweep_rates")
     passes = fastest_runs(sides, "pass_rates")
     timing = (f"in process, best of {RATE_ROUNDS} rounds in each of {RATE_RUNS} "
@@ -427,17 +337,15 @@ def main(argv=None) -> int:
         "sweep_counts": swept,
         "partition_entries": {"workload": "partition", "seed": SEED, "store": "_CACHE",
                               "entries": counts},
-        "verify_sweeps": {"workload": "verify", "seed": SEED, "passes": sweeps},
         "altset_terms": {"workload": "altset", "seed": SEED, "calls": terms},
         "import_footprint": {"command": "python3 -I -S -c 'import qmult.cli'", **imports},
-        "verify_garbage": {"workload": "verify", "seed": SEED, "collector": "disabled",
-                           "grammar": "built before the window", "unreachable": garbage},
         "sweep_rates": {"timing": timing, **rates},
         "pass_rates": {"workload": "partition", "seed": SEED, "timing": timing, **passes},
     }
     tmp.cleanup()
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    return 0
+    return int(any(sum(r["summary"][k].values()) for r in results.values()
+                   for k in ("failed", "incorrect")))
 
 
 if __name__ == "__main__":

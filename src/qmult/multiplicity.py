@@ -51,8 +51,9 @@ class MultiplicityResult(_Frozen):
 
 def signed_sum(rows: Iterable[tuple]) -> QPolynomial:
     """The sum of sign * P_q(xi) over the (perm, sign, xi) rows of a
-    :class:`~qmult.altset.WeylSweep`, the signs of equal xi added first
-    (``qmult.partition._divide``; the sweep's xi need no check)."""
+    :class:`~qmult.altset.WeylSweep`, the signs of equal xi added first.
+    ``qmult.partition._divide`` takes them unchecked: a sweep's xi are
+    nonnegative and of one length."""
     weights: dict[tuple[int, ...], int] = {}
     for _, sign, xi in rows:
         weights[xi] = weights.get(xi, 0) + sign

@@ -9,7 +9,7 @@ whenever any coefficient of xi is negative.
 ``kostant_q`` runs a division pass; ``kostant_q_oracle`` enumerates the
 multisets one root at a time, to cross-check the pass on small inputs.  The
 generating function is the product over the positive roots alpha of
-1 / (1 - q e^alpha), so ``kostant_q_sum`` evaluates sum_xi w(xi) P_q(xi) by
+1 / (1 - q e^alpha), so ``_divide`` evaluates sum_xi w(xi) P_q(xi) by
 dividing by those factors, clearing one slot of every state per round.  One
 root of each length 1 .. L starts at slot 0, and every multiset with sum xi
 holds xi[0] of them, so each weight is first multiplied by q^xi[0].  The
@@ -99,25 +99,10 @@ def _keep(tails: dict, after: dict, t: tuple[int, ...], lst: list[int], room: in
         after[t] = after.get(t, 0) + lst[0]
 
 
-def kostant_q_sum(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
-    """sum w * P_q(xi) over {xi: w} by ``_divide``: every xi must have one
-    length, else ValueError, and one with a negative coordinate adds 0.  The
-    package's callers build valid states and call ``_divide`` directly."""
-    if len(set(map(len, weights))) > 1:
-        raise ValueError("every xi must have the same length")
-    return _divide({xi: w for xi, w in weights.items() if min(xi, default=0) >= 0})
-
-
 def _divide(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
     """sum w * P_q(xi) over {xi: w}, all xi >= 0 and of one length, by the
-    division pass of the module docstring; it only reads the answer cache.
-
-    A round keeps the states it divides in one list per tail xi[1:],
-    indexed by xi[0]: the root on slot 0 turns each list into its suffix
-    sums, each longer root adds the list of the tail above on its line,
-    shifted by one place, and every list stored is cut at the room and
-    trimmed of trailing zeros; the full-width root zips per-coordinate
-    ranges into the states t, t - 1, ... of tail t's list.
+    division pass whose rounds the module docstring describes; it only reads
+    the answer cache.
 
     Weights are packed at q = 2^K (``poly.pack``); a state that leaves adds
     weight times its packed value to one packed total, unpacked at the end.

@@ -24,9 +24,10 @@ for their names.
 before its weights were packed at q = 2^K: each weight is a bare coefficient
 tuple, summed by ``add_coeffs``, and a state that leaves adds weight times
 value to the total by ``add_product``.  It is the library's
-``kostant_q_sum`` unchanged but for its name and for reading the answer
-cache and ``_strip`` through the ``qmult.partition`` module, so that a cache
-a test patches there is the one both passes read.  ``add_coeffs`` and
+``kostant_q_sum`` of that time (the pass is ``_divide`` now) unchanged but
+for its name and for reading the answer cache and ``_strip`` through the
+``qmult.partition`` module, so that a cache a test patches there is the one
+both passes read.  ``add_coeffs`` and
 ``add_product`` are the two ``qmult.poly`` kernels it called, unchanged;
 the library has since folded them into ``QPolynomial.__add__`` and
 ``__mul__``.

@@ -1,8 +1,12 @@
 """Tests for ``scripts/bench_pair.py``: what each benchmark run sees."""
 
+import importlib
+import json
 import sys
 from math import isqrt
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -10,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import bench_pair  # noqa: E402
 import workloads  # noqa: E402
 
+import qmult  # noqa: E402
 from altset_oracle import term_tally_runs  # noqa: E402
 from qmult.intervals import IndexSet  # noqa: E402
 
@@ -64,10 +69,8 @@ def test_altset_counts_what_each_call_walks():
             assert 0 < c["joined"] <= 4 * ceil_sqrt + 2 * (c["rank"] + 1), c
 
 
-def test_sweep_layer_records_garbage_and_node_rates():
-    # the verify window leaves nothing for the cyclic collector (the
-    # recursive sweep left 3,000 objects); the node counts are structural
-    assert bench_pair.verify_garbage() == 0
+def test_sweep_layer_records_node_rates():
+    # the node counts are structural
     rates = bench_pair.sweep_rates()
     assert [(r["case"], r["sweeps"], r["nodes"]) for r in rates] == [
         ("verify --max-rank 6", 120, 2993),
@@ -101,3 +104,94 @@ def test_timed_runs_alternate_and_keep_each_cases_fastest(monkeypatch):
     assert calls == ["B", "A", "A", "B", "B", "A"]
     assert best == {"before": [{"case": 0, "best_s": 3.0}, {"case": 1, "best_s": 0.5}],
                     "after": [{"case": 0, "best_s": 0.5}, {"case": 1, "best_s": 2.0}]}
+
+
+def _run(wall_s, rate, failed=0, correct=True):
+    """One ``perfbench/run.py`` result line, as the pairs hold it."""
+    return {"correct": correct, "failed": failed,
+            "metrics": {"wall_s": {"value": wall_s}, "rate": {"value": rate}}}
+
+
+# four pairs: the after side is faster in two and has the higher rate in
+# three; the before side fails one operation and has one incorrect run
+PAIRS = [{"before": b, "after": a} for b, a in zip(
+    [_run(1, 10), _run(2, 10), _run(3, 10, failed=1), _run(4, 10, correct=False)],
+    [_run(2, 11), _run(1, 12, failed=2), _run(1, 10), _run(5, 13)])]
+METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "rate", "better": "higher"}]
+
+
+def test_summary_counts_wins_failures_and_incorrect_runs():
+    summary = bench_pair.summarize(PAIRS, METRICS)
+    assert summary["wall_s"] == {"before": {"q1": 1.25, "median": 2.5, "q3": 3.75},
+                                 "after": {"q1": 1.0, "median": 1.5, "q3": 4.25},
+                                 "after_won": 2}
+    assert summary["rate"] == {"before": {"q1": 10.0, "median": 10.0, "q3": 10.0},
+                               "after": {"q1": 10.25, "median": 11.5, "q3": 12.75},
+                               "after_won": 3}
+    assert summary["failed"] == {"before": 1, "after": 2}
+    assert summary["incorrect"] == {"before": 1, "after": 0}
+    assert summary["pairs"] == 4
+
+
+@pytest.mark.parametrize("before, code", [
+    (_run(1, 10, correct=False), 1), (_run(1, 10, failed=1), 1), (_run(1, 10), 0)])
+def test_record_is_written_and_a_bad_run_exits_1(tmp_path, monkeypatch, before, code):
+    repo = Path(__file__).resolve().parents[1]
+    pairs = [{"before": before, "after": _run(1, 10)}] * 2
+    monkeypatch.setattr(bench_pair, "run_pairs", lambda sides, workload: pairs)
+    monkeypatch.setattr(bench_pair, "fresh_count", lambda checkout, count: None)
+    monkeypatch.setattr(bench_pair, "fastest_runs", lambda sides, count: {})
+    monkeypatch.setattr(bench_pair, "import_footprint", lambda checkout: {})
+    spec = {"workloads": [{"name": "verify"}], "end_to_end": METRICS}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    for part in ("src", "perfbench"):
+        (tmp_path / part).mkdir()
+    out = tmp_path / "bench.json"
+    argv = ["--before", str(repo), "--after", str(tmp_path), "--out", str(out)]
+    assert bench_pair.main(argv) == code
+    summary = json.loads(out.read_text())["workloads"]["verify"]["summary"]
+    assert summary == bench_pair.summarize(pairs, METRICS)
+
+
+def _bindings():
+    """Every attribute of every qmult module and of every class a qmult
+    module defines, as (owner, name) -> the object bound."""
+    package = Path(qmult.__file__).parent
+    modules = [qmult] + [importlib.import_module(f"qmult.{p.stem}")
+                         for p in sorted(package.glob("*.py")) if p.stem != "__init__"]
+    bound = {}
+    for module in modules:
+        for name, value in vars(module).items():
+            bound[module, name] = value
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                bound.update(((value, attr), v) for attr, v in vars(value).items())
+    return bound
+
+
+def test_no_qmult_function_is_replaced():
+    # a counting wrapper swapped in for a qmult function and restored after
+    # the call leaves the bindings as they were, so qmult code calling into
+    # this script is watched for too
+    script = bench_pair.__file__
+    package = str(Path(qmult.__file__).parent)
+    callbacks = []
+
+    def watch(frame, event, arg):
+        if (event == "call" and frame.f_code.co_filename == script
+                and frame.f_back.f_code.co_filename.startswith(package)):
+            callbacks.append(frame.f_code.co_name)
+
+    before = _bindings()
+    sys.setprofile(watch)
+    try:
+        bench_pair.sweep_counts()
+        bench_pair.count_partition()
+        bench_pair.altset_terms()
+        bench_pair.sweep_rates()
+        bench_pair.pass_rates()
+    finally:
+        sys.setprofile(None)
+    after = _bindings()
+    assert callbacks == []
+    assert after.keys() == before.keys()
+    assert [key for key, value in after.items() if value is not before[key]] == []
