@@ -1,6 +1,6 @@
 """Write a before/after benchmark record for one change.
 
-    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_29.json
+    python3 scripts/bench_pair.py --before DIR --after DIR --out BENCH_30.json
 
 DIR is a checkout of the parent commit or of the change.  Its ``src/``,
 ``perfbench/`` (less ``runs/`` and every ``__pycache__/``) and
@@ -37,6 +37,9 @@ The record holds:
 - ``pass_rates``: the division pass ``partition._divide`` alone on each
   seed-1 ``partition`` xi, stripped as ``kostant_q`` keys it; the pass only
   reads the answer cache, so every round is cold.
+- ``route_rates``: ``m_q_closed_general``, ``m_q_rank_reduction`` and
+  ``m_q_altset`` each called on the index sets of one seed-1 ``verify`` run;
+  ``m_q_altset`` shares no code with the formula routes and is the control.
 
 Each count is taken in a fresh process per checkout.  Each rate is the best
 of RATE_ROUNDS rounds in process; RATE_RUNS fresh processes run per
@@ -175,26 +178,31 @@ def count_partition() -> int:
     return len(partition._CACHE)
 
 
+def verify_index_sets() -> tuple:
+    """The max rank of one seed-1 ``verify`` run and the index sets it
+    checks: every nonempty one up to that rank."""
+    import workloads
+    from qmult.intervals import IndexSet
+
+    argv = workloads.generate("verify", SEED)["argv"]
+    max_rank = int(argv[argv.index("--max-rank") + 1])
+    return max_rank, [IndexSet(r, [k + 1 for k in range(r) if mask >> k & 1])
+                      for r in range(1, max_rank + 1) for mask in range(1, 1 << r)]
+
+
 def sweep_rates() -> list:
     """Sweep nodes (leaves plus pruned subtrees) per second on the sweeps of
     one seed-1 ``verify`` run, on rank 8 with mu = -2 and on rank 9 with
     mu = -4, each case timed in process as the best of RATE_ROUNDS rounds."""
     import time
 
-    import workloads
     from qmult.altset import WeylSweep
-    from qmult.intervals import IndexSet
     from qmult.roots import RootVector, highest_root
 
-    def alpha(r, mask):
-        return IndexSet(r, [k + 1 for k in range(r) if mask >> k & 1]).to_root_vector()
-
-    argv = workloads.generate("verify", SEED)["argv"]
-    max_rank = int(argv[argv.index("--max-rank") + 1])
+    max_rank, index_sets = verify_index_sets()
     cases = {
-        f"verify --max-rank {max_rank}": [(highest_root(r), alpha(r, mask))
-                                          for r in range(1, max_rank + 1)
-                                          for mask in range(1, 1 << r)],
+        f"verify --max-rank {max_rank}": [(highest_root(s.rank), s.to_root_vector())
+                                          for s in index_sets],
         "rank 8, mu = -2": [(highest_root(8), RootVector(8, (-2,) * 8))],
         "rank 9, mu = -4": [(highest_root(9), RootVector(9, (-4,) * 9))],
     }
@@ -233,6 +241,28 @@ def pass_rates() -> list:
             partition._divide(weights)
             best = min(best, time.perf_counter() - start)
         rates.append({"xi": xi, "best_s": best})
+    return rates
+
+
+def route_rates() -> list:
+    """``m_q_closed_general``, ``m_q_rank_reduction`` and the control
+    ``m_q_altset``, each called on every index set of one seed-1 ``verify``
+    run, timed in process as the best of RATE_ROUNDS rounds."""
+    import time
+
+    from qmult import multiplicity
+
+    _, index_sets = verify_index_sets()
+    rates = []
+    for name in ("m_q_closed_general", "m_q_rank_reduction", "m_q_altset"):
+        route = getattr(multiplicity, name)
+        best = float("inf")
+        for _ in range(RATE_ROUNDS):
+            start = time.perf_counter()
+            for index_set in index_sets:
+                route(index_set)
+            best = min(best, time.perf_counter() - start)
+        rates.append({"case": name, "calls": len(index_sets), "best_s": best})
     return rates
 
 
@@ -323,6 +353,7 @@ def main(argv=None) -> int:
     imports = {k: import_footprint(d) for k, d in sides.items()}
     rates = fastest_runs(sides, "sweep_rates")
     passes = fastest_runs(sides, "pass_rates")
+    routes = fastest_runs(sides, "route_rates")
     timing = (f"in process, best of {RATE_ROUNDS} rounds in each of {RATE_RUNS} "
               "fresh processes per checkout, alternated")
     record = {
@@ -341,6 +372,7 @@ def main(argv=None) -> int:
         "import_footprint": {"command": "python3 -I -S -c 'import qmult.cli'", **imports},
         "sweep_rates": {"timing": timing, **rates},
         "pass_rates": {"workload": "partition", "seed": SEED, "timing": timing, **passes},
+        "route_rates": {"workload": "verify", "seed": SEED, "timing": timing, **routes},
     }
     tmp.cleanup()
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -25,7 +25,7 @@ from math import comb
 from .altset import WeylSweep
 from .intervals import IndexSet, interval_partition, n_of_complement
 from .partition import _divide
-from .poly import Q, QPolynomial
+from .poly import QPolynomial
 from .roots import RootVector, _Frozen
 from .weyl import DEFAULT_BRUTE_CAP
 
@@ -136,10 +136,11 @@ def m_q_closed_zero(rank: int) -> QPolynomial:
 
 
 def m_q_closed_general(index_set: IndexSet) -> QPolynomial:
-    """m_q at mu = alpha_I: (q - 1)^(n-1) q^(rank - |I| - n + 1), n = runs of I."""
+    """m_q at mu = alpha_I: (q - 1)^(n-1) q^(rank - |I| - n + 1), n = runs of I,
+    written out by the binomial theorem: (-1)^(n-1-k) C(n-1, k) at q^(rank - |I| - n + 1 + k)."""
     n = len(interval_partition(index_set))
     exponent = index_set.rank - len(index_set) - n + 1
-    return (Q - 1) ** (n - 1) * QPolynomial.monomial(exponent)
+    return QPolynomial([0] * exponent + [(-1) ** (n - 1 - k) * comb(n - 1, k) for k in range(n)])
 
 
 def m_q_rank_reduction(index_set: IndexSet) -> QPolynomial:
@@ -148,12 +149,13 @@ def m_q_rank_reduction(index_set: IndexSet) -> QPolynomial:
     Each stretch of the complement of I contributes one factor: a leading
     q^(i_1 - 1) when 1 is missing from I, a factor q^g - q^(g-1) per
     interior gap of width g, and a trailing q^(rank - j_n) when rank is
-    missing.
+    missing.  The powers of q add up, and each gap's q - 1 is one difference
+    pass over one coefficient list.
     """
     runs = interval_partition(index_set)
-    out = QPolynomial.monomial(runs[0][0] - 1 + index_set.rank - runs[-1][1])
+    power, coeffs = runs[0][0] - 1 + index_set.rank - runs[-1][1], [1]
     for (_, j_x), (i_next, _) in zip(runs, runs[1:]):
-        gap = i_next - j_x - 1
-        out = out * (QPolynomial.monomial(gap) - QPolynomial.monomial(gap - 1))
-    return out
+        power += i_next - j_x - 2  # q^(g-1), g the gap's width
+        coeffs = [below - c for c, below in zip(coeffs + [0], [0] + coeffs)]
+    return QPolynomial([0] * power + coeffs)
 

@@ -68,7 +68,7 @@ def positive_root(i: int, j: int, rank: int) -> RootVector:
     """The positive root alpha_i + alpha_{i+1} + ... + alpha_j."""
     if not 1 <= i <= j <= rank:
         raise ValueError(f"positive root needs 1 <= i <= j <= rank, got ({i}, {j}, {rank})")
-    return RootVector(rank, tuple(1 if i <= k <= j else 0 for k in range(1, rank + 1)))
+    return RootVector(rank, (0,) * (i - 1) + (1,) * (j - i + 1) + (0,) * (rank - j))
 
 
 def highest_root(rank: int) -> RootVector:

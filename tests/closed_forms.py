@@ -7,9 +7,39 @@ The rank-2 and rank-3 sums count the multisets of positive roots with sum
 xi directly, by the copies of the roots that cover more than one slot, so
 they share nothing with the division pass and reach widths that
 ``kostant_q_oracle``'s cap refuses.
+
+``m_q_closed_general_chain`` and ``m_q_rank_reduction_chain`` are the
+library's two formula routes as they were before they wrote their
+coefficient lists directly: each builds its value from ``QPolynomial``
+operators (``Q - 1``, ``**``, ``monomial``, ``-`` and ``*``), kept unchanged
+as oracles for the list-building routes.
 """
 
+from qmult.intervals import IndexSet, interval_partition
 from qmult.poly import ONE, Q, ZERO, QPolynomial
+
+
+def m_q_closed_general_chain(index_set: IndexSet) -> QPolynomial:
+    """m_q at mu = alpha_I: (q - 1)^(n-1) q^(rank - |I| - n + 1), n = runs of I."""
+    n = len(interval_partition(index_set))
+    exponent = index_set.rank - len(index_set) - n + 1
+    return (Q - 1) ** (n - 1) * QPolynomial.monomial(exponent)
+
+
+def m_q_rank_reduction_chain(index_set: IndexSet) -> QPolynomial:
+    """m_q at mu = alpha_I as a product of lower-rank multiplicities.
+
+    Each stretch of the complement of I contributes one factor: a leading
+    q^(i_1 - 1) when 1 is missing from I, a factor q^g - q^(g-1) per
+    interior gap of width g, and a trailing q^(rank - j_n) when rank is
+    missing.
+    """
+    runs = interval_partition(index_set)
+    out = QPolynomial.monomial(runs[0][0] - 1 + index_set.rank - runs[-1][1])
+    for (_, j_x), (i_next, _) in zip(runs, runs[1:]):
+        gap = i_next - j_x - 1
+        out = out * (QPolynomial.monomial(gap) - QPolynomial.monomial(gap - 1))
+    return out
 
 
 def m_q_closed_positive_root(rank: int, i: int, j: int) -> QPolynomial:

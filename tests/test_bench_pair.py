@@ -89,6 +89,15 @@ def test_pass_layer_times_every_partition_input():
         assert r["best_s"] > 0, r
 
 
+def test_route_layer_times_every_verify_index_set():
+    # the control m_q_altset rides beside the two formula routes
+    rates = bench_pair.route_rates()
+    assert [(r["case"], r["calls"]) for r in rates] == [
+        ("m_q_closed_general", 120), ("m_q_rank_reduction", 120), ("m_q_altset", 120)]
+    for r in rates:
+        assert r["best_s"] > 0, r
+
+
 def test_timed_runs_alternate_and_keep_each_cases_fastest(monkeypatch):
     # one slow process on a side must not set that side's record
     calls = []
@@ -189,6 +198,7 @@ def test_no_qmult_function_is_replaced():
         bench_pair.altset_terms()
         bench_pair.sweep_rates()
         bench_pair.pass_rates()
+        bench_pair.route_rates()
     finally:
         sys.setprofile(None)
     after = _bindings()

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -622,6 +623,35 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: out of memory\n"
+
+
+class TestClosedPipe:
+    def test_a_reader_that_closes_early_gives_exit_2_and_no_traceback(self, tmp_path):
+        # the listing is about 120 KB, more than a pipe buffer holds, so the
+        # writer is still writing when the reader closes after 50 bytes
+        src = str(Path(cli.__file__).resolve().parents[1])
+        with open(tmp_path / "stderr", "w+b") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "qmult.cli", "altset", "--rank", "22", "--mu", "21"],
+                stdout=subprocess.PIPE, stderr=err, env={"PYTHONPATH": src})
+            head = proc.stdout.read(50)
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err.seek(0)
+            assert (code, err.read()) == (2, b"")
+        assert head.startswith(b"cardinality: 10946\nfib_profile: 21,2\n")
+
+    def test_a_redirected_stdout_leaves_descriptor_1_alone(self):
+        # the golden replay and perfbench run main under a StringIO stdout
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        before = os.fstat(1)
+        with contextlib.redirect_stdout(Closed()):
+            assert main(["multiplicity", "--rank", "3", "--mu", "2"]) == 2
+        after = os.fstat(1)
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
 
 
 class TestDeepSweep:

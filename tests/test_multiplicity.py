@@ -16,7 +16,12 @@ from altset_oracle import alternation_walk, term_tally_runs, term_tally_streamed
 from qmult import partition
 from qmult.altset import WeylSweep, alt_set_cardinality, alt_set_closed, fibonacci
 from qmult.intervals import IndexSet, interval_partition
-from closed_forms import m_q_closed_positive_root, m_q_closed_two_intervals
+from closed_forms import (
+    m_q_closed_general_chain,
+    m_q_closed_positive_root,
+    m_q_closed_two_intervals,
+    m_q_rank_reduction_chain,
+)
 from qmult.multiplicity import (
     _term_tally,
     m_q_altset,
@@ -359,6 +364,39 @@ class TestRankReduction:
             for k, mu in problems:
                 product = product * m_q_brute(highest_root(k), mu).value
             assert product == m_q_rank_reduction(index_set)
+
+
+class TestPredecessorOracles:
+    """The formula routes build their coefficient lists directly; the
+    operator chains they replaced (``closed_forms``) must give the same
+    polynomials."""
+
+    def test_every_index_set_up_to_rank_12(self):
+        count = 0
+        for r in range(1, 13):
+            for index_set in _all_index_sets(r):
+                assert m_q_closed_general(index_set) == m_q_closed_general_chain(index_set)
+                assert m_q_rank_reduction(index_set) == m_q_rank_reduction_chain(index_set)
+                count += 1
+        assert count == 8178
+
+    def test_seeded_index_sets_at_ranks_13_to_200(self):
+        # each member is drawn with one density, from sparse (a few runs,
+        # wide gaps) to dense (many short runs and gaps)
+        rng = random.Random(30)
+        runs_seen, gaps_seen = [], []
+        for _ in range(400):
+            r = rng.randint(13, 200)
+            density = rng.choice((0.03, 0.1, 0.3, 0.5, 0.7, 0.9))
+            members = [k for k in range(1, r + 1) if rng.random() < density]
+            index_set = IndexSet(r, members or [rng.randint(1, r)])
+            runs = interval_partition(index_set)
+            runs_seen.append(len(runs))
+            gaps_seen += [b[0] - a[1] - 1 for a, b in zip(runs, runs[1:])]
+            assert m_q_closed_general(index_set) == m_q_closed_general_chain(index_set)
+            assert m_q_rank_reduction(index_set) == m_q_rank_reduction_chain(index_set)
+        # the draws reach many runs, wide gaps and a single run
+        assert max(runs_seen) >= 40 and max(gaps_seen) >= 50 and min(runs_seen) == 1
 
 
 class TestClassical:
