@@ -26,9 +26,10 @@ The record holds:
   after the seed-1 ``partition`` inputs.
 - ``altset_terms``: the alternation-set elements each seed-1 ``altset`` call
   accounts for, checked against perfbench's ``alt_set_size``, with the
-  (|J|, n) ``keys`` of ``m_q_altset``'s tally ``multiplicity._term_tally``
-  and the words ``joined`` in the lists ``alt_set_closed`` joins
-  (``altset._halves``).
+  ``steps`` of ``m_q_altset``'s scan of the strip, one per coordinate (a
+  checkout from before the scan records the same number, though its
+  (|J|, n) tally stepped over rank - 2 coordinates), and the words
+  ``joined`` in the lists ``alt_set_closed`` joins (``altset._halves``).
 - ``import_footprint``: the modules ``import qmult.cli`` adds to a
   ``python -I -S`` interpreter, sorted, and their count.
 - ``sweep_rates``: sweep nodes (leaves plus pruned subtrees) per second on
@@ -39,7 +40,8 @@ The record holds:
   reads the answer cache, so every round is cold.
 - ``route_rates``: ``m_q_closed_general``, ``m_q_rank_reduction`` and
   ``m_q_altset`` each called on the index sets of one seed-1 ``verify`` run;
-  ``m_q_altset`` shares no code with the formula routes and is the control.
+  ``m_q_altset`` is the route under change, and the formula routes, which
+  share no code with it, are the control.
 
 Each count is taken in a fresh process per checkout.  Each rate is the best
 of RATE_ROUNDS rounds in process; RATE_RUNS fresh processes run per
@@ -245,9 +247,10 @@ def pass_rates() -> list:
 
 
 def route_rates() -> list:
-    """``m_q_closed_general``, ``m_q_rank_reduction`` and the control
-    ``m_q_altset``, each called on every index set of one seed-1 ``verify``
-    run, timed in process as the best of RATE_ROUNDS rounds."""
+    """The control formula routes ``m_q_closed_general`` and
+    ``m_q_rank_reduction`` and the route under change ``m_q_altset``, each
+    called on every index set of one seed-1 ``verify`` run, timed in process
+    as the best of RATE_ROUNDS rounds."""
     import time
 
     from qmult import multiplicity
@@ -304,9 +307,9 @@ def import_footprint(checkout: Path) -> dict:
 
 def altset_terms() -> list:
     """The alternation-set elements each seed-1 ``altset`` operation accounts
-    for, checked against perfbench's ``alt_set_size``, the keys of
-    ``m_q_altset``'s tally and the words ``alt_set_closed`` joined across
-    its cut."""
+    for, checked against perfbench's ``alt_set_size``, the steps of
+    ``m_q_altset``'s scan (one per coordinate of the strip) and the words
+    ``alt_set_closed`` joined across its cut."""
     import workloads
     from qmult import altset, multiplicity
     from qmult.intervals import IndexSet
@@ -318,7 +321,7 @@ def altset_terms() -> list:
         res = multiplicity.m_q_altset(index_set)
         calls.append({"call": "m_q_altset", "rank": inputs["rank"], "members": members,
                       "terms": res.terms_evaluated,
-                      "keys": len(multiplicity._term_tally(index_set)),
+                      "steps": index_set.rank,
                       "alt_set_size": workloads.alt_set_size(inputs["rank"], members)})
     c = inputs["closed"]
     closed = IndexSet(c["rank"], c["members"])

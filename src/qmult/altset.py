@@ -11,8 +11,9 @@ independently in each, so the set's cardinality is the product of the
 fibonacci(b - a + 1) (:func:`fib_profile`).
 
 :func:`alt_set_closed` joins the one-line words of two halves of the strip of
-coordinates (:func:`_halves`); ``m_q_altset`` tallies the J sets in one scan
-of the strip, by the same Fibonacci recurrence.  For arbitrary lam and mu,
+coordinates (:func:`_halves`); ``m_q_altset`` sums the elements' terms in one
+scan of the strip, three packed states by the same Fibonacci recurrence, with
+no J set listed.  For arbitrary lam and mu,
 :class:`WeylSweep` walks S_{rank+1} depth first in one loop over an explicit
 stack, so no rank meets the interpreter's recursion limit, and a sweep leaves
 no reference cycle behind.
@@ -48,7 +49,8 @@ class AltSet(_Frozen):
 
     Each element is a Weyl element as its one-line tuple.  The number of
     elements must equal the Fibonacci product :func:`alt_set_cardinality`
-    gives for mu, the certificate of the closed-form description.
+    gives for mu, the certificate of the closed-form description; a set that
+    fails it is a fault of the builder, not of mu, and raises RuntimeError.
     """
 
     _fields = ("mu", "elements")
@@ -56,7 +58,7 @@ class AltSet(_Frozen):
     def __init__(self, mu: IndexSet, elements: frozenset[tuple[int, ...]]):
         expected = alt_set_cardinality(mu)
         if len(elements) != expected:
-            raise ValueError(f"{len(elements)} elements but Fibonacci profile gives {expected}")
+            raise RuntimeError(f"{len(elements)} elements but Fibonacci profile gives {expected}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "elements", elements)
 

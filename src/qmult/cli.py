@@ -12,15 +12,17 @@ for the brute route: the rows' permutations are the brute alternation set
 (a row's xi >= 0 has partition count >= 1); their ``signed_sum`` is
 m_q_brute's value.
 
-Exit codes: 0 on success, 1 when routes that must agree do not, 2 on usage
-errors, on a request past a brute-force cap, when memory or the interpreter's
-recursion limit runs out, or, silently, when stdout's reader has gone.  The
-subcommands with a brute-force route (``altset``, ``multiplicity``,
-``verify``, ``bench``) read the cap on every call, from --brute-cap, else the
-environment variable QMULT_BRUTE_CAP, else the default; ``partition`` reads
-neither.  The grammar is built once per process, on the first ``main()``
-call.  All output except bench timings is byte-identical across runs for a
-fixed configuration and seed.
+Exit codes: 0 on success, 1 when routes that must agree do not or an
+internal certificate fails (a ``RuntimeError``, such as the alternation set's
+Fibonacci count or the sweep's coverage, reported on one stderr line), 2 on
+usage errors, on a request past a brute-force cap, when memory or the
+interpreter's recursion limit runs out, or, silently, when stdout's reader
+has gone.  The subcommands with a brute-force route (``altset``,
+``multiplicity``, ``verify``, ``bench``) read the cap on every call, from
+--brute-cap, else the environment variable QMULT_BRUTE_CAP, else the
+default; ``partition`` reads neither.  The grammar is built once per
+process, on the first ``main()`` call.  All output except bench timings is
+byte-identical across runs for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -423,6 +425,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, MemoryError, RecursionError) as exc:  # CapExceededError included
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a failed certificate is a fault, not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ are implemented:
 * ``m_q_brute``        -- the full signed sum over all (rank+1)! elements,
                           skipping prefixes whose terms are all zero;
 * ``m_q_altset``       -- the same sum restricted to the alternation set,
-                          which has Fibonacci-product many terms;
+                          which has Fibonacci-product many terms, summed
+                          in one scan of the strip 1..rank with three
+                          packed states;
 * ``m_q_rank_reduction`` -- a product of lower-rank multiplicities, one
                           factor per stretch of the complement of I;
 * ``m_q_closed_general`` -- the closed form (q-1)^(n-1) q^(rank-|I|-n+1)
@@ -23,9 +25,9 @@ from collections.abc import Iterable
 from math import comb
 
 from .altset import WeylSweep
-from .intervals import IndexSet, interval_partition, n_of_complement
+from .intervals import IndexSet, interval_partition
 from .partition import _divide
-from .poly import QPolynomial
+from .poly import QPolynomial, unpack
 from .roots import RootVector, _Frozen
 from .weyl import DEFAULT_BRUTE_CAP
 
@@ -74,58 +76,57 @@ def m_q_brute(
     return MultiplicityResult(signed_sum(sweep), "brute", sweep.accounted)
 
 
-def _term_tally(index_set: IndexSet) -> dict[tuple[int, int], int]:
-    """How many alternation-set elements have each (|J|, n), n the number of
-    maximal runs of I^c minus J.
-
-    Removing j from I^c splits, shortens or deletes its run as
-    g_j = #({j-1, j+1} & I^c) is 2, 1 or 0, and no two members of J are
-    adjacent, so n = runs(I^c) + sum over j in J of (g_j - 1).  Let T_j
-    tally the J within [2, j], T_1 = T_0 = {(0, runs(I^c)): 1}.  A J either
-    skips j, or takes a free j and nothing of j - 1, so going along the strip
-    T_j = T_{j-1} + [j free] T_{j-2} moved by (1, g_j - 1), the Fibonacci
-    recurrence of the alternation set's size, and T_{rank-1} is the tally.
-    Each step touches O(rank^2) keys, however many elements they count.
-    """
-    picked = set(index_set.members)
-    older = tally = {(0, n_of_complement(index_set)): 1}
-    for j in range(2, index_set.rank):
-        if j in picked:
-            older = tally
-            continue
-        split = 1 - (j - 1 in picked) - (j + 1 in picked)
-        grown = tally.copy()
-        for (size, n), count in older.items():
-            key = (size + 1, n + split)
-            grown[key] = grown.get(key, 0) + count
-        older, tally = tally, grown
-    return tally
-
-
 def m_q_altset(index_set: IndexSet) -> MultiplicityResult:
     """The signed sum over the alternation set only.
 
     Each element is the product of s_j over a nonconsecutive subset J of the
     free region, [2, rank - 1] minus I; its term has sign (-1)^|J| and
     shifted image alpha_{I^c} - alpha_J, an indicator vector whose partition
-    value factors over its maximal runs as q(q+1)^(len-1).  With n runs of
-    total length N = |I^c| - |J| the term is q^n (q+1)^(N-n).  Terms are
-    tallied by (|J|, n) in one scan of the strip (:func:`_term_tally`) and
-    expanded once per pair by the binomial theorem, so the terms accounted
-    for, exactly the alternation-set cardinality, cost O(rank^3) and ranks
-    far beyond brute force stay cheap.
+    value factors over its maximal runs as q (q+1)^(len-1).  So a term is a
+    product along the strip of coordinates 1..rank, by the role of each
+    coordinate k: 1 in I, -1 in J, and in I^c minus J a q where a run
+    starts and q + 1 where it goes on.
+
+    One scan of the strip sums those products (Stanley's transfer-matrix
+    method), carrying three sums of the partial products over 1..k, split by
+    what k is: in a run, in J, or in I (before the strip, the empty product
+    1).  At k in I the I sum becomes the sum of all three and the others 0.
+    Otherwise the run sum becomes q (I + J) + (q + 1) run, the J sum becomes
+    -(run + I) when k is free and 0 when not, and the I sum 0.  This is the
+    Fibonacci recurrence of the alternation set's size, so the numbers of
+    partial J, carried beside the sums by the same steps without signs or
+    powers of q, account for exactly the alternation-set cardinality, in
+    rank steps however many elements they count.
+
+    The sums are held packed at q = 2^K, as :func:`~qmult.poly.pack` does.
+    Packing is a ring homomorphism from Z[q] to Z, and the scan only adds,
+    negates and multiplies by q, so the final int is the result packed, and
+    only the result's coefficients must lie strictly inside +-2^(K-1) for
+    :func:`~qmult.poly.unpack` to read it back.  The result sums |A| <
+    2^rank terms, and the coefficients of q^n (q+1)^m, m < rank, add up to
+    2^m < 2^rank in size, so every coefficient is below 4^rank = 2^(K-2)
+    in size with K = 2 rank + 2.
     """
+    if index_set.is_empty():
+        raise ValueError("index set must be nonempty")
     r = index_set.rank
-    free = r - len(index_set)
-    tally = _term_tally(index_set)
-    acc = [0] * (r + 1)
-    for (size, n), count in tally.items():
-        if size & 1:
-            count = -count
-        m = free - size - n
-        for k in range(m + 1):
-            acc[n + k] += count * comb(m, k)
-    return MultiplicityResult(QPolynomial(acc), "altset", sum(tally.values()))
+    K = 2 * r + 2
+    members = set(index_set.members)
+    run = held = 0  # packed sums over partial terms ending in a run, in J
+    before = 1  # ... and in I or before the strip
+    n_run = n_held = 0
+    n_before = 1  # how many partial J each sum holds, by the same steps unsigned
+    for k in range(1, r + 1):
+        if k in members:
+            before += run + held
+            n_before += n_run + n_held
+            run = held = n_run = n_held = 0
+            continue
+        free = 1 < k < r
+        run, held, before = ((before + held + run) << K) + run, -(run + before) if free else 0, 0
+        n_run, n_held, n_before = n_before + n_held + n_run, n_run + n_before if free else 0, 0
+    value = QPolynomial(unpack(run + held + before, K))
+    return MultiplicityResult(value, "altset", n_run + n_held + n_before)
 
 
 def m_q_closed_zero(rank: int) -> QPolynomial:

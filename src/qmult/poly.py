@@ -26,7 +26,10 @@ def pack(coeffs: Sequence[int], K: int) -> int:
 def unpack(value: int, K: int) -> tuple[int, ...]:
     """The coefficients that :func:`pack` packed at K, read as balanced
     base-2^K digits in [-2^(K-1), 2^(K-1)); exact when every coefficient lies
-    strictly inside +-2^(K-1).  Trailing zeros are trimmed, so 0 gives ()."""
+    strictly inside +-2^(K-1).  Trailing zeros are trimmed, so 0 gives ().
+    K must be at least 2: the digits at K = 1, [-1, 1), cannot hold +1."""
+    if K < 2:
+        raise ValueError(f"packing width K must be at least 2, got {K}")
     coeffs = []
     mask = (1 << K) - 1
     half = 1 << (K - 1)

@@ -13,8 +13,11 @@ the (|J|, n) tally of ``qmult.altset`` and ``qmult.multiplicity``.
 code of every J of the whole product, each run's ``run_sums`` joined by
 ``itertools.product``.  ``term_tally_runs`` followed it: it walks each
 run's codes once and multiplies the runs' tallies, work a sum of Fibonacci
-numbers, one per run.  ``qmult.multiplicity`` now tallies the J sets in
-one scan of the strip, with no runs and no codes.
+numbers, one per run.  ``term_tally`` followed it: it tallies the J sets
+by (|J|, n) in one scan of the strip, with no runs and no codes, and
+``m_q_altset_tally`` expands that tally by the binomial theorem, work
+O(rank^3).  ``qmult.multiplicity.m_q_altset`` now carries the terms' sum
+itself along the strip, packed, with no tally.
 
 ``alt_set_closed_runs`` is the builder ``alt_set_closed`` replaced: it
 walks the J sets of the product over the free runs, the widest run
@@ -31,10 +34,13 @@ I that replaced them.
 import itertools
 from collections import Counter
 from itertools import chain, cycle, pairwise, repeat
+from math import comb
 from operator import add
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 from qmult.intervals import IndexSet, n_of_complement
+from qmult.multiplicity import MultiplicityResult
+from qmult.poly import QPolynomial
 
 _T = TypeVar("_T")
 
@@ -194,7 +200,7 @@ def _decoded(index_set: IndexSet, base: int, tally: Counter) -> dict[tuple[int, 
 
 
 def term_tally_runs(index_set: IndexSet) -> dict[tuple[int, int], int]:
-    """The (|J|, n) tally of ``multiplicity._term_tally``, as the product of
+    """The (|J|, n) tally of :func:`term_tally`, as the product of
     the free runs' tallies of codes.
 
     J is chosen independently in each free run and codes add over the runs,
@@ -215,11 +221,57 @@ def term_tally_runs(index_set: IndexSet) -> dict[tuple[int, int], int]:
 
 
 def term_tally_streamed(index_set: IndexSet) -> dict[tuple[int, int], int]:
-    """The (|J|, n) tally of ``multiplicity._term_tally``, counted over every
+    """The (|J|, n) tally of :func:`term_tally`, counted over every
     code of the alternation set's product (see :func:`_weights`)."""
     base, weight = _weights(index_set)
     per_run = [run_sums(weight[lo:hi + 1], 0) for lo, hi in free_runs(index_set)]
     return _decoded(index_set, base, Counter(map(sum, itertools.product(*per_run))))
+
+
+def term_tally(index_set: IndexSet) -> dict[tuple[int, int], int]:
+    """How many alternation-set elements have each (|J|, n), n the number of
+    maximal runs of I^c minus J.
+
+    Removing j from I^c splits, shortens or deletes its run as
+    g_j = #({j-1, j+1} & I^c) is 2, 1 or 0, and no two members of J are
+    adjacent, so n = runs(I^c) + sum over j in J of (g_j - 1).  Let T_j
+    tally the J within [2, j], T_1 = T_0 = {(0, runs(I^c)): 1}.  A J either
+    skips j, or takes a free j and nothing of j - 1, so going along the strip
+    T_j = T_{j-1} + [j free] T_{j-2} moved by (1, g_j - 1), the Fibonacci
+    recurrence of the alternation set's size, and T_{rank-1} is the tally.
+    Each step touches O(rank^2) keys, however many elements they count.
+    """
+    picked = set(index_set.members)
+    older = tally = {(0, n_of_complement(index_set)): 1}
+    for j in range(2, index_set.rank):
+        if j in picked:
+            older = tally
+            continue
+        split = 1 - (j - 1 in picked) - (j + 1 in picked)
+        grown = tally.copy()
+        for (size, n), count in older.items():
+            key = (size + 1, n + split)
+            grown[key] = grown.get(key, 0) + count
+        older, tally = tally, grown
+    return tally
+
+
+def m_q_altset_tally(index_set: IndexSet) -> MultiplicityResult:
+    """``m_q_altset`` by the (|J|, n) tally: the term of an element with n
+    runs of total length N = |I^c| - |J| in I^c minus J is
+    (-1)^|J| q^n (q+1)^(N-n), expanded once per key of :func:`term_tally`
+    by the binomial theorem."""
+    r = index_set.rank
+    free = r - len(index_set)
+    tally = term_tally(index_set)
+    acc = [0] * (r + 1)
+    for (size, n), count in tally.items():
+        if size & 1:
+            count = -count
+        m = free - size - n
+        for k in range(m + 1):
+            acc[n + k] += count * comb(m, k)
+    return MultiplicityResult(QPolynomial(acc), "altset", sum(tally.values()))
 
 
 def _spread(heads: Iterator[_T], tails: list[_T]) -> Iterator[_T]:

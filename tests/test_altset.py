@@ -325,7 +325,8 @@ class TestAltSetClosed:
                     assert product_of_commuting(rest, r) in aset.elements
 
     def test_certificate_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        # a miscounted set is the builder's fault, not the index set's
+        with pytest.raises(RuntimeError, match="0 elements but Fibonacci profile gives 2"):
             AltSet(mu=IndexSet(3, [3]), elements=frozenset())
 
     def test_empty_index_set_rejected(self):

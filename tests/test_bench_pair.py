@@ -15,8 +15,6 @@ import bench_pair  # noqa: E402
 import workloads  # noqa: E402
 
 import qmult  # noqa: E402
-from altset_oracle import term_tally_runs  # noqa: E402
-from qmult.intervals import IndexSet  # noqa: E402
 
 
 def test_copy_leaves_out_bytecode_and_run_records(tmp_path):
@@ -53,17 +51,15 @@ def test_import_footprint_lists_what_the_cli_import_adds():
 
 
 def test_altset_counts_what_each_call_walks():
-    # one scan of the strip accounts for every element of m_q_altset's
-    # alternation set under a few (|J|, n) keys; alt_set_closed lists every
+    # one scan of the strip, one step per coordinate, accounts for every
+    # element of m_q_altset's alternation set; alt_set_closed lists every
     # element from the words on either side of one cut, O(sqrt |A|) of them
     calls = bench_pair.altset_terms()
     assert [c["call"] for c in calls] == ["m_q_altset"] * 3 + ["alt_set_closed"]
     for c in calls:
         assert c["terms"] == c["alt_set_size"], c
         if c["call"] == "m_q_altset":
-            runs_tally = term_tally_runs(IndexSet(c["rank"], c["members"]))
-            assert c["keys"] == len(runs_tally), c
-            assert c["keys"] <= (c["rank"] // 2 + 1) * (c["rank"] + 1) < c["terms"], c
+            assert c["steps"] == c["rank"] < c["terms"], c
         else:
             ceil_sqrt = isqrt(c["terms"] - 1) + 1
             assert 0 < c["joined"] <= 4 * ceil_sqrt + 2 * (c["rank"] + 1), c

@@ -18,8 +18,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from altset_oracle import free_runs
-from qmult import cli
-from qmult.altset import WeylSweep, alt_set_brute, alt_set_cardinality
+from qmult import altset, cli
+from qmult.altset import WeylSweep, alt_set_brute, alt_set_cardinality, fibonacci
 from qmult.cli import main, parse_index_set, parse_mu
 from qmult.intervals import IndexSet
 from qmult.multiplicity import m_q_closed_general
@@ -227,7 +227,7 @@ class TestMultiplicityCommand:
 
     def test_altset_on_one_wide_run_finishes(self):
         # I = {1} at rank 45 leaves one free run of 43 indices and 1.1e9
-        # alternation-set elements, tallied in one scan of the strip
+        # alternation-set elements, summed in one scan of the strip
         src = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "qmult.cli", "multiplicity", "--rank", "45", "--mu", "1",
@@ -235,6 +235,21 @@ class TestMultiplicityCommand:
             capture_output=True, text=True, timeout=10, env={"PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "q^44\n"
+
+    def test_altset_at_rank_1500_finishes(self):
+        # F(1500), about 1.4e313 elements, in 1,500 steps of the scan on
+        # packed ints of about 4.5 million bits; the (|J|, n) tally it
+        # replaced took about 20 s here
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmult.cli", "multiplicity", "--rank", "1500", "--mu", "1",
+             "--method", "altset", "--format", "json"],
+            capture_output=True, text=True, timeout=10, env={"PYTHONPATH": src})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        index_set = IndexSet(1500, [1])
+        [result] = json.loads(proc.stdout)["results"]
+        assert result["coeffs"] == list(m_q_closed_general(index_set).coeffs)
+        assert result["terms"] == alt_set_cardinality(index_set) == fibonacci(1500)
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "multiplicity", "--rank", "5", "--mu", "1,5",
@@ -623,6 +638,33 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: out of memory\n"
+
+
+class TestCertificateFaults:
+    # a failed internal certificate is the program's fault: exit 1 and one
+    # stderr line, not the exit 2 of bad input and not a traceback
+
+    def test_a_miscounted_alternation_set_is_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(altset, "alt_set_cardinality", lambda index_set: 4)
+        code, out, err = run_cli(capsys, "altset", "--rank", "5", "--mu", "2")
+        assert (code, out, err) == (1, "", "error: 3 elements but Fibonacci profile gives 4\n")
+
+    def test_a_sweep_that_misses_elements_is_exit_1(self, capsys, monkeypatch):
+        # only the total 5! is off, not the subtree sizes the sweep adds up
+        monkeypatch.setattr(altset, "factorial", lambda k: math.factorial(k) + (k == 5))
+        code, out, err = run_cli(capsys, "multiplicity", "--rank", "4", "--mu", "2",
+                                 "--method", "brute")
+        assert (code, out, err) == (1, "", "error: sweep accounted for 120 of 5! elements\n")
+
+    def test_the_recursion_limit_stays_exit_2(self, capsys, monkeypatch):
+        # RecursionError is a RuntimeError, but a limit of the interpreter
+        def deep(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "m_q_closed_general", deep)
+        code, out, err = run_cli(capsys, "multiplicity", "--rank", "4", "--mu", "2",
+                                 "--method", "closed")
+        assert (code, out, err) == (2, "", "error: maximum recursion depth exceeded\n")
 
 
 class TestClosedPipe:

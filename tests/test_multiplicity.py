@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altset_oracle import alternation_walk, term_tally_runs, term_tally_streamed
+from altset_oracle import (
+    alternation_walk,
+    m_q_altset_tally,
+    term_tally,
+    term_tally_runs,
+    term_tally_streamed,
+)
 from qmult import partition
 from qmult.altset import WeylSweep, alt_set_cardinality, alt_set_closed, fibonacci
 from qmult.intervals import IndexSet, interval_partition
@@ -23,7 +29,6 @@ from closed_forms import (
     m_q_rank_reduction_chain,
 )
 from qmult.multiplicity import (
-    _term_tally,
     m_q_altset,
     m_q_brute,
     m_q_closed_general,
@@ -196,17 +201,29 @@ class TestAltsetSum:
             m_q_altset(IndexSet(4, []))
 
     def test_tally_matches_the_walk_oracle(self):
-        # the scan counts each element once, under the (|J|, n) that the
-        # walk carries, on every set of rank <= 12, the benchmark's sets and
-        # single wide runs
+        # the tally oracle counts each element once, under the (|J|, n) that
+        # the walk carries, on every set of rank <= 12, the benchmark's sets
+        # and single wide runs
         sets = [index_set for r in range(1, 13) for index_set in _all_index_sets(r)]
         for index_set in sets + self._benchmark_sets() + self.WIDE_RUNS:
             walk = Counter((len(chosen), n) for chosen, n in alternation_walk(index_set))
-            assert _term_tally(index_set) == walk, index_set
+            assert term_tally(index_set) == walk, index_set
+
+    def test_scan_matches_the_tally_oracle(self):
+        # value and term count against the (|J|, n) tally expanded by the
+        # binomial theorem, on every set of rank <= 12, the benchmark's sets,
+        # single wide runs and sets drawn from masks up to rank 400
+        rng = random.Random(31)
+        sets = [index_set for r in range(1, 13) for index_set in _all_index_sets(r)]
+        sets += self._benchmark_sets() + self.WIDE_RUNS + [IndexSet(400, [1])]
+        for r in [400] + [rng.randrange(13, 401) for _ in range(15)]:
+            sets.append(IndexSet(r, [k + 1 for k in range(r) if rng.getrandbits(1)] or [r]))
+        for index_set in sets:
+            assert m_q_altset(index_set) == m_q_altset_tally(index_set), index_set
 
     def test_widest_run_is_streamed(self):
         # one free run of 22 indices, 46,368 elements; listing its subsets
-        # would take several MB, and the scan holds 23 keys
+        # would take several MB, and the scan holds three packed sums
         tracemalloc.start()
         try:
             res = m_q_altset(IndexSet(24, [1]))
@@ -217,20 +234,20 @@ class TestAltsetSum:
         assert peak < 1_000_000, peak
 
     def test_tally_matches_the_streamed_product(self):
-        # the scan against the tally of every code of the product set, on
-        # small ranks and the benchmark's rank-28 sets
+        # the tally oracle against the tally of every code of the product
+        # set, on small ranks and the benchmark's rank-28 sets
         sets = [index_set for r in range(1, 13) for index_set in _all_index_sets(r)]
         for index_set in sets + self._benchmark_sets():
-            assert _term_tally(index_set) == term_tally_streamed(index_set), index_set
+            assert term_tally(index_set) == term_tally_streamed(index_set), index_set
 
     def test_tally_matches_the_run_product(self):
-        # the scan against its predecessor, the product of the free runs'
-        # tallies, on every set of rank <= 12, the benchmark's sets, single
-        # wide runs and 24 narrow runs at rank 120
+        # the tally oracle against its predecessor, the product of the free
+        # runs' tallies, on every set of rank <= 12, the benchmark's sets,
+        # single wide runs and 24 narrow runs at rank 120
         sets = [index_set for r in range(1, 13) for index_set in _all_index_sets(r)]
         sets += self._benchmark_sets() + self.WIDE_RUNS + [IndexSet(120, range(5, 120, 5))]
         for index_set in sets:
-            assert _term_tally(index_set) == term_tally_runs(index_set), index_set
+            assert term_tally(index_set) == term_tally_runs(index_set), index_set
 
     @pytest.mark.parametrize("index_set, keys, terms", [
         # runs of width 1, 3, 6 and 13
@@ -243,7 +260,7 @@ class TestAltsetSum:
         (IndexSet(45, [1]), 44, fibonacci(45)),
     ], ids=["rank28", "rank120", "rank45"])
     def test_wide_sets_are_tallied_in_one_scan(self, index_set, keys, terms):
-        tally = _term_tally(index_set)
+        tally = term_tally(index_set)
         assert len(tally) == keys
         res = m_q_altset(index_set)
         assert res.terms_evaluated == alt_set_cardinality(index_set) == terms

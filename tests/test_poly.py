@@ -190,6 +190,14 @@ class TestPack:
             assert pack((0, 0, 0), K) == 0
             assert pack((1,), K) == 1  # the constant 1 packs to 1 at any K
 
+    @pytest.mark.parametrize("K", [1, 0, -1])
+    def test_width_below_two_is_rejected(self, K):
+        # at K = 1 the digits [-1, 1) cannot hold +1, and reading 1 back
+        # would borrow forever
+        for value in (1, 0, -1):
+            with pytest.raises(ValueError, match="at least 2"):
+                unpack(value, K)
+
     def test_pack_is_the_value_at_two_to_the_k(self):
         assert pack((3, -1, 0, 2), 5) == 3 - 2 ** 5 + 2 * 2 ** 15
         assert pack((0, -1), 10) == -(2 ** 10)
