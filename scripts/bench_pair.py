@@ -35,6 +35,13 @@ The record holds:
 - ``sweep_rates``: sweep nodes (leaves plus pruned subtrees) per second on
   the sweeps one seed-1 ``verify`` run makes, on rank 8 with mu = -2 and on
   rank 9 with mu = -4.
+- ``cache_answered``: for the seed-1 ``verify``, ``brute`` and ``partition``
+  operations, each run once from a cache that holds only the empty xi, the
+  division-pass calls (``partition._divide``) and how many of them the
+  answer cache answers whole, every state of nonzero weight cached on
+  entry.  Such a call reads values and divides nothing, so what it costs
+  is the pass's set-up.  A profile hook on ``_divide``'s code object sees
+  the calls; no function is replaced.
 - ``pass_rates``: the division pass ``partition._divide`` alone on each
   seed-1 ``partition`` xi, stripped as ``kostant_q`` keys it; the pass only
   reads the answer cache, so every round is cold.
@@ -45,9 +52,11 @@ The record holds:
 
 Each count is taken in a fresh process per checkout.  Each rate is the best
 of RATE_ROUNDS rounds in process; RATE_RUNS fresh processes run per
-checkout, the checkouts alternating which goes first, and each case keeps
-its fastest run, so that one slow process does not set a side.  Timings
-depend on the host, which the record names; the counts do not.
+checkout, the checkouts alternating which goes first.  Each case keeps its
+fastest run, and beside it every process's best (``runs_s``, in the order
+run) and their median (``median_s``), so that a slow spell on one side shows
+as spread, not as a difference.  Timings depend on the host, which the
+record names; the counts do not.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ import subprocess
 import sys
 import tempfile
 from math import factorial
-from statistics import quantiles
+from statistics import median, quantiles
 from pathlib import Path
 
 SEED = 1
@@ -72,7 +81,7 @@ PAIRS = 10
 # rounds of each in-process timing, of which the fastest is kept
 RATE_ROUNDS = 5
 # fresh processes per checkout for the in-process timings
-RATE_RUNS = 3
+RATE_RUNS = 5
 
 
 def cpu_model() -> str:
@@ -180,6 +189,48 @@ def count_partition() -> int:
     return len(partition._CACHE)
 
 
+def cache_answered() -> list:
+    """The division-pass calls of the seed-1 ``verify``, ``brute`` and
+    ``partition`` operations, each workload run once from a cache that holds
+    only the empty xi, and how many of them the answer cache answers whole.
+
+    A profile hook on ``partition._divide``'s code object reads each call's
+    weights as it starts; it replaces nothing, and a profile function set
+    before it is called too.  The cache is restored afterwards."""
+    import workloads
+    from qmult import partition
+
+    code, cache = partition._divide.__code__, partition._CACHE
+    saved = dict(cache)
+    prev = sys.getprofile()
+    tallies = []
+    for workload in ("verify", "brute", "partition"):
+        seen = {"calls": 0, "answered_whole": 0}
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                seen["calls"] += 1
+                seen["answered_whole"] += all(
+                    partition._strip(xi) in cache
+                    for xi, w in frame.f_locals["weights"].items() if w)
+            if prev is not None:
+                prev(frame, event, arg)
+
+        ops = workloads.build(workload, workloads.generate(workload, SEED))
+        cache.clear()
+        cache[()] = saved[()]
+        sys.setprofile(hook)
+        try:
+            for _, call in ops:
+                call()
+        finally:
+            sys.setprofile(prev)
+        tallies.append({"workload": workload, "operations": len(ops), **seen})
+    cache.clear()
+    cache.update(saved)
+    return tallies
+
+
 def verify_index_sets() -> tuple:
     """The max rank of one seed-1 ``verify`` run and the index sets it
     checks: every nonempty one up to that rank."""
@@ -283,14 +334,20 @@ def fresh_count(checkout: Path, count: str):
 def fastest_runs(sides: dict, count: str) -> dict:
     """The named timing function of this script, run RATE_RUNS times in each
     checkout, each time in a fresh process, the checkouts alternating which
-    goes first; per case, the run with the least ``best_s``."""
-    best: dict = {}
+    goes first; per case, the run with the least ``best_s``, with every
+    run's ``best_s`` in the order run (``runs_s``) and their median."""
+    runs: dict = {"before": [], "after": []}
     for i in range(RATE_RUNS):
         for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
-            runs = fresh_count(sides[side], count)
-            kept = best.get(side, runs)
-            best[side] = [min(a, b, key=lambda r: r["best_s"]) for a, b in zip(kept, runs)]
-    return best
+            runs[side].append(fresh_count(sides[side], count))
+    out = {}
+    for side, got in runs.items():
+        out[side] = []
+        for case in zip(*got):
+            times = [r["best_s"] for r in case]
+            fastest = min(case, key=lambda r: r["best_s"])
+            out[side].append({**fastest, "runs_s": times, "median_s": median(times)})
+    return out
 
 
 def import_footprint(checkout: Path) -> dict:
@@ -353,12 +410,14 @@ def main(argv=None) -> int:
     swept = {k: fresh_count(d, "sweep_counts") for k, d in sides.items()}
     counts = {k: fresh_count(d, "count_partition") for k, d in sides.items()}
     terms = {k: fresh_count(d, "altset_terms") for k, d in sides.items()}
+    answered = {k: fresh_count(d, "cache_answered") for k, d in sides.items()}
     imports = {k: import_footprint(d) for k, d in sides.items()}
     rates = fastest_runs(sides, "sweep_rates")
     passes = fastest_runs(sides, "pass_rates")
     routes = fastest_runs(sides, "route_rates")
     timing = (f"in process, best of {RATE_ROUNDS} rounds in each of {RATE_RUNS} "
-              "fresh processes per checkout, alternated")
+              "fresh processes per checkout, alternated; best_s is the fastest "
+              "process, runs_s every process in the order run")
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
                    f"--seconds {SECONDS} --trace 0",
@@ -372,6 +431,8 @@ def main(argv=None) -> int:
         "partition_entries": {"workload": "partition", "seed": SEED, "store": "_CACHE",
                               "entries": counts},
         "altset_terms": {"workload": "altset", "seed": SEED, "calls": terms},
+        "cache_answered": {"seed": SEED, "start": "a cache holding only the empty xi",
+                           **answered},
         "import_footprint": {"command": "python3 -I -S -c 'import qmult.cli'", **imports},
         "sweep_rates": {"timing": timing, **rates},
         "pass_rates": {"workload": "partition", "seed": SEED, "timing": timing, **passes},

@@ -81,7 +81,7 @@ def parse_index_set(spec: str, rank: int) -> IndexSet:
             raise ValueError("empty item in index-set spec")
         a, dash, b = item.partition("-")
         try:
-            lo, hi = (int(a), int(b)) if dash else (int(item),) * 2
+            lo, hi = (_integer(a), _integer(b)) if dash else (_integer(item),) * 2
         except ValueError:
             raise ValueError(f"malformed item {_shown(item)} in index-set spec") from None
         if lo > hi:
@@ -90,6 +90,17 @@ def parse_index_set(spec: str, rank: int) -> IndexSet:
             raise ValueError(f"item {_shown(item)} of the index set lies outside [1, {rank}]")
         members.extend(range(lo, hi + 1))
     return IndexSet(rank, members)
+
+
+def _integer(text: str) -> int:
+    """An integer written as an optional sign and ASCII digits, with
+    whitespace around it; ``int`` alone would also read ``1_0`` as 10 and
+    the digits of other scripts, such as Arabic-Indic ones."""
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(body)
 
 
 def _shown(item: str) -> str:
@@ -102,7 +113,7 @@ def _parse_coeff_list(body: str, rank: int, what: str) -> tuple[int, ...]:
     cs = []
     for pos, raw in enumerate(body.split(","), 1):
         try:
-            cs.append(int(raw))
+            cs.append(_integer(raw))
         except ValueError:
             raise ValueError(f"malformed {what} coefficient {_shown(raw.strip())} "
                              f"at position {pos}") from None
@@ -325,12 +336,17 @@ def _run_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type for ranks, counts and caps: an integer of at least 1."""
+def _any_integer(text: str) -> int:
+    """argparse type for the seed: any integer, as ``_integer`` reads it."""
     try:
-        value = int(text)
+        return _integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+
+
+def _at_least_one(text: str) -> int:
+    """argparse type for ranks, counts and caps: an integer of at least 1."""
+    value = _any_integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -394,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rank", type=_at_least_one, required=True)
     p.add_argument("--samples", type=_at_least_one, default=25,
                    help="random index sets per rank beyond the exhaustive range")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_any_integer, default=0)
     p.add_argument("--brute-cap", type=_at_least_one, default=None)
 
     p = sub.add_parser("bench", help="CSV of method term counts and timings")

@@ -43,7 +43,9 @@ every coefficient the pass holds, which ``_divide`` proves.
 
 ``kostant_q`` keeps one answer cache for every rank, one entry per query,
 keyed by xi less the zeros at its ends, which no root covers: (1, 1, 0) at
-rank 3 and (0, 1, 1, 0, 0) at rank 5 share one.  ``PartitionTable`` and
+rank 3 and (0, 1, 1, 0, 0) at rank 5 share one.  A ``_divide`` call whose
+every state the cache holds is summed from the cached coefficients, with no
+K, packing or rounds.  ``PartitionTable`` and
 ``table_for``, a rank-checking view of it, serve only ``perfbench/``'s checks.
 """
 
@@ -57,7 +59,7 @@ from operator import add, lshift, sub
 
 from .intervals import IndexSet, interval_partition
 from .poly import ONE, ZERO, QPolynomial, pack, unpack
-from .roots import RootVector, positive_root
+from .roots import RootVector
 from .weyl import CapExceededError
 
 # The oracle enumerates every multiset explicitly, so it refuses a
@@ -104,6 +106,10 @@ def _divide(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
     division pass whose rounds the module docstring describes; it only reads
     the answer cache.
 
+    When the cache holds every state with a nonzero weight, the call is
+    answered from it, sum w * value on the cached coefficients, before any K
+    or packing; at the first state it lacks, the pass runs as below.
+
     Weights are packed at q = 2^K (``poly.pack``); a state that leaves adds
     weight times its packed value to one packed total, unpacked at the end.
     K must keep every coefficient strictly inside +-2^(K-1):
@@ -122,9 +128,21 @@ def _divide(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
       plus a sign bit, so a packed weight is 0 exactly when the polynomial
       is, and the total unpacks exactly.
     """
+    answer: list[int] = []
+    for xi, w in weights.items():
+        if not w:
+            continue
+        got = _CACHE.get(xi if xi and xi[0] and xi[-1] else _strip(xi))
+        if got is None:
+            break
+        cs = got.coeffs
+        if len(answer) < len(cs):
+            answer.extend(repeat(0, len(cs) - len(answer)))
+        for k, c in enumerate(cs):
+            answer[k] += w * c
+    else:
+        return QPolynomial(answer)
     states = {xi: w for xi, w in weights.items() if w}
-    if not states:
-        return ZERO
     width = len(next(iter(states)))
     roots = width * (width + 1) // 2
     bound = sum(map(abs, states.values())) * comb(max(map(sum, states)) + roots, roots)
@@ -230,14 +248,20 @@ def _divide(weights: Mapping[tuple[int, ...], int]) -> QPolynomial:
     return QPolynomial(unpack(total, K))
 
 
+def _value(key: tuple[int, ...]) -> QPolynomial:
+    """P_q at a stripped xi >= 0: the answer cache's entry, else one pass,
+    whose value the cache then keeps."""
+    got = _CACHE.get(key)
+    if got is None:
+        got = _CACHE[key] = _divide({key: 1})
+    return got
+
+
 def kostant_q(xi: RootVector) -> QPolynomial:
     """The q-analog partition function, via the answer cache."""
     if min(xi.coeffs) < 0:
         return ZERO
-    key = _strip(xi.coeffs)
-    if key not in _CACHE:
-        _CACHE[key] = _divide({key: 1})
-    return _CACHE[key]
+    return _value(_strip(xi.coeffs))
 
 
 class PartitionTable:
@@ -314,5 +338,5 @@ def factorize_over_intervals(index_set: IndexSet) -> QPolynomial:
     """
     out = ONE
     for lo, hi in interval_partition(index_set):
-        out = out * kostant_q(positive_root(lo, hi, index_set.rank))
+        out = out * _value((1,) * (hi - lo + 1))  # the run's root, stripped
     return out

@@ -15,6 +15,7 @@ import bench_pair  # noqa: E402
 import workloads  # noqa: E402
 
 import qmult  # noqa: E402
+from qmult import partition  # noqa: E402
 
 
 def test_copy_leaves_out_bytecode_and_run_records(tmp_path):
@@ -94,8 +95,36 @@ def test_route_layer_times_every_verify_index_set():
         assert r["best_s"] > 0, r
 
 
+def test_cache_answered_counts_the_pass_calls_read_whole_from_the_cache():
+    # verify's brute sums mostly find every row cached by its kostant_q
+    # checks; kostant_q divides only on a miss, so no partition call is
+    # answered whole.  Counted from a cold cache, which is then restored.
+    before = dict(partition._CACHE)
+    tallies = bench_pair.cache_answered()
+    assert partition._CACHE == before
+    assert [(t["workload"], t["operations"], t["calls"], t["answered_whole"])
+            for t in tallies] == [("verify", 1, 152, 94), ("brute", 4, 4, 2),
+                                  ("partition", 15, 15, 0)]
+
+
+def test_cache_answered_keeps_an_earlier_profile_function():
+    events = []
+
+    def earlier(frame, event, arg):
+        events.append(event)
+
+    sys.setprofile(earlier)
+    try:
+        bench_pair.cache_answered()
+        assert sys.getprofile() is earlier
+    finally:
+        sys.setprofile(None)
+    assert "call" in events
+
+
 def test_timed_runs_alternate_and_keep_each_cases_fastest(monkeypatch):
-    # one slow process on a side must not set that side's record
+    # one slow process on a side must not set that side's record; every
+    # process's best is kept beside the fastest, with their median
     calls = []
     times = iter([[3.0, 1.0], [2.0, 2.0], [1.0, 5.0], [4.0, 4.0], [5.0, 0.5], [0.5, 3.0]])
 
@@ -107,8 +136,11 @@ def test_timed_runs_alternate_and_keep_each_cases_fastest(monkeypatch):
     monkeypatch.setattr(bench_pair, "RATE_RUNS", 3)
     best = bench_pair.fastest_runs({"before": "B", "after": "A"}, "pass_rates")
     assert calls == ["B", "A", "A", "B", "B", "A"]
-    assert best == {"before": [{"case": 0, "best_s": 3.0}, {"case": 1, "best_s": 0.5}],
-                    "after": [{"case": 0, "best_s": 0.5}, {"case": 1, "best_s": 2.0}]}
+    assert best == {
+        "before": [{"case": 0, "best_s": 3.0, "runs_s": [3.0, 4.0, 5.0], "median_s": 4.0},
+                   {"case": 1, "best_s": 0.5, "runs_s": [1.0, 4.0, 0.5], "median_s": 1.0}],
+        "after": [{"case": 0, "best_s": 0.5, "runs_s": [2.0, 1.0, 0.5], "median_s": 1.0},
+                  {"case": 1, "best_s": 2.0, "runs_s": [2.0, 5.0, 3.0], "median_s": 3.0}]}
 
 
 def _run(wall_s, rate, failed=0, correct=True):
@@ -192,6 +224,7 @@ def test_no_qmult_function_is_replaced():
         bench_pair.sweep_counts()
         bench_pair.count_partition()
         bench_pair.altset_terms()
+        bench_pair.cache_answered()
         bench_pair.sweep_rates()
         bench_pair.pass_rates()
         bench_pair.route_rates()

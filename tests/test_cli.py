@@ -620,6 +620,39 @@ class TestUsageErrors:
             shown = repr(bad[:32]) + ("..." if len(bad) > 32 else "")
             assert f"{shown} at position 5000" in err and len(err.encode()) < 200
 
+    @pytest.mark.parametrize("env, argv, bad", [
+        (None, ("partition", "--rank", "2", "--xi", "1,1_0"), "1_0"),
+        (None, ("partition", "--rank", "2", "--xi", "\u0661,1"), "\u0661"),
+        (None, ("multiplicity", "--rank", "10", "--mu", "1_0"), "1_0"),
+        (None, ("multiplicity", "--rank", "10", "--mu", "2-1_0"), "2-1_0"),
+        (None, ("multiplicity", "--rank", "3", "--mu", "coeffs:1,0_1,0"), "0_1"),
+        (None, ("altset", "--rank", "5", "--mu", "\uff12"), "\uff12"),
+        (None, ("bench", "--max-rank", "3", "--mu", "1_0"), "1_0"),
+        (None, ("partition", "--rank", "1_0", "--xi", "1"), "1_0"),
+        (None, ("verify", "--max-rank", "\u0663"), "\u0663"),
+        (None, ("verify", "--max-rank", "2", "--samples", "2_5"), "2_5"),
+        (None, ("verify", "--max-rank", "2", "--seed", "1_0"), "1_0"),
+        (None, ("verify", "--max-rank", "2", "--seed", "\u0661"), "\u0661"),
+        (None, ("verify", "--max-rank", "2", "--brute-cap", "0_9"), "0_9"),
+        ("0_9", ("multiplicity", "--rank", "3", "--mu", "1", "--method", "brute"), "0_9"),
+    ])
+    def test_an_integer_is_a_sign_and_ascii_digits(self, capsys, monkeypatch, env, argv, bad):
+        # int() alone reads 1_0 as 10 and other scripts' digits as ASCII ones
+        if env is not None:
+            monkeypatch.setenv("QMULT_BRUTE_CAP", env)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert repr(bad) in err
+
+    def test_an_integer_keeps_its_sign_and_surrounding_whitespace(self, capsys):
+        assert run_cli(capsys, "partition", "--rank", "3", "--xi", " +1, 1 ,1\t") == \
+            run_cli(capsys, "partition", "--rank", "3", "--xi", "1,1,1")
+        assert run_cli(capsys, "partition", "--rank", "2", "--xi=-1, 2")[:2] == (0, "0\n")
+        assert run_cli(capsys, "altset", "--rank", "5", "--mu", " 2 - +4 ") == \
+            run_cli(capsys, "altset", "--rank", "5", "--mu", "2-4")
+        assert run_cli(capsys, "verify", "--max-rank", " 2 ", "--seed", " -3 ") == \
+            run_cli(capsys, "verify", "--max-rank", "2", "--seed", "-3")
+
     def test_out_of_memory_is_exit_2(self):
         # a huge rank asks the closed form for a 1e9-coefficient polynomial;
         # the child caps its own address space at 1 GiB so the request fails

@@ -15,7 +15,7 @@ from closed_forms import kostant_q_interval_closed_form, kostant_q_rank2, kostan
 from qmult import partition
 from qmult.altset import WeylSweep
 from qmult.cli import main
-from qmult.intervals import IndexSet
+from qmult.intervals import IndexSet, interval_partition
 from qmult.partition import (
     DEFAULT_ORACLE_CAP,
     PartitionTable,
@@ -219,6 +219,24 @@ class TestDivisionPass:
         # alpha_{1,2} once, or alpha_1 and then alpha_2 read as 5q
         assert partition._divide({(1, 1): 1}) == Q + 5 * Q ** 2
 
+    def test_a_call_the_cache_answers_whole_is_summed_unpacked(self, monkeypatch):
+        # every state of nonzero weight is cached once its end zeros are
+        # stripped: the planted values are summed with no K, pack or unpack
+        monkeypatch.setattr(partition, "_CACHE", {(): ONE, (1,): 5 * Q, (2, 1): Q + 7})
+
+        def refuse(*args):
+            raise AssertionError("packed")
+
+        monkeypatch.setattr(partition, "pack", refuse)
+        monkeypatch.setattr(partition, "unpack", refuse)
+        weights = {(0, 1, 0): 3, (2, 1, 0): -2, (0, 0, 0): 4, (3, 3, 3): 0}
+        assert partition._divide(weights) == 3 * 5 * Q - 2 * (Q + 7) + 4
+        assert partition._divide({(1, 0): 1, (0, 1): -1}) == ZERO
+        # one state the cache lacks sends the call through the pass
+        with pytest.raises(AssertionError, match="packed"):
+            partition._divide({(0, 1, 0): 1, (1, 1, 0): 1})
+        assert partition._CACHE.keys() == {(), (1,), (2, 1)}
+
     def test_cache_holds_one_entry_per_query(self, monkeypatch):
         monkeypatch.setattr(partition, "_CACHE", {(): ONE})
         assert kostant_q(RootVector(3, (60, 59, 61))) == kostant_q_sibling((60, 59, 61))
@@ -288,10 +306,13 @@ class TestPackedPass:
     @example({(3, 3): 2, (3, 1): -2})
     @example({(1, 2, 3): -2, (2, 0, 2): 2})
     def test_agrees_with_tuple_pass_on_signed_weights(self, weights):
-        # cold, then with the cache holding the values of every other xi
+        # cold, with the cache holding the values of every other xi, and
+        # with it holding every xi, which no round divides
         self.check(weights, {(): ONE})
         cache = {partition._strip(xi): kostant_q_by_rank(xi) for xi in list(weights)[::2]}
         self.check(weights, {(): ONE, **cache})
+        full = {partition._strip(xi): kostant_q_by_rank(xi) for xi in weights}
+        self.check(weights, {(): ONE, **full})
 
     @settings(max_examples=40)
     @given(st.integers(min_value=5, max_value=7).flatmap(
@@ -310,6 +331,9 @@ class TestPackedPass:
         # check in verify leaves them before its brute sum
         warm = {partition._strip(xi): kostant_q_by_rank(xi) for xi in list(weights)[:6]}
         self.check(weights, {(): ONE, **warm})
+        # every row's value cached, as verify's brute sums mostly find them
+        full = {partition._strip(xi): kostant_q_by_rank(xi) for xi in weights}
+        self.check(weights, {(): ONE, **full})
 
     def test_peak_memory_is_at_most_the_predecessors(self):
         # tracemalloc counts the objects each pass allocates, so both peaks
@@ -424,12 +448,21 @@ class TestClosedFormAndFactorization:
         with pytest.raises(ValueError):
             factorize_over_intervals(IndexSet(4, []))
 
-    def test_factorization_agrees_with_direct_evaluation(self):
-        for r in range(1, 7):
+    def test_factorization_agrees_with_direct_evaluation(self, monkeypatch):
+        # with a cold cache, then a warm one, against the pass on alpha_I and
+        # against the product of kostant_q over each run's positive_root
+        monkeypatch.setattr(partition, "_CACHE", {(): ONE})
+        for r in range(1, 9):
             for mask in range(1, 1 << r):
                 index_set = IndexSet(r, (k + 1 for k in range(r) if mask >> k & 1))
-                assert factorize_over_intervals(index_set) == \
-                    kostant_q(index_set.to_root_vector())
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(partition, "_CACHE", {(): ONE})
+                    cold = factorize_over_intervals(index_set)
+                direct = kostant_q(index_set.to_root_vector())
+                old = ONE
+                for lo, hi in interval_partition(index_set):
+                    old = old * kostant_q(positive_root(lo, hi, r))
+                assert cold == factorize_over_intervals(index_set) == direct == old
 
 
 class TestClosedSums:
