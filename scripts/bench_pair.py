@@ -25,10 +25,7 @@ The record holds:
 - ``partition_entries``: the entries the answer cache ``_CACHE`` holds
   after the seed-1 ``partition`` inputs.
 - ``altset_terms``: the alternation-set elements each seed-1 ``altset`` call
-  accounts for, checked against perfbench's ``alt_set_size``, with the
-  ``steps`` of ``m_q_altset``'s scan of the strip, one per coordinate (a
-  checkout from before the scan records the same number, though its
-  (|J|, n) tally stepped over rank - 2 coordinates), and the words
+  accounts for, checked against perfbench's ``alt_set_size``, and the words
   ``joined`` in the lists ``alt_set_closed`` joins (``altset._halves``).
 - ``import_footprint``: the modules ``import qmult.cli`` adds to a
   ``python -I -S`` interpreter, sorted, and their count.
@@ -364,8 +361,7 @@ def import_footprint(checkout: Path) -> dict:
 
 def altset_terms() -> list:
     """The alternation-set elements each seed-1 ``altset`` operation accounts
-    for, checked against perfbench's ``alt_set_size``, the steps of
-    ``m_q_altset``'s scan (one per coordinate of the strip) and the words
+    for, checked against perfbench's ``alt_set_size``, and the words
     ``alt_set_closed`` joined across its cut."""
     import workloads
     from qmult import altset, multiplicity
@@ -378,7 +374,6 @@ def altset_terms() -> list:
         res = multiplicity.m_q_altset(index_set)
         calls.append({"call": "m_q_altset", "rank": inputs["rank"], "members": members,
                       "terms": res.terms_evaluated,
-                      "steps": index_set.rank,
                       "alt_set_size": workloads.alt_set_size(inputs["rank"], members)})
     c = inputs["closed"]
     closed = IndexSet(c["rank"], c["members"])

@@ -57,6 +57,7 @@ from math import comb
 from operator import add, lshift, sub
 from typing import Mapping, Sequence
 
+from poly_helpers import Poly
 from qmult import partition
 from qmult.poly import ONE, ZERO, QPolynomial, pack, unpack
 
@@ -125,9 +126,10 @@ class RankTable:
 rank_table = lru_cache(maxsize=None)(RankTable)
 
 
-def kostant_q_by_rank(coeffs) -> QPolynomial:
-    """The q-analog at coeffs, from the table of rank len(coeffs)."""
-    return rank_table(len(coeffs)).kostant_q_coeffs(coeffs)
+def kostant_q_by_rank(coeffs) -> Poly:
+    """The q-analog at coeffs, from the table of rank len(coeffs), as a
+    ``Poly`` that the tests can scale and subtract."""
+    return Poly(rank_table(len(coeffs)).kostant_q_coeffs(coeffs).coeffs)
 
 
 # (xi, shortest) -> _solve(xi, shortest), with xi stripped of its leading

